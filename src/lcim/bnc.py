@@ -16,6 +16,7 @@ and node bounds are rounded up before pruning.
 
 from __future__ import annotations
 
+import graphlib
 import heapq
 import math
 import time
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 from . import cyclecuts, knapcuts
 from .knapcuts import CutPool, xvar, yvar, zvar
 from .lp import LPModel, solve_lp
+from .oracle import activation_cost
 
 __all__ = [
     "MODES",
@@ -47,20 +49,21 @@ TSV_HEADER = "\t".join(
 )
 
 
+INT_TOL = 1e-6  # a y/z value this close to 0 or 1 counts as integral
+VIOL_TOL = 1e-6  # a cut must be violated by more than this to be added
+ROUND_CUT_CAP = 200  # cuts added per root round
+CYCLE_CAP = 10  # violated cycles searched per root round
+TREE_SEP_ROUNDS = 2  # MIS separation rounds per tree node before branching
+
+
 @dataclass
 class SolveParams:
     time_limit: float = 600.0
     max_rounds: int = 50
-    round_cut_cap: int = 200
-    int_tol: float = 1e-6
-    viol_tol: float = 1e-6
-    cycle_cap: int = 10
     gcec_only: bool = False
-    tree_sep_rounds: int = 2
-    seed: int = 0
 
     def __post_init__(self):
-        if self.time_limit <= 0 or self.max_rounds <= 0 or self.round_cut_cap <= 0:
+        if self.time_limit <= 0 or self.max_rounds <= 0:
             raise ValueError("limits must be positive")
 
 
@@ -71,14 +74,14 @@ class SolveReport:
     n: int
     m: int
     b: int
-    status: str  # optimal | time_limit | infeasible
+    status: str  # optimal | time_limit
     ub: float
     lb: float
     gap: float
     nodes: int
     cuts: dict
     seconds: float
-    incumbent: dict = field(default=None, repr=False)
+    incumbent: dict = field(default=None, repr=False)  # {"order", "objective"}
     root_bound: float = None
 
     def tsv_line(self):
@@ -237,14 +240,15 @@ def greedy_incumbent(instance):
 # ---------------------------------------------------------------------------
 
 
-def root_cut_loop(model, instance, params, pool):
+def root_cut_loop(model, instance, params, pool, deadline=math.inf):
     """Separate MIS/cover/packing and cycle cuts at the root until none are
     violated; returns the final root LP bound.
 
     Per round: the LP is solved, each node runs exact MIS separation (with
     the companion cover and packing cuts derived from the same subset), and
     each violated cycle yields a (U,C) cut — or a GCEC when the coverage
-    requirement cannot certify the cycle cuts' validity.
+    requirement cannot certify the cycle cuts' validity.  No round starts
+    separating once the monotonic clock has passed `deadline`.
     """
     views = {i: instance.node_view(i) for i in range(1, instance.n + 1)}
     bound = None
@@ -253,15 +257,17 @@ def root_cut_loop(model, instance, params, pool):
         if not sol.optimal:
             return sol.objective
         bound = sol.objective
+        if time.monotonic() > deadline:
+            break
         point = sol.values
         added = 0
 
         for i, view in views.items():
-            if added >= params.round_cut_cap:
+            if added >= ROUND_CUT_CAP:
                 break
             y_in = {j: point.get(yvar(j, i), 0.0) for j in view.neighbors}
             res = knapcuts.separate_mis(
-                view, point[xvar(i)], y_in, point[zvar(i)], tol=params.viol_tol
+                view, point[xvar(i)], y_in, point[zvar(i)], tol=VIOL_TOL
             )
             if res is None:
                 continue
@@ -272,34 +278,32 @@ def root_cut_loop(model, instance, params, pool):
             cover = knapcuts.cover_from_mis(view, mis.members)
             if cover is not None:
                 ccut = knapcuts.build_cover_cut(view, cover.members)
-                if ccut.violation(point) > params.viol_tol and pool.add(ccut):
+                if ccut.violation(point) > VIOL_TOL and pool.add(ccut):
                     model.add_constraint(ccut.coeffs, ">=", ccut.rhs)
                     added += 1
                 packed = knapcuts.packing_from_cover(
-                    view, cover, point[xvar(i)], y_in, point[zvar(i)],
-                    tol=params.viol_tol,
+                    view, cover, point[xvar(i)], y_in, point[zvar(i)], tol=VIOL_TOL
                 )
                 if packed is not None and pool.add(packed[1]):
                     model.add_constraint(packed[1].coeffs, ">=", packed[1].rhs)
                     added += 1
 
         cycles = cyclecuts.find_violated_cycles_fractional(
-            _yvals(point), point, cap=params.cycle_cap, tol=params.viol_tol
+            _yvals(point), point, cap=CYCLE_CAP, tol=VIOL_TOL
         )
         for cycle in cycles:
-            if added >= params.round_cut_cap:
+            if added >= ROUND_CUT_CAP:
                 break
             if not params.gcec_only and cyclecuts.cycle_cut_allowed(instance, cycle):
                 base_map = _choose_bases(cycle, views, pool, point)
                 res = cyclecuts.separate_uc(
-                    cycle, base_map, views, point, point, point,
-                    tol=params.viol_tol,
+                    cycle, base_map, views, point, point, point, tol=VIOL_TOL
                 )
                 if res is not None and pool.add(res[1]):
                     model.add_constraint(res[1].coeffs, ">=", res[1].rhs)
                     added += 1
                     continue
-            gcec = _best_gcec(cycle, point, params.viol_tol)
+            gcec = _best_gcec(cycle, point)
             if gcec is not None and pool.add(gcec):
                 model.add_constraint(gcec.coeffs, ">=", gcec.rhs)
                 added += 1
@@ -328,13 +332,13 @@ def _choose_bases(cycle, views, pool, point):
     return base_map
 
 
-def _best_gcec(cycle, point, tol):
+def _best_gcec(cycle, point):
     """GCEC with the exempted node chosen to maximize violation."""
     W = 0.0
     for k, l in cycle.arcs:
         W += point[zvar(l)] - point.get(yvar(k, l), 0.0)
     k_best = max(cycle.nodes, key=lambda k: point[zvar(k)])
-    if point[zvar(k_best)] - W <= tol:
+    if point[zvar(k_best)] - W <= VIOL_TOL:
         return None
     return cyclecuts.build_gcec(cycle, k_best)
 
@@ -344,7 +348,7 @@ def _best_gcec(cycle, point, tol):
 # ---------------------------------------------------------------------------
 
 
-def branch(model, point, int_tol=1e-6):
+def branch(model, point):
     """Pick the most fractional binary variable (z before y on ties) and
     return the two child bound fixings."""
     best = None
@@ -354,7 +358,7 @@ def branch(model, point, int_tol=1e-6):
             continue
         val = point[name]
         frac = min(val - math.floor(val), math.ceil(val) - val)
-        if frac <= int_tol:
+        if frac <= INT_TOL:
             continue
         rank = (frac, 1 if kind == "z" else 0, -idx)
         if best is None or rank > best[0]:
@@ -365,27 +369,28 @@ def branch(model, point, int_tol=1e-6):
     return {name: (0.0, 0.0)}, {name: (1.0, 1.0)}
 
 
-def _is_integral(model, point, int_tol):
+def _is_integral(model, point):
     for name in model.var_names:
         if name[0] in ("y", "z"):
             val = point[name]
-            if min(val - math.floor(val), math.ceil(val) - val) > int_tol:
+            if min(val - math.floor(val), math.ceil(val) - val) > INT_TOL:
                 return False
     return True
 
 
-def _repair_cost(instance, point, int_tol):
-    """Incentive cost of an integral candidate with x recomputed exactly."""
-    cost = 0
-    for i in range(1, instance.n + 1):
-        z = round(point[zvar(i)])
-        influence = sum(
-            instance.weight(j, i)
-            for j in instance.neighbors(i)
-            if round(point[yvar(j, i)])
-        )
-        cost += max(0, instance.threshold(i) * z - influence)
-    return cost
+def _activation_order(instance, point):
+    """The active nodes (z = 1) of an integral candidate, topologically
+    sorted along its influence arcs (y = 1)."""
+    preds = {i: [] for i in range(1, instance.n + 1) if point[zvar(i)] > 0.5}
+    for (j, i), _ in instance.arcs:
+        if i in preds and j in preds and point[yvar(j, i)] > 0.5:
+            preds[i].append(j)
+    try:
+        return tuple(graphlib.TopologicalSorter(preds).static_order())
+    except graphlib.CycleError as exc:
+        raise RuntimeError(
+            "influence arcs of an integral candidate hold a cycle"
+        ) from exc
 
 
 def solve(instance, mode="def", params=None, instance_id="instance"):
@@ -393,11 +398,12 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
     if params is None:
         params = SolveParams()
     t0 = time.monotonic()
+    deadline = t0 + params.time_limit
     pool = CutPool()
     model = assemble(instance, mode)
 
     if mode == "cb":
-        root_bound = root_cut_loop(model, instance, params, pool)
+        root_bound = root_cut_loop(model, instance, params, pool, deadline)
     else:
         root_sol = solve_lp(model)
         root_bound = root_sol.objective if root_sol.optimal else None
@@ -412,7 +418,7 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
     counter = 0
     heap = [(0.0, counter, {}, 0)]
     while heap:
-        if time.monotonic() - t0 > params.time_limit:
+        if time.monotonic() > deadline:
             status = "time_limit"
             break
         node_lb, _, overrides, seps = heapq.heappop(heap)
@@ -428,7 +434,7 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
             continue
         point = sol.values
 
-        if _is_integral(model, point, params.int_tol):
+        if _is_integral(model, point):
             cycle = None
             if mode != "ln":
                 cycle = cyclecuts.find_violated_cycle_integer(_yvals(point))
@@ -454,20 +460,20 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
                 counter += 1
                 heapq.heappush(heap, (lb_node, counter, overrides, seps))
                 continue
-            cost = _repair_cost(instance, point, params.int_tol)
+            order = _activation_order(instance, point)
+            cost = activation_cost(instance, order)
             if cost < ub:
                 ub = cost
-                incumbent = {"point": dict(point), "objective": cost}
+                incumbent = {"order": order, "objective": cost}
             continue
 
-        if mode == "cb" and seps < params.tree_sep_rounds:
+        if mode == "cb" and seps < TREE_SEP_ROUNDS:
             # tighten the node with fresh MIS cuts before spending a branch
             added = 0
             for i, view in views.items():
                 y_in = {j: point.get(yvar(j, i), 0.0) for j in view.neighbors}
                 res = knapcuts.separate_mis(
-                    view, point[xvar(i)], y_in, point[zvar(i)],
-                    tol=params.viol_tol,
+                    view, point[xvar(i)], y_in, point[zvar(i)], tol=VIOL_TOL
                 )
                 if res is not None and pool.add(res[1]):
                     model.add_constraint(res[1].coeffs, ">=", res[1].rhs)
@@ -477,7 +483,7 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
                 heapq.heappush(heap, (lb_node, counter, overrides, seps + 1))
                 continue
 
-        left, right = branch(model, point, params.int_tol)
+        left, right = branch(model, point)
         for child in (left, right):
             merged = dict(overrides)
             merged.update(child)
@@ -497,7 +503,7 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
         n=instance.n,
         m=instance.m,
         b=instance.b,
-        status=status if ub < math.inf else "infeasible",
+        status=status,
         ub=float(ub),
         lb=lb_report,
         gap=gap_percent(float(ub), lb_report),

@@ -7,7 +7,8 @@ Subcommands:
   dp-cycle   solve a simple-cycle instance by dynamic programming
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
-The environment variable LCIM_THREADS caps batch parallelism for `solve`.
+The environment variable LCIM_THREADS (default 1) sets how many instance
+files `solve` works on at once.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ def build_parser():
     slv.add_argument("--time-limit", type=float, default=600.0, metavar="S")
     slv.add_argument("--rounds", type=int, default=50, metavar="K",
                      help="max root cutting rounds (cb mode)")
-    slv.add_argument("--seed", type=int, default=0)
     slv.add_argument("--format", choices=("tsv", "text"), default="tsv")
     slv.add_argument("--out", metavar="PATH")
 
@@ -104,14 +104,17 @@ def cmd_generate(args):
 
 def _solve_one(path, args):
     inst = inst_mod.preprocess(inst_mod.load(path))
-    params = SolveParams(
-        time_limit=args.time_limit, max_rounds=args.rounds, seed=args.seed
-    )
+    params = SolveParams(time_limit=args.time_limit, max_rounds=args.rounds)
     return bnc.solve(inst, args.mode, params, instance_id=os.path.basename(path))
 
 
 def cmd_solve(args):
-    threads = max(1, int(os.environ.get("LCIM_THREADS", "1")))
+    raw = os.environ.get("LCIM_THREADS", "1")
+    try:
+        threads = max(1, int(raw))
+    except ValueError:
+        print(f"error: LCIM_THREADS must be an integer, not {raw!r}", file=sys.stderr)
+        return EXIT_USAGE
     reports = []
     errors = []
 
@@ -123,11 +126,8 @@ def cmd_solve(args):
         except ValueError as exc:
             return path, None, (EXIT_USAGE, str(exc))
 
-    if threads > 1 and len(args.paths) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, args.paths))
-    else:
-        results = [run(p) for p in args.paths]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(run, args.paths))
 
     lines = []
     if args.format == "tsv":

@@ -165,7 +165,7 @@ def find_violated_cycles_fractional(y_values, z_values, cap=10, tol=VIOLATION_TO
     adj = {}
     for name, val in y_values.items():
         i, j = (int(t) for t in name[2:-1].split(","))
-        w = max(z_values.get(zvar(j), z_values.get(j, 0.0)) - val, 0.0)
+        w = max(z_values[zvar(j)] - val, 0.0)
         arcs[(i, j)] = w
         adj.setdefault(i, []).append((j, w))
 

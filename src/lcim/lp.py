@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
-__all__ = ["LPModel", "LPSolution", "solve_lp", "add_row"]
+__all__ = ["LPModel", "LPSolution", "solve_lp"]
 
 FEAS_TOL = 1e-7
 
@@ -61,9 +61,6 @@ class LPModel:
         self.obj.append(float(obj))
         return name
 
-    def has_var(self, name):
-        return name in self._index
-
     def add_constraint(self, coeffs, sense, rhs):
         if sense not in _SENSES:
             raise ValueError(f"unknown sense {sense!r}")
@@ -84,16 +81,6 @@ class LPModel:
         k = self._index[name]
         return self.lower[k], self.upper[k]
 
-    def copy(self):
-        other = LPModel.__new__(LPModel)
-        other.var_names = list(self.var_names)
-        other.lower = list(self.lower)
-        other.upper = list(self.upper)
-        other.obj = list(self.obj)
-        other._index = dict(self._index)
-        other.rows = list(self.rows)
-        return other
-
     # -- debugging dump ----------------------------------------------------
 
     def dump(self):
@@ -105,12 +92,6 @@ class LPModel:
         for v, lo, hi in zip(self.var_names, self.lower, self.upper):
             out.append(f"{lo:g} <= {v} <= {hi:g}")
         return "\n".join(out)
-
-
-def add_row(model, inequality):
-    """Append one constraint taken from an Inequality (sense >=)."""
-    model.add_constraint(inequality.coeffs, ">=", inequality.rhs)
-    return model
 
 
 def solve_lp(model, bound_overrides=None):
@@ -181,10 +162,7 @@ def solve_lp(model, bound_overrides=None):
         raise RuntimeError(f"LP solver failed: {res.message}")
 
     values = dict(zip(model.var_names, res.x))
-    dual = None
     try:
-        dual = float(res.fun - res.ineqlin.residual @ res.ineqlin.marginals * 0.0)
-        # dual objective recomputed from marginals for the duality test
         dual = 0.0
         if a_ub is not None:
             dual += float(b_ub @ res.ineqlin.marginals)

@@ -1,10 +1,10 @@
 """Polynomial special cases.
 
 Two structures admit fast exact algorithms: LCIM on a simple cycle falls to
-an O(n) dynamic program over (start node, direction) windows, and on trees
-with equal incoming influence per node (and full coverage b = n) the linear
-relaxation augmented with per-node hull rows has integral vertices, so a
-single LP solve is exact.
+an O(n*b) dynamic program over node activity and edge orientation states,
+and on trees with equal incoming influence per node (and full coverage
+b = n) the linear relaxation augmented with per-node hull rows has integral
+vertices, so a single LP solve is exact.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CyclePlan:
-    """An optimal activation window on a cycle: start node, direction of
-    propagation, coverage b, and total incentive cost."""
+    """An optimal activation on a cycle: a fully paid seed node, the
+    direction of propagation, coverage b, and total incentive cost."""
 
     start: int
-    direction: str  # "forward" | "backward"
+    direction: str  # "forward" | "backward" | "mixed"
     b: int
     cost: int
 
@@ -84,65 +84,6 @@ def cycle_order(instance):
     if len(order) != n or 1 not in nbrs[order[-1]]:
         raise ValueError("graph is not a single simple cycle")
     return order
-
-
-def _window_costs(instance, order, b):
-    """Cost of starting at each position of `order` and walking b-1 arcs."""
-    n = len(order)
-    h = [instance.threshold(v) for v in order]
-    # c[k]: marginal cost of activating order[k] right after order[k-1]
-    c = []
-    for k in range(n):
-        d = instance.weight(order[k - 1], order[k])
-        if h[k] - d < 0:
-            raise ValueError(
-                "influence weight exceeds threshold; preprocess the instance first"
-            )
-        c.append(h[k] - d)
-    pref = [0]
-    for k in range(2 * n):
-        pref.append(pref[-1] + c[k % n])
-
-    costs = []
-    for s in range(n):
-        if b < n:
-            cost = h[s] + (pref[s + b] - pref[s + 1])
-        else:
-            # full coverage: the closing node is reached from both sides
-            cost = h[s] + (pref[s + n - 1] - pref[s + 1])
-            last = (s + n - 1) % n
-            closing = max(
-                0,
-                h[last]
-                - instance.weight(order[last - 1], order[last])
-                - instance.weight(order[s], order[last]),
-            )
-            cost += closing
-        costs.append(cost)
-    return costs
-
-
-def _dp_cycle_window(instance, b=None):
-    """One-way window recursion: min over (start, direction) of paying the
-    start in full and sweeping b-1 arcs.  O(n) via sliding prefix sums.
-
-    This is an upper bound only: it misses solutions that spread influence
-    in both directions from a seed or use several seed segments.  Kept as a
-    reference; `dp_cycle` is exact.
-    """
-    if b is None:
-        b = instance.b
-    order = cycle_order(instance)
-    if not (1 <= b <= instance.n):
-        raise ValueError(f"b={b} outside [1, n]")
-
-    best = None
-    for direction, seq in (("forward", order), ("backward", order[::-1])):
-        costs = _window_costs(instance, seq, b)
-        for s, cost in enumerate(costs):
-            if best is None or cost < best.cost:
-                best = CyclePlan(start=seq[s], direction=direction, b=b, cost=cost)
-    return best
 
 
 def dp_cycle(instance, b=None):
@@ -247,7 +188,7 @@ def _plan_from_solution(instance, order, b, cost, actives, edges):
     """Summarize a DP solution: a fully paid seed node and the sweep shape.
 
     Direction is "forward"/"backward" when every used edge shares one
-    rotational orientation (the one-way window case) and "mixed" otherwise.
+    rotational orientation (a one-way sweep) and "mixed" otherwise.
     """
     n = len(order)
     U, F, B = 0, 1, 2
@@ -274,31 +215,6 @@ def _plan_from_solution(instance, order, b, cost, actives, edges):
         b=b,
         cost=cost,
     )
-
-
-def _dp_cycle_naive(instance, b=None):
-    """Literal O(n*b) evaluation of the window recursion, for cross-checks."""
-    if b is None:
-        b = instance.b
-    order = cycle_order(instance)
-    n = len(order)
-    best = None
-    for direction, seq in (("forward", order), ("backward", order[::-1])):
-        for s in range(n):
-            cost = instance.threshold(seq[s])
-            prev = seq[s]
-            for t in range(1, b):
-                node = seq[(s + t) % n]
-                step = instance.threshold(node) - instance.weight(prev, node)
-                if step < 0:
-                    raise ValueError("unpreprocessed instance")
-                if t == n - 1:  # full loop: closing influence from the start node
-                    step = max(0, step - instance.weight(seq[s], node))
-                cost += step
-                prev = node
-            if best is None or cost < best.cost:
-                best = CyclePlan(start=seq[s], direction=direction, b=b, cost=cost)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Branch-and-cut engine: formulations, root cuts, search, reports."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from lcim import demo, oracle
+from lcim import bnc, demo, oracle
 from lcim.bnc import (
     CUT_FAMILIES,
     TSV_HEADER,
@@ -47,7 +48,7 @@ class TestAssemble:
     def test_ln_structure(self):
         inst = demo.demo_instance().with_b(5)
         model = assemble(inst, "ln")
-        assert model.has_var("l[1]") and model.bounds("l[1]") == (1.0, 5.0)
+        assert model.bounds("l[1]") == (1.0, 5.0)
         assert model.bounds(zvar(1)) == (1.0, 1.0)
 
     def test_ln_relaxation_not_weaker_than_def(self):
@@ -181,18 +182,18 @@ class TestSolve:
         assert d.root_bound == pytest.approx(demo.DEMO_LP_OBJ, abs=1e-6)
         assert c.root_bound >= d.root_bound + 0.5  # cuts close most of the gap
 
-    def test_incumbent_support_acyclic(self):
-        from lcim.cyclecuts import find_violated_cycle_integer
-
+    def test_incumbent_is_activation_order(self):
         rng = np.random.default_rng(127)
         for _ in range(10):
             inst = random_instance(rng)
-            report = solve(inst, "def", SolveParams(time_limit=60))
-            point = report.incumbent.get("point")
-            if point is None:
-                continue  # greedy order incumbent: acyclic by construction
-            y = {k: v for k, v in point.items() if k.startswith("y[")}
-            assert find_violated_cycle_integer(y) is None
+            modes = ("def", "cb", "ln") if inst.b == inst.n else ("def", "cb")
+            for mode in modes:
+                report = solve(inst, mode, SolveParams(time_limit=60))
+                assert set(report.incumbent) == {"order", "objective"}
+                order = report.incumbent["order"]
+                assert len(set(order)) == len(order) >= inst.b
+                assert oracle.activation_cost(inst, order) == report.ub
+                assert report.incumbent["objective"] == report.ub
 
     def test_time_limit_reported(self):
         inst = demo.demo_instance()
@@ -200,6 +201,25 @@ class TestSolve:
         assert report.status == "time_limit"
         assert report.lb <= report.ub
         assert report.gap >= 0.0
+
+    def test_deadline_holds_in_root_loop(self, monkeypatch):
+        calls = []
+
+        def counting_solve_lp(model, **kwargs):
+            calls.append(model)
+            return solve_lp(model, **kwargs)
+
+        monkeypatch.setattr(bnc, "solve_lp", counting_solve_lp)
+        inst = demo.demo_instance()
+        model = assemble(inst, "cb")
+        pool = CutPool()
+        root_cut_loop(model, inst, SolveParams(), pool, time.monotonic() - 1.0)
+        assert len(calls) <= 1
+        assert len(pool) == 0
+
+        report = solve(inst, "cb", SolveParams(time_limit=1e-9))
+        assert report.status == "time_limit"
+        assert report.lb <= report.ub
 
     def test_gcec_only_matches(self):
         rng = np.random.default_rng(131)

@@ -145,6 +145,19 @@ class TestSolve:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 4
 
+    def test_threads_env_not_an_integer(self, demo_path, capsys, monkeypatch):
+        monkeypatch.setenv("LCIM_THREADS", "abc")
+        code = main(["solve", demo_path])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "LCIM_THREADS" in captured.err
+        assert captured.out == ""
+
+    def test_seed_flag_removed(self, demo_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--seed", "1", demo_path])
+        assert exc.value.code == EXIT_USAGE
+
     def test_ln_on_partial_coverage_is_usage_error(self, demo_path, capsys):
         code = main(["solve", demo_path, "--mode", "ln"])
         assert code == EXIT_USAGE

@@ -1,9 +1,13 @@
 """Instance model, preprocessing, generator, and file I/O."""
 
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcim.demo import demo_instance
 from lcim.instance import (
@@ -208,3 +212,38 @@ class TestIO:
             warnings.simplefilter("always")
             loads(text)
         assert any("node 1" in str(w.message) for w in caught)
+
+
+@st.composite
+def instances(draw, max_n=6):
+    """Any valid instance: symmetric arc set, positive weights, any b."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    arcs = {}
+    for i, j in edges:
+        arcs[(i, j)] = draw(st.integers(1, 20))
+        arcs[(j, i)] = draw(st.integers(1, 20))
+    thresholds = {i: draw(st.integers(1, 30)) for i in range(1, n + 1)}
+    return make_instance(n, arcs, thresholds, draw(st.integers(1, n)))
+
+
+class TestProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(instances())
+    def test_save_loads_round_trip(self, inst):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "inst.lcim")
+            save(inst, path)
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # random thresholds may lack slack
+            assert loads(text) == inst
+
+    @settings(max_examples=50, deadline=None)
+    @given(instances())
+    def test_preprocess_idempotent(self, inst):
+        once = preprocess(inst)
+        assert once.is_preprocessed()
+        assert preprocess(once) == once

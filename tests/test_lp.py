@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from lcim.knapcuts import Inequality
-from lcim.lp import LPModel, add_row, solve_lp
+from lcim.lp import LPModel, solve_lp
 
 
 def small_model():
@@ -42,21 +41,6 @@ class TestModel:
         m = small_model()
         m.set_bounds("x", 1.0, 9.0)
         assert m.bounds("x") == (1.0, 9.0)
-
-    def test_copy_is_independent(self):
-        m = small_model()
-        c = m.copy()
-        c.add_constraint({"x": 1.0}, ">=", 10.0)
-        c.set_bounds("x", 5.0, 20.0)
-        assert len(m.rows) == 1
-        assert m.bounds("x") == (0.0, np.inf)
-        assert abs(solve_lp(m).objective - 3.0) < 1e-9
-        assert abs(solve_lp(c).objective - 10.0) < 1e-9
-
-    def test_add_row_from_inequality(self):
-        m = small_model()
-        add_row(m, Inequality(coeffs={"x": 1.0}, rhs=7.0, tag="base"))
-        assert abs(solve_lp(m).objective - 7.0) < 1e-9
 
     def test_dump_mentions_everything(self):
         text = small_model().dump()

@@ -14,8 +14,6 @@ from lcim.special import (
     cycle_order,
     dp_cycle,
     hull_coefficients,
-    _dp_cycle_naive,
-    _dp_cycle_window,
 )
 
 from conftest import random_cycle_instance, random_equal_tree
@@ -89,18 +87,6 @@ class TestDpCycle:
                 opt, _ = brute_force_optimum(inst.with_b(b))
                 assert plan.cost == opt, (inst, b)
                 assert plan.direction in ("forward", "backward", "mixed")
-
-    def test_window_recursion_is_upper_bound(self):
-        # the one-way window sweep never beats the exact DP and matches
-        # its own literal O(n*b) evaluation
-        rng = np.random.default_rng(67)
-        for _ in range(40):
-            inst = random_cycle_instance(rng, n_max=7)
-            for b in range(1, inst.n + 1):
-                window = _dp_cycle_window(inst, b=b)
-                naive = _dp_cycle_naive(inst, b=b)
-                assert window.cost == naive.cost
-                assert window.cost >= dp_cycle(inst, b=b).cost
 
 
 class TestHullCoefficients:
