@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import cyclecuts, knapcuts
-from .knapcuts import CutPool, xvar, yvar, zvar
+from .knapcuts import VIOLATION_TOL, CutPool, xvar, yvar, zvar
 from .lp import LPModel, solve_lp
 from .oracle import activation_cost
 
@@ -50,9 +50,7 @@ TSV_HEADER = "\t".join(
 
 
 INT_TOL = 1e-6  # a y/z value this close to 0 or 1 counts as integral
-VIOL_TOL = 1e-6  # a cut must be violated by more than this to be added
 ROUND_CUT_CAP = 200  # cuts added per root round
-CYCLE_CAP = 10  # violated cycles searched per root round
 TREE_SEP_ROUNDS = 2  # MIS separation rounds per tree node before branching
 
 
@@ -262,59 +260,48 @@ def root_cut_loop(model, instance, params, pool, deadline=math.inf):
         point = sol.values
         added = 0
 
-        for i, view in views.items():
+        for view in views.values():
             if added >= ROUND_CUT_CAP:
                 break
-            y_in = {j: point.get(yvar(j, i), 0.0) for j in view.neighbors}
-            res = knapcuts.separate_mis(
-                view, point[xvar(i)], y_in, point[zvar(i)], tol=VIOL_TOL
-            )
+            res = knapcuts.separate_mis(view, point)
             if res is None:
                 continue
             mis, cut, _ = res
-            if pool.add(cut):
-                model.add_constraint(cut.coeffs, ">=", cut.rhs)
-                added += 1
+            added += _add_cut(model, pool, cut)
             cover = knapcuts.cover_from_mis(view, mis.members)
             if cover is not None:
                 ccut = knapcuts.build_cover_cut(view, cover.members)
-                if ccut.violation(point) > VIOL_TOL and pool.add(ccut):
-                    model.add_constraint(ccut.coeffs, ">=", ccut.rhs)
-                    added += 1
-                packed = knapcuts.packing_from_cover(
-                    view, cover, point[xvar(i)], y_in, point[zvar(i)], tol=VIOL_TOL
-                )
-                if packed is not None and pool.add(packed[1]):
-                    model.add_constraint(packed[1].coeffs, ">=", packed[1].rhs)
-                    added += 1
+                if ccut.violation(point) > VIOLATION_TOL:
+                    added += _add_cut(model, pool, ccut)
+                packed = knapcuts.packing_from_cover(view, cover, point)
+                if packed is not None:
+                    added += _add_cut(model, pool, packed[1])
 
-        cycles = cyclecuts.find_violated_cycles_fractional(
-            _yvals(point), point, cap=CYCLE_CAP, tol=VIOL_TOL
-        )
-        for cycle in cycles:
+        for cycle in cyclecuts.find_violated_cycles_fractional(instance, point):
             if added >= ROUND_CUT_CAP:
                 break
             if not params.gcec_only and cyclecuts.cycle_cut_allowed(instance, cycle):
                 base_map = _choose_bases(cycle, views, pool, point)
-                res = cyclecuts.separate_uc(
-                    cycle, base_map, views, point, point, point, tol=VIOL_TOL
-                )
-                if res is not None and pool.add(res[1]):
-                    model.add_constraint(res[1].coeffs, ">=", res[1].rhs)
+                res = cyclecuts.separate_uc(cycle, base_map, views, point)
+                if res is not None and _add_cut(model, pool, res[1]):
                     added += 1
                     continue
             gcec = _best_gcec(cycle, point)
-            if gcec is not None and pool.add(gcec):
-                model.add_constraint(gcec.coeffs, ">=", gcec.rhs)
-                added += 1
+            if gcec is not None:
+                added += _add_cut(model, pool, gcec)
 
         if added == 0:
             break
     return bound
 
 
-def _yvals(point):
-    return {k: v for k, v in point.items() if k.startswith("y[")}
+def _add_cut(model, pool, cut):
+    """Pool the cut and, when the pool did not hold it yet, add its row to
+    the model; returns whether it was new."""
+    if not pool.add(cut):
+        return False
+    model.add_constraint(cut.coeffs, ">=", cut.rhs)
+    return True
 
 
 def _choose_bases(cycle, views, pool, point):
@@ -326,9 +313,7 @@ def _choose_bases(cycle, views, pool, point):
         candidates = [cyclecuts.base_from_row(view)]
         for cut in pool.for_node(i):
             candidates.append(cyclecuts.base_from_inequality(cut, view))
-        base_map[i] = min(
-            candidates, key=lambda b: b.theta(point, point, point)
-        )
+        base_map[i] = min(candidates, key=lambda b: b.theta(point))
     return base_map
 
 
@@ -338,7 +323,7 @@ def _best_gcec(cycle, point):
     for k, l in cycle.arcs:
         W += point[zvar(l)] - point.get(yvar(k, l), 0.0)
     k_best = max(cycle.nodes, key=lambda k: point[zvar(k)])
-    if point[zvar(k_best)] - W <= VIOL_TOL:
+    if point[zvar(k_best)] - W <= VIOLATION_TOL:
         return None
     return cyclecuts.build_gcec(cycle, k_best)
 
@@ -437,21 +422,17 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
         if _is_integral(model, point):
             cycle = None
             if mode != "ln":
-                cycle = cyclecuts.find_violated_cycle_integer(_yvals(point))
+                cycle = cyclecuts.find_violated_cycle_integer(instance, point)
             if cycle is not None:
-                new = False
                 gcec = cyclecuts.build_gcec(cycle, min(cycle.nodes))
-                if pool.add(gcec):
-                    model.add_constraint(gcec.coeffs, ">=", gcec.rhs)
-                    new = True
+                new = _add_cut(model, pool, gcec)
                 if not params.gcec_only and cyclecuts.cycle_cut_allowed(
                     instance, cycle
                 ):
                     empty = cyclecuts.build_uc_cut(
                         cyclecuts.make_uc_data(cycle, (), {}), {}
                     )
-                    if pool.add(empty):
-                        model.add_constraint(empty.coeffs, ">=", empty.rhs)
+                    if _add_cut(model, pool, empty):
                         new = True
                 if not new:
                     raise RuntimeError(
@@ -470,14 +451,10 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
         if mode == "cb" and seps < TREE_SEP_ROUNDS:
             # tighten the node with fresh MIS cuts before spending a branch
             added = 0
-            for i, view in views.items():
-                y_in = {j: point.get(yvar(j, i), 0.0) for j in view.neighbors}
-                res = knapcuts.separate_mis(
-                    view, point[xvar(i)], y_in, point[zvar(i)], tol=VIOL_TOL
-                )
-                if res is not None and pool.add(res[1]):
-                    model.add_constraint(res[1].coeffs, ">=", res[1].rhs)
-                    added += 1
+            for view in views.values():
+                res = knapcuts.separate_mis(view, point)
+                if res is not None:
+                    added += _add_cut(model, pool, res[1])
             if added:
                 counter += 1
                 heapq.heappush(heap, (lb_node, counter, overrides, seps + 1))

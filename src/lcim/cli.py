@@ -23,7 +23,6 @@ import numpy as np
 from . import bnc, cyclecuts, demo, instance as inst_mod, knapcuts, oracle, special
 from .bnc import CUT_FAMILIES, TSV_HEADER, SolveParams
 from .instance import ParseError
-from .knapcuts import xvar, yvar, zvar
 from .lp import solve_lp
 
 EXIT_OK = 0
@@ -273,7 +272,7 @@ def _suite_trace(failures):
     views = {i: inst.node_view(i) for i in range(1, 6)}
     base_map = demo.demo_base_map(inst)
     cycle = demo.demo_cycle()
-    res = cyclecuts.separate_uc(cycle, base_map, views, point, point, point)
+    res = cyclecuts.separate_uc(cycle, base_map, views, point)
     if res is None:
         failures.append("separate_uc found no cut at the recorded point")
     else:
@@ -291,9 +290,7 @@ def _suite_trace(failures):
                 f"post-cut LP: expected {demo.DEMO_POSTCUT_OBJ}, "
                 f"got {sol2.objective:.6f}"
             )
-    f_direct, exits = cyclecuts.uc_dag_values(
-        cycle, base_map, views, point, point, point
-    )
+    f_direct, exits = cyclecuts.uc_dag_values(cycle, base_map, views, point)
     dag = (f_direct, *exits)
     if any(abs(a - b) > 1e-6 for a, b in zip(dag, demo.DEMO_DAG_VALUES)):
         failures.append(
@@ -309,7 +306,7 @@ def _suite_oracle(failures):
     rng = np.random.default_rng(20240817)
     checks = 0
     for _ in range(6):
-        inst = _random_small_instance(rng)
+        inst = demo.random_instance(rng)
         expect, _ = oracle.brute_force_optimum(inst)
         for mode in ("def", "cb"):
             report = bnc.solve(inst, mode, SolveParams(time_limit=60))
@@ -320,28 +317,6 @@ def _suite_oracle(failures):
                 )
             checks += 1
     return checks
-
-
-def _random_small_instance(rng, n_max=6):
-    """Random connected bidirectional instance for oracle batteries."""
-    n = int(rng.integers(3, n_max + 1))
-    arcs = {}
-    order = list(rng.permutation(np.arange(1, n + 1)))
-    for a, b in zip(order, order[1:]):  # random spanning tree
-        a, b = int(a), int(b)
-        arcs[(a, b)] = int(rng.integers(1, 11))
-        arcs[(b, a)] = int(rng.integers(1, 11))
-    for i in range(1, n + 1):  # sprinkle extra edges
-        for j in range(i + 1, n + 1):
-            if (i, j) not in arcs and rng.random() < 0.35:
-                arcs[(i, j)] = int(rng.integers(1, 11))
-                arcs[(j, i)] = int(rng.integers(1, 11))
-    thresholds = {}
-    for i in range(1, n + 1):
-        delta = sum(w for (a, b), w in arcs.items() if b == i)
-        thresholds[i] = int(rng.integers(1, max(2, delta + 2)))
-    b = int(rng.integers(1, n + 1))
-    return inst_mod.preprocess(inst_mod.make_instance(n, arcs, thresholds, b))
 
 
 def cmd_verify(_args):

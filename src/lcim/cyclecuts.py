@@ -13,6 +13,9 @@ Separation is exact: the violation factorizes as delta(U) * (K + sum c_i),
 so a dynamic program over achievable lcm values (with exact rational
 accumulation of the c_i) finds the true maximum.  The sorted-theta chain
 DAG of the prefix heuristic is kept as a diagnostic (`uc_dag_values`).
+
+Every search and separator reads the LP point, a dict from variable name
+to value; the cycle searches walk `instance.arcs`, the LP's y column order.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .knapcuts import Inequality, xvar, yvar, zvar
+from .knapcuts import VIOLATION_TOL, Inequality, xvar, yvar, zvar
 
 __all__ = [
     "Cycle",
@@ -36,14 +39,13 @@ __all__ = [
     "separate_uc",
     "uc_violation",
     "uc_dag_values",
-    "dominance_check",
     "base_from_inequality",
     "base_from_row",
     "cycle_cut_allowed",
 ]
 
-VIOLATION_TOL = 1e-6
-DELTA_CAP = 2**31
+CYCLE_CAP = 10  # violated cycles returned per fractional search
+DELTA_CAP = 2**31  # largest lcm the (U,C) separation DP keeps
 
 
 @dataclass(frozen=True)
@@ -111,12 +113,11 @@ def build_gcec(cycle, k):
                       provenance=(cycle.arcs, k))
 
 
-def find_violated_cycle_integer(y_values, tol=0.5):
-    """Find a directed cycle in the support {(i,j): y_ij > tol} by DFS."""
+def find_violated_cycle_integer(instance, point):
+    """Find a directed cycle in the support {(i,j): y_ij > 0.5} by DFS."""
     succ = {}
-    for name, val in y_values.items():
-        if val > tol:
-            i, j = (int(t) for t in name[2:-1].split(","))
+    for (i, j), _ in instance.arcs:
+        if point[yvar(i, j)] > 0.5:
             succ.setdefault(i, []).append(j)
     color = {}
     parent_arc = {}
@@ -152,26 +153,25 @@ def find_violated_cycle_integer(y_values, tol=0.5):
     return None
 
 
-def find_violated_cycles_fractional(y_values, z_values, cap=10, tol=VIOLATION_TOL):
+def find_violated_cycles_fractional(instance, point):
     """Cycles whose weight sum_{(k,l) in C} (z_l - y_kl) falls below 1.
 
     Arc weights are nonnegative at any point satisfying the edge-coupling
     rows, so a shortest-path search from each arc's head back to its tail
     closes the cheapest cycle through that arc.  Two-cycles are skipped
     (already covered by the edge-coupling rows); results are canonicalized
-    and deduplicated, up to `cap` cycles.
+    and deduplicated, up to CYCLE_CAP cycles.
     """
     arcs = {}
     adj = {}
-    for name, val in y_values.items():
-        i, j = (int(t) for t in name[2:-1].split(","))
-        w = max(z_values[zvar(j)] - val, 0.0)
+    for (i, j), _ in instance.arcs:
+        w = max(point[zvar(j)] - point[yvar(i, j)], 0.0)
         arcs[(i, j)] = w
         adj.setdefault(i, []).append((j, w))
 
     found = {}
-    for (i, j), w0 in sorted(arcs.items()):
-        if w0 >= 1.0 - tol:
+    for (i, j), w0 in arcs.items():
+        if w0 >= 1.0 - VIOLATION_TOL:
             continue
         # Dijkstra from j back to i
         dist = {j: 0.0}
@@ -189,7 +189,7 @@ def find_violated_cycles_fractional(y_values, z_values, cap=10, tol=VIOLATION_TO
                     dist[v] = nd
                     prev[v] = u
                     heapq.heappush(heap, (nd, v))
-        if i not in dist or w0 + dist[i] >= 1.0 - tol:
+        if i not in dist or w0 + dist[i] >= 1.0 - VIOLATION_TOL:
             continue
         path = [i]
         while path[-1] != j:
@@ -203,7 +203,7 @@ def find_violated_cycles_fractional(y_values, z_values, cap=10, tol=VIOLATION_TO
         except ValueError:
             continue  # shortest path touched the arc's endpoints twice
         found.setdefault(cycle.arcs, cycle)
-        if len(found) >= cap:
+        if len(found) >= CYCLE_CAP:
             break
     return list(found.values())
 
@@ -221,18 +221,12 @@ class BaseIneq:
     alpha: tuple  # ((j, alpha_ji), ...)
     beta: int
 
-    def alpha_of(self, j):
-        for k, a in self.alpha:
-            if k == j:
-                return a
-        raise KeyError(j)
-
-    def theta(self, x_values, y_values, z_values):
+    def theta(self, point):
         """Slack of the base inequality at a point (may be negative)."""
         i = self.node
-        val = x_values[xvar(i)] - self.beta * z_values[zvar(i)]
+        val = point[xvar(i)] - self.beta * point[zvar(i)]
         for j, a in self.alpha:
-            val += a * y_values.get(yvar(j, i), 0.0)
+            val += a * point.get(yvar(j, i), 0.0)
         return val
 
     def omega(self, view, cycle_nodes):
@@ -314,22 +308,34 @@ def build_uc_cut(ucdata, base_map):
                       provenance=(cycle.arcs, ucdata.U))
 
 
-def uc_violation(cycle, base_map, omegas, U, x_values, y_values, z_values):
+def uc_violation(cycle, base_map, omegas, U, point):
     """Violation of the (U,C) inequality at a point, straight from Eq-form."""
     U = set(U)
     delta = math.lcm(*(omegas[i] for i in U)) if U else 1
     outside = 0.0
     for k, l in cycle.arcs:
         if l not in U:
-            outside += z_values[zvar(l)] - y_values.get(yvar(k, l), 0.0)
+            outside += point[zvar(l)] - point.get(yvar(k, l), 0.0)
     val = delta * (1.0 - outside)
     for i in U:
-        val -= (delta // omegas[i]) * base_map[i].theta(x_values, y_values, z_values)
+        val -= (delta // omegas[i]) * base_map[i].theta(point)
     return val
 
 
-def separate_uc(cycle, base_map, views, x_values, y_values, z_values,
-                tol=VIOLATION_TOL, delta_cap=DELTA_CAP):
+def _cycle_terms(cycle, base_map, views, point):
+    """Per cycle node i: omega_i, theta_i and w_i = z_i - y_{pred(i),i}."""
+    nodes = set(cycle.nodes)
+    omegas, theta, w = {}, {}, {}
+    for i in cycle.nodes:
+        base = base_map[i]
+        omegas[i] = base.omega(views[i], nodes)
+        theta[i] = base.theta(point)
+        k, _ = cycle.pred(i)
+        w[i] = point[zvar(i)] - point.get(yvar(k, i), 0.0)
+    return omegas, theta, w
+
+
+def separate_uc(cycle, base_map, views, point):
     """Exact (U,C) separation over one violated cycle.
 
     With w_i = z_i - y_{pred(i),i} and W their sum, the violation is
@@ -339,20 +345,12 @@ def separate_uc(cycle, base_map, views, x_values, y_values, z_values,
     so subsets sharing an lcm are interchangeable up to their c-sum.  The DP
     keeps, per achievable lcm value, the maximum exact rational c-sum and a
     witness subset; the best candidate (including U = {}) wins.  Nodes with
-    omega <= 0 never enter U; lcm growth beyond `delta_cap` is pruned.
+    omega <= 0 never enter U; lcm growth beyond DELTA_CAP is pruned.
 
     Returns (U tuple, Inequality, violation) or None.
     """
     nodes = cycle.nodes
-    omegas = {}
-    theta = {}
-    w = {}
-    for i in nodes:
-        base = base_map[i]
-        omegas[i] = base.omega(views[i], set(nodes))
-        theta[i] = base.theta(x_values, y_values, z_values)
-        k, l = cycle.pred(i)
-        w[i] = z_values[zvar(i)] - y_values.get(yvar(k, i), 0.0)
+    omegas, theta, w = _cycle_terms(cycle, base_map, views, point)
     K = Fraction(1) - sum((Fraction(w[i]) for i in nodes), Fraction(0))
 
     # state: lcm -> (best c-sum, witness subset)
@@ -364,7 +362,7 @@ def separate_uc(cycle, base_map, views, x_values, y_values, z_values,
         updates = [(omegas[i], ci, (i,))]
         for d, (csum, members) in states.items():
             nd = math.lcm(d, omegas[i])
-            if nd > delta_cap:
+            if nd > DELTA_CAP:
                 continue
             updates.append((nd, csum + ci, members + (i,)))
         for nd, csum, members in updates:
@@ -381,13 +379,13 @@ def separate_uc(cycle, base_map, views, x_values, y_values, z_values,
             best_U = tuple(sorted(members))
 
     violation = float(best_viol)
-    if violation <= tol:
+    if violation <= VIOLATION_TOL:
         return None
     ucdata = make_uc_data(cycle, best_U, omegas)
     return best_U, build_uc_cut(ucdata, base_map), violation
 
 
-def uc_dag_values(cycle, base_map, views, x_values, y_values, z_values):
+def uc_dag_values(cycle, base_map, views, point):
     """Arc lengths of the sorted-theta chain DAG used by the prefix heuristic.
 
     Returns (f_direct, exit_values) where f_direct is the 0 -> sink arc (the
@@ -396,13 +394,7 @@ def uc_dag_values(cycle, base_map, views, x_values, y_values, z_values):
     diagnostic; exact separation lives in `separate_uc`.
     """
     nodes = cycle.nodes
-    omegas, theta, w = {}, {}, {}
-    for i in nodes:
-        base = base_map[i]
-        omegas[i] = base.omega(views[i], set(nodes))
-        theta[i] = base.theta(x_values, y_values, z_values)
-        k, l = cycle.pred(i)
-        w[i] = z_values[zvar(i)] - y_values.get(yvar(k, i), 0.0)
+    omegas, theta, w = _cycle_terms(cycle, base_map, views, point)
     W = sum(w.values())
     eligible = [i for i in nodes if omegas[i] >= 1]
     eligible.sort(key=lambda i: (theta[i], i))
@@ -421,13 +413,3 @@ def uc_dag_values(cycle, base_map, views, x_values, y_values, z_values):
         exits.append(val)
     return f_direct, exits
 
-
-def dominance_check(cycle, y_values, z_values, tol=1e-9):
-    """True unless some GCEC of the cycle is violated while the U = {} cycle
-    cut is not — which the dominance argument rules out (z <= 1)."""
-    W = 0.0
-    for k, l in cycle.arcs:
-        W += z_values[zvar(l)] - y_values.get(yvar(k, l), 0.0)
-    gcec_violated = any(z_values[zvar(k)] - W > tol for k in cycle.nodes)
-    empty_violated = 1.0 - W > tol
-    return empty_violated or not gcec_violated

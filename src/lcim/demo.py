@@ -1,6 +1,7 @@
 """Shared fixtures: the worked single-node example, the five-node
-demonstration instance with its known relaxation point, and a small star
-instance whose tree hull rows are provably necessary.
+demonstration instance with its known relaxation point, a small star
+instance whose tree hull rows are provably necessary, and a generator of
+random small instances for oracle batteries.
 
 These are used both by the test suite and by ``lcim verify``.
 """
@@ -9,8 +10,10 @@ from __future__ import annotations
 
 from importlib import resources
 
+import numpy as np
+
 from .cyclecuts import Cycle, base_from_inequality
-from .instance import NodeView, loads, make_instance
+from .instance import NodeView, loads, make_instance, preprocess
 from .knapcuts import build_packing_cut, xvar, yvar, zvar
 
 __all__ = [
@@ -30,6 +33,7 @@ __all__ = [
     "DEMO_UC_VIOLATION",
     "DEMO_DAG_VALUES",
     "hull_gap_instance",
+    "random_instance",
 ]
 
 
@@ -156,3 +160,33 @@ def hull_gap_instance():
     return make_instance(
         4, arcs, {1: 3, 2: 1, 3: 1, 4: 1}, b=4
     )
+
+
+# ---------------------------------------------------------------------------
+# Random small instances
+# ---------------------------------------------------------------------------
+
+
+def random_instance(rng, n_min=3, n_max=6, extra_edge_prob=0.35, b=None):
+    """Random connected bidirectional instance: a random spanning tree plus
+    extra edges, weights on {1,...,10}, random thresholds and, unless given,
+    a random b.  The result is preprocessed."""
+    n = int(rng.integers(n_min, n_max + 1))
+    arcs = {}
+    order = list(rng.permutation(np.arange(1, n + 1)))
+    for a, c in zip(order, order[1:]):
+        a, c = int(a), int(c)
+        arcs[(a, c)] = int(rng.integers(1, 11))
+        arcs[(c, a)] = int(rng.integers(1, 11))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if (i, j) not in arcs and rng.random() < extra_edge_prob:
+                arcs[(i, j)] = int(rng.integers(1, 11))
+                arcs[(j, i)] = int(rng.integers(1, 11))
+    thresholds = {}
+    for i in range(1, n + 1):
+        delta = sum(w for (a, c), w in arcs.items() if c == i)
+        thresholds[i] = int(rng.integers(1, delta + 2))
+    if b is None:
+        b = int(rng.integers(1, n + 1))
+    return preprocess(make_instance(n, arcs, thresholds, b))

@@ -127,9 +127,6 @@ class Instance:
         d = tuple(sorted((j, self._arc_dict[(j, i)]) for (j, k) in self._arc_dict if k == i))
         return NodeView(node=i, h=self.threshold(i), d=d)
 
-    def node_views(self):
-        return [self.node_view(i) for i in range(1, self.n + 1)]
-
     def with_b(self, b):
         return Instance(n=self.n, arcs=self.arcs, h=self.h, b=b)
 
@@ -156,16 +153,15 @@ def preprocess(instance):
     return Instance(n=instance.n, arcs=new_arcs, h=instance.h, b=instance.b)
 
 
-def generate_small_world(n, v, q, a, seed, threshold_spread="variance"):
+def generate_small_world(n, v, q, a, seed):
     """Generate a Watts-Strogatz LCIM instance.
 
     A ring lattice on n nodes with mean degree v is rewired with probability
     q per edge; each undirected edge becomes two directed arcs with i.i.d.
     weights uniform on {1,...,10}.  Thresholds follow a normal law with mean
-    0.7 * (incoming weight sum) and, by default, variance (incoming weight
-    sum)/degree; pass threshold_spread="stddev" to read the second parameter
-    as a standard deviation instead.  b = ceil(a * n).  The result is already
-    preprocessed and is a pure function of the seed.
+    0.7 * (incoming weight sum) and variance (incoming weight sum)/degree.
+    b = ceil(a * n).  The result is already preprocessed and is a pure
+    function of the seed.
     """
     if n < 4:
         raise ValueError("n must be at least 4")
@@ -175,8 +171,6 @@ def generate_small_world(n, v, q, a, seed, threshold_spread="variance"):
         raise ValueError("rewiring probability q must lie in [0, 1]")
     if not (0.0 < a <= 1.0):
         raise ValueError("penetration rate a must lie in (0, 1]")
-    if threshold_spread not in ("variance", "stddev"):
-        raise ValueError("threshold_spread must be 'variance' or 'stddev'")
 
     rng = np.random.default_rng(seed)
     g = nx.watts_strogatz_graph(n, v, q, seed=rng)
@@ -195,9 +189,7 @@ def generate_small_world(n, v, q, a, seed, threshold_spread="variance"):
         delta = sum(incoming)
         if vi == 0:
             raise ValueError(f"generated graph left node {node} isolated")
-        spread = delta / vi
-        scale = math.sqrt(spread) if threshold_spread == "variance" else spread
-        upsilon = rng.normal(0.7 * delta, scale)
+        upsilon = rng.normal(0.7 * delta, math.sqrt(delta / vi))
         hi = math.ceil(max(1.0, min(upsilon, float(delta))))
         if vi >= 2:
             # keep the strict slack sum(d) > h the cut machinery assumes

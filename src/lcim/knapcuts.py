@@ -38,7 +38,7 @@ __all__ = [
     "zvar",
 ]
 
-VIOLATION_TOL = 1e-6
+VIOLATION_TOL = 1e-6  # a cut must be violated by more than this to be added
 
 
 def xvar(i):
@@ -339,8 +339,8 @@ def build_mis_cut(view, M):
 # ---------------------------------------------------------------------------
 
 
-def separate_mis(view, x_star, y_star, z_star, tol=VIOLATION_TOL):
-    """Exact MIS separation at a fractional point.
+def separate_mis(view, point):
+    """Exact MIS separation of the node's cuts at an LP point.
 
     The violation of the MIS cut for a subset M with weight sum s is
 
@@ -352,10 +352,14 @@ def separate_mis(view, x_star, y_star, z_star, tol=VIOLATION_TOL):
     single greedy scan by ascending y* can miss the optimum).  Ties between
     equally violated subsets are resolved toward larger p.
 
-    Returns (MisSet, Inequality, violation) or None when no cut exceeds tol.
+    Returns (MisSet, Inequality, violation) or None when no cut is violated
+    by more than VIOLATION_TOL.
     """
     h = view.h
+    i = view.node
+    x_star, z_star = point[xvar(i)], point[zvar(i)]
     items = list(view.d)  # (neighbor, weight)
+    ys = [point.get(yvar(j, i), 0.0) for j, _ in items]
     v = len(items)
     best = None  # (violation, p, members)
     for s in range(0, h):  # ascending s = descending p keeps largest p on ties
@@ -363,9 +367,9 @@ def separate_mis(view, x_star, y_star, z_star, tol=VIOLATION_TOL):
         # dp[k][t]: best recovered value using the first k items at weight sum t
         dp = [[None] * (s + 1) for _ in range(v + 1)]
         dp[0][0] = 0.0
-        for k, (j, w) in enumerate(items):
+        for k, (_, w) in enumerate(items):
             row, prev = dp[k + 1], dp[k]
-            gain = min(w, p) * y_star.get(j, 0.0)
+            gain = min(w, p) * ys[k]
             for t in range(s + 1):
                 cand = prev[t]
                 if w <= t and prev[t - w] is not None:
@@ -375,7 +379,7 @@ def separate_mis(view, x_star, y_star, z_star, tol=VIOLATION_TOL):
                 row[t] = cand
         if dp[v][s] is None:
             continue
-        total = sum(min(w, p) * y_star.get(j, 0.0) for j, w in items)
+        total = sum(min(w, p) * y for (_, w), y in zip(items, ys))
         violation = p * z_star - x_star - (total - dp[v][s])
         if best is None or violation > best[0] + 1e-12:
             members = []
@@ -387,14 +391,14 @@ def separate_mis(view, x_star, y_star, z_star, tol=VIOLATION_TOL):
                 members.append(j)
                 t -= w
             best = (violation, p, frozenset(members))
-    if best is None or best[0] <= tol:
+    if best is None or best[0] <= VIOLATION_TOL:
         return None
     _, _, members = best
     mis = make_mis_set(view, members)
     cut = build_mis_cut(view, members)
     # recompute from the reconstructed subset; guards against backtrack drift
-    violation = cut.violation(_node_point(view, x_star, y_star, z_star))
-    if violation <= tol:
+    violation = cut.violation(point)
+    if violation <= VIOLATION_TOL:
         return None
     return mis, cut, violation
 
@@ -408,29 +412,31 @@ def cover_from_mis(view, M):
     """
     mis = make_mis_set(view, M)
     members = set(view.neighbors) - mis.members
-    pi = mis.p
-    while True:
-        removable = sorted(
-            j for j, w in view.d if j in members and w < pi and pi - w > 0
-        )
-        if not removable:
-            break
-        j = removable[0]
-        members.discard(j)
-        pi -= view.weight_of(j)
+    _shrink(view, members, mis.p)
     if not members:
         return None
     return make_cover_set(view, members)
 
 
-def packing_from_cover(view, cover, x_star, y_star, z_star, tol=VIOLATION_TOL):
+def _shrink(view, members, residual):
+    """Peel members lighter than the residual off `members` in place,
+    smallest id first; each removal lowers the residual by its weight."""
+    while True:
+        light = [j for j, w in view.d if j in members and w < residual]
+        if not light:
+            return
+        j = min(light)
+        members.discard(j)
+        residual -= view.weight_of(j)
+
+
+def packing_from_cover(view, cover, point):
     """Derive the most violated packing cut reachable from a cover set.
 
     Every k in S whose transfer to the complement pushes the weight sum past
     h yields a candidate packing L = (N \\ S) + {k}; the candidate is shrunk
     to minimality and the most violated resulting cut is returned.
     """
-    point = _node_point(view, x_star, y_star, z_star)
     outside = set(view.neighbors) - cover.members
     base = sum(w for j, w in view.d if j in outside)
     best = None
@@ -438,30 +444,15 @@ def packing_from_cover(view, cover, x_star, y_star, z_star, tol=VIOLATION_TOL):
         if base + view.weight_of(k) <= view.h:
             continue
         members = set(outside) | {k}
-        lam = base + view.weight_of(k) - view.h
-        while True:
-            removable = sorted(
-                j for j, w in view.d if j in members and w < lam and lam - w > 0
-            )
-            if not removable:
-                break
-            j = removable[0]
-            members.discard(j)
-            lam -= view.weight_of(j)
+        _shrink(view, members, base + view.weight_of(k) - view.h)
         if not members:
             continue
         packing = make_packing_set(view, members)
         cut = build_packing_cut(view, members)
         violation = cut.violation(point)
-        if violation > tol and (best is None or violation > best[2]):
+        if violation > VIOLATION_TOL and (best is None or violation > best[2]):
             best = (packing, cut, violation)
     if best is None:
         return None
     return best[0], best[1]
 
-
-def _node_point(view, x_star, y_star, z_star):
-    point = {xvar(view.node): x_star, zvar(view.node): z_star}
-    for j in view.neighbors:
-        point[yvar(j, view.node)] = y_star.get(j, 0.0)
-    return point

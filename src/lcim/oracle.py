@@ -270,7 +270,7 @@ def check_validity_instance(ineq, instance, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_uc_subsets(cycle, base_map, views, x_values, y_values, z_values):
+def enumerate_uc_subsets(cycle, base_map, views, point):
     """Maximum (U,C) violation over every eligible subset U, by brute force."""
     nodes = cycle.nodes
     if len(nodes) > 12:
@@ -279,12 +279,10 @@ def enumerate_uc_subsets(cycle, base_map, views, x_values, y_values, z_values):
         i: base_map[i].omega(views[i], set(nodes)) for i in nodes
     }
     eligible = [i for i in nodes if omegas[i] >= 1]
-    best_U, best_viol = (), uc_violation(
-        cycle, base_map, omegas, (), x_values, y_values, z_values
-    )
+    best_U, best_viol = (), uc_violation(cycle, base_map, omegas, (), point)
     for mask in range(1, 1 << len(eligible)):
         U = tuple(i for k, i in enumerate(eligible) if mask >> k & 1)
-        viol = uc_violation(cycle, base_map, omegas, U, x_values, y_values, z_values)
+        viol = uc_violation(cycle, base_map, omegas, U, point)
         if viol > best_viol:
             best_U, best_viol = U, viol
     return best_U, best_viol

@@ -2,30 +2,9 @@
 
 import numpy as np
 
+from lcim.demo import random_instance  # noqa: F401  (shared with `lcim verify`)
 from lcim.instance import make_instance, preprocess
-
-
-def random_instance(rng, n_min=3, n_max=6, extra_edge_prob=0.35, b=None):
-    """Random connected bidirectional instance (spanning tree plus extras)."""
-    n = int(rng.integers(n_min, n_max + 1))
-    arcs = {}
-    order = list(rng.permutation(np.arange(1, n + 1)))
-    for a, c in zip(order, order[1:]):
-        a, c = int(a), int(c)
-        arcs[(a, c)] = int(rng.integers(1, 11))
-        arcs[(c, a)] = int(rng.integers(1, 11))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if (i, j) not in arcs and rng.random() < extra_edge_prob:
-                arcs[(i, j)] = int(rng.integers(1, 11))
-                arcs[(j, i)] = int(rng.integers(1, 11))
-    thresholds = {}
-    for i in range(1, n + 1):
-        delta = sum(w for (a, c), w in arcs.items() if c == i)
-        thresholds[i] = int(rng.integers(1, delta + 2))
-    if b is None:
-        b = int(rng.integers(1, n + 1))
-    return preprocess(make_instance(n, arcs, thresholds, b))
+from lcim.knapcuts import xvar, yvar, zvar
 
 
 def random_cycle_instance(rng, n_min=3, n_max=8, b=None):
@@ -73,8 +52,9 @@ def random_node_view(rng, v_max=6, node=0):
 
 
 def random_fractional_point(rng, view):
-    """Random fractional (x*, y*, z*) for one node's separation problems."""
+    """Random fractional point over one node's x, y and z variables."""
     z = float(rng.uniform(0.05, 1.0))
-    y = {j: float(rng.uniform(0.0, z)) for j in view.neighbors}
-    x = float(rng.uniform(0.0, view.h * z))
-    return x, y, z
+    point = {yvar(j, view.node): float(rng.uniform(0.0, z)) for j in view.neighbors}
+    point[xvar(view.node)] = float(rng.uniform(0.0, view.h * z))
+    point[zvar(view.node)] = z
+    return point

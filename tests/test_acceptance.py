@@ -27,7 +27,7 @@ from lcim.knapcuts import (
 )
 from lcim.lp import solve_lp
 from lcim.special import build_tree_equal_model, dp_cycle
-from test_knapcuts import brute_force_mis_violation, node_point
+from test_knapcuts import brute_force_mis_violation
 
 from conftest import (
     random_cycle_instance,
@@ -119,7 +119,7 @@ class TestAcceptance:
         row_vals = {k: sol.values.get(k, 0.0) for k in point}
         views = {i: inst.node_view(i) for i in range(1, 6)}
         base_map = demo.demo_base_map(inst)
-        res = separate_uc(demo.demo_cycle(), base_map, views, point, point, point)
+        res = separate_uc(demo.demo_cycle(), base_map, views, point)
         assert res is not None
         U, cut, violation = res
         assert U == demo.DEMO_UC_U
@@ -127,9 +127,7 @@ class TestAcceptance:
 
         from lcim.cyclecuts import uc_dag_values
 
-        f_direct, exits = uc_dag_values(
-            demo.demo_cycle(), base_map, views, point, point, point
-        )
+        f_direct, exits = uc_dag_values(demo.demo_cycle(), base_map, views, point)
         assert (f_direct, *exits) == pytest.approx(demo.DEMO_DAG_VALUES, abs=1e-6)
 
         model.add_constraint(cut.coeffs, ">=", cut.rhs)
@@ -153,9 +151,9 @@ class TestAcceptance:
         # MIS: 1000 random fractional points against 2^v enumeration
         for _ in range(1000):
             view = random_node_view(rng, v_max=8)
-            x, y, z = random_fractional_point(rng, view)
-            expect = brute_force_mis_violation(view, x, y, z)
-            res = separate_mis(view, x, y, z)
+            point = random_fractional_point(rng, view)
+            expect = brute_force_mis_violation(view, point)
+            res = separate_mis(view, point)
             if res is None:
                 assert expect is None or expect <= 1e-6 + 1e-9
             else:
@@ -196,9 +194,9 @@ class TestAcceptance:
                 for j in views[i].neighbors:
                     point[yvar(j, i)] = float(rng.uniform(0.0, zv))
             best_U, best_viol = oracle.enumerate_uc_subsets(
-                cycle, base_map, views, point, point, point
+                cycle, base_map, views, point
             )
-            res = separate_uc(cycle, base_map, views, point, point, point)
+            res = separate_uc(cycle, base_map, views, point)
             if res is None:
                 assert best_viol <= 1e-6
             else:

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcim import bnc, demo, oracle
 from lcim.bnc import (
@@ -18,7 +20,7 @@ from lcim.bnc import (
     root_cut_loop,
     solve,
 )
-from lcim.instance import make_instance, preprocess
+from lcim.instance import generate_small_world, make_instance, preprocess
 from lcim.knapcuts import CutPool, xvar, yvar, zvar
 from lcim.lp import solve_lp
 
@@ -228,6 +230,46 @@ class TestSolve:
             expect = oracle.brute_force_optimum(inst)[0]
             report = solve(inst, "cb", SolveParams(time_limit=60, gcec_only=True))
             assert report.ub == expect
+
+    def test_cb_search_path_pinned(self):
+        # node count and cuts per family of two cb solves; a change that
+        # alters the search on purpose updates these figures
+        cases = {
+            (0.1, 0.5): (118, (17, 13, 27, 31, 2)),
+            (0.3, 1.0): (181, (18, 17, 46, 5, 49)),
+        }
+        for (q, a), (nodes, cuts) in cases.items():
+            inst = generate_small_world(20, 4, q, a, seed=3)
+            report = solve(inst, "cb", SolveParams(time_limit=600))
+            assert report.status == "optimal"
+            assert report.nodes == nodes, (q, a)
+            assert tuple(report.cuts.get(f, 0) for f in CUT_FAMILIES) == cuts, (q, a)
+
+
+class TestProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_solve_matches_oracle(self, seed):
+        inst = demo.random_instance(np.random.default_rng(seed), n_max=6)
+        expect = oracle.brute_force_optimum(inst)[0]
+        modes = ("def", "cb", "ln") if inst.b == inst.n else ("def", "cb")
+        for mode in modes:
+            report = solve(inst, mode, SolveParams(time_limit=60))
+            assert report.ub == expect, mode
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_root_cuts_valid(self, seed):
+        # oracle.check_validity_instance per cut, with the feasible points
+        # enumerated once: at n = 6 one enumeration can take seconds
+        inst = demo.random_instance(np.random.default_rng(seed), n_max=6)
+        pool = CutPool()
+        root_cut_loop(assemble(inst, "cb"), inst, SolveParams(time_limit=60), pool)
+        points = list(oracle.enumerate_feasible_points(inst))
+        for cut in pool:
+            assert all(cut.violation(p) <= 1e-9 for p in points), (
+                cut.tag, cut.provenance
+            )
 
 
 class TestReport:

@@ -11,7 +11,6 @@ from lcim.cyclecuts import (
     build_gcec,
     build_uc_cut,
     cycle_cut_allowed,
-    dominance_check,
     find_violated_cycle_integer,
     find_violated_cycles_fractional,
     make_uc_data,
@@ -19,6 +18,7 @@ from lcim.cyclecuts import (
     uc_dag_values,
     uc_violation,
 )
+from lcim.instance import make_instance
 from lcim.knapcuts import xvar, yvar, zvar
 
 
@@ -84,34 +84,64 @@ class TestGcec:
             assert oracle.check_validity_instance(build_gcec(demo.demo_cycle(), k), inst)
 
 
+def search_point(instance, z, y):
+    """A point over every z and y variable of the instance: z[i] for each
+    node, y[(i, j)] for the listed arcs and 0 on every other arc."""
+    point = {zvar(i): z[i] for i in range(1, instance.n + 1)}
+    for (i, j), _ in instance.arcs:
+        point[yvar(i, j)] = y.get((i, j), 0.0)
+    return point
+
+
 class TestCycleSearch:
+    # triangle 1-2-3 plus the pendant edge 1-4
+    INST = make_instance(
+        4,
+        {(1, 2): 1, (2, 1): 1, (2, 3): 1, (3, 2): 1, (3, 1): 1, (1, 3): 1,
+         (1, 4): 1, (4, 1): 1},
+        {1: 1, 2: 1, 3: 1, 4: 1},
+        b=4,
+    )
+
     def test_integer_support(self):
-        y = {yvar(1, 2): 1.0, yvar(2, 3): 1.0, yvar(3, 1): 1.0, yvar(4, 1): 1.0}
-        cycle = find_violated_cycle_integer(y)
+        point = search_point(
+            self.INST, dict.fromkeys((1, 2, 3, 4), 1.0),
+            {(1, 2): 1.0, (2, 3): 1.0, (3, 1): 1.0, (4, 1): 1.0},
+        )
+        cycle = find_violated_cycle_integer(self.INST, point)
         assert cycle is not None
         assert cycle.arcs == ((1, 2), (2, 3), (3, 1))
 
     def test_integer_acyclic(self):
-        y = {yvar(1, 2): 1.0, yvar(2, 3): 1.0, yvar(1, 3): 1.0}
-        assert find_violated_cycle_integer(y) is None
+        point = search_point(
+            self.INST, dict.fromkeys((1, 2, 3, 4), 1.0),
+            {(1, 2): 1.0, (2, 3): 1.0, (1, 3): 1.0},
+        )
+        assert find_violated_cycle_integer(self.INST, point) is None
 
     def test_fractional_search_finds_cheap_cycle(self):
-        z = {zvar(i): 0.6 for i in (1, 2, 3)}
-        y = {yvar(1, 2): 0.5, yvar(2, 3): 0.5, yvar(3, 1): 0.5}
-        cycles = find_violated_cycles_fractional(y, z)
+        point = search_point(
+            self.INST, dict.fromkeys((1, 2, 3, 4), 0.6),
+            {(1, 2): 0.5, (2, 3): 0.5, (3, 1): 0.5},
+        )
+        cycles = find_violated_cycles_fractional(self.INST, point)
         assert len(cycles) == 1
         # total weight 3 * (0.6 - 0.5) = 0.3 < 1
         assert cycles[0].arcs == ((1, 2), (2, 3), (3, 1))
 
     def test_fractional_search_skips_satisfied(self):
-        z = {zvar(i): 1.0 for i in (1, 2, 3)}
-        y = {yvar(1, 2): 0.5, yvar(2, 3): 0.5, yvar(3, 1): 0.5}
-        assert find_violated_cycles_fractional(y, z) == []
+        point = search_point(
+            self.INST, dict.fromkeys((1, 2, 3, 4), 1.0),
+            {(1, 2): 0.5, (2, 3): 0.5, (3, 1): 0.5},
+        )
+        assert find_violated_cycles_fractional(self.INST, point) == []
 
     def test_two_cycles_skipped(self):
-        z = {zvar(1): 0.1, zvar(2): 0.1}
-        y = {yvar(1, 2): 0.9, yvar(2, 1): 0.9}
-        assert find_violated_cycles_fractional(y, z) == []
+        point = search_point(
+            self.INST, {1: 0.1, 2: 0.1, 3: 1.0, 4: 1.0},
+            {(1, 2): 0.9, (2, 1): 0.9},
+        )
+        assert find_violated_cycles_fractional(self.INST, point) == []
 
 
 class TestBaseIneq:
@@ -142,7 +172,7 @@ class TestBaseIneq:
         point = demo.demo_lp_point()
         base_map = demo.demo_base_map(inst)
         for i, cut in demo.demo_base_cuts(inst).items():
-            assert base_map[i].theta(point, point, point) == pytest.approx(
+            assert base_map[i].theta(point) == pytest.approx(
                 -cut.violation(point)
             )
 
@@ -190,9 +220,7 @@ class TestUcCut:
             point = random_cycle_point(rng, demo.demo_cycle(), views)
             for U in ((), (1,), (2,), (1, 3), (1, 2, 3)):
                 cut = build_uc_cut(make_uc_data(demo.demo_cycle(), U, omegas), base_map)
-                direct = uc_violation(
-                    demo.demo_cycle(), base_map, omegas, U, point, point, point
-                )
+                direct = uc_violation(demo.demo_cycle(), base_map, omegas, U, point)
                 assert cut.violation(point) == pytest.approx(direct, abs=1e-9)
 
 
@@ -201,8 +229,7 @@ class TestSeparation:
         inst = demo.demo_instance()
         views = {i: inst.node_view(i) for i in range(1, 6)}
         point = demo.demo_lp_point()
-        res = separate_uc(demo.demo_cycle(), demo.demo_base_map(inst), views,
-                          point, point, point)
+        res = separate_uc(demo.demo_cycle(), demo.demo_base_map(inst), views, point)
         assert res is not None
         U, cut, violation = res
         assert U == demo.DEMO_UC_U
@@ -217,8 +244,7 @@ class TestSeparation:
             point[xvar(i)] = float(views[i].h)
             for j in views[i].neighbors:
                 point[yvar(j, i)] = 0.0
-        res = separate_uc(demo.demo_cycle(), demo.demo_base_map(inst), views,
-                          point, point, point)
+        res = separate_uc(demo.demo_cycle(), demo.demo_base_map(inst), views, point)
         assert res is None
 
     def test_matches_exhaustive_scan(self):
@@ -229,9 +255,9 @@ class TestSeparation:
         for _ in range(100):
             point = random_cycle_point(rng, demo.demo_cycle(), views)
             best_U, best_viol = oracle.enumerate_uc_subsets(
-                demo.demo_cycle(), base_map, views, point, point, point
+                demo.demo_cycle(), base_map, views, point
             )
-            res = separate_uc(demo.demo_cycle(), base_map, views, point, point, point)
+            res = separate_uc(demo.demo_cycle(), base_map, views, point)
             got = res[2] if res is not None else 0.0
             assert got == pytest.approx(max(best_viol, 0.0), abs=1e-9) or (
                 res is None and best_viol <= 1e-6
@@ -242,7 +268,7 @@ class TestSeparation:
         views = {i: inst.node_view(i) for i in range(1, 6)}
         point = demo.demo_lp_point()
         f_direct, exits = uc_dag_values(
-            demo.demo_cycle(), demo.demo_base_map(inst), views, point, point, point
+            demo.demo_cycle(), demo.demo_base_map(inst), views, point
         )
         got = (f_direct, *exits)
         assert got == pytest.approx(demo.DEMO_DAG_VALUES, abs=1e-9)
@@ -256,7 +282,6 @@ class TestDominance:
             point = {zvar(i): float(rng.uniform(0, 1)) for i in (1, 2, 3)}
             for k, l in cycle.arcs:
                 point[yvar(k, l)] = float(rng.uniform(0, point[zvar(l)]))
-            assert dominance_check(cycle, point, point)
             # explicit form: GCEC violation never exceeds the U={} violation
             W = sum(
                 point[zvar(l)] - point[yvar(k, l)] for k, l in cycle.arcs

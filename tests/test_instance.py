@@ -141,9 +141,6 @@ class TestGenerator:
         inst = generate_small_world(30, 4, 0.5, 1.0, seed=9)
         for _, w in inst.arcs:
             assert 1 <= w <= 10
-        # the alternative spread reading still yields a valid instance
-        alt = generate_small_world(30, 4, 0.5, 1.0, seed=9, threshold_spread="stddev")
-        assert alt.is_preprocessed()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

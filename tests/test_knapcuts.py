@@ -21,7 +21,6 @@ from lcim.knapcuts import (
     psi,
     separate_mis,
     xvar,
-    yvar,
     zvar,
 )
 
@@ -30,17 +29,9 @@ from conftest import random_fractional_point, random_node_view
 VIEW = demo.example_view()  # h=8, d=(7,6,5,4)
 
 
-def node_point(view, x, y, z):
-    point = {xvar(view.node): x, zvar(view.node): z}
-    for j in view.neighbors:
-        point[yvar(j, view.node)] = y.get(j, 0.0)
-    return point
-
-
-def brute_force_mis_violation(view, x, y, z):
+def brute_force_mis_violation(view, point):
     """Max MIS-cut violation over every admissible subset, by enumeration."""
     best = None
-    point = node_point(view, x, y, z)
     for size in range(0, view.degree + 1):
         for M in combinations(view.neighbors, size):
             try:
@@ -194,26 +185,26 @@ class TestSeparation:
         rng = np.random.default_rng(37)
         for _ in range(200):
             view = random_node_view(rng)
-            x, y, z = random_fractional_point(rng, view)
-            expect = brute_force_mis_violation(view, x, y, z)
-            res = separate_mis(view, x, y, z)
+            point = random_fractional_point(rng, view)
+            expect = brute_force_mis_violation(view, point)
+            res = separate_mis(view, point)
             if res is None:
                 assert expect is None or expect <= 1e-6 + 1e-9
             else:
                 _, cut, violation = res
                 assert abs(violation - expect) <= 1e-9
-                assert abs(cut.violation(node_point(view, x, y, z)) - violation) <= 1e-9
+                assert abs(cut.violation(point) - violation) <= 1e-9
 
     def test_mis_separation_at_origin(self):
         # z=1, y=0, x=0: best violation is p over the empty subset, p = h
-        res = separate_mis(VIEW, 0.0, {}, 1.0)
+        res = separate_mis(VIEW, {xvar(0): 0.0, zvar(0): 1.0})
         assert res is not None
         mis, _, violation = res
         assert mis.members == frozenset()
         assert violation == pytest.approx(8.0)
 
     def test_mis_separation_satisfied_point(self):
-        assert separate_mis(VIEW, float(VIEW.h), {}, 1.0) is None
+        assert separate_mis(VIEW, {xvar(0): float(VIEW.h), zvar(0): 1.0}) is None
 
     def test_cover_from_mis(self):
         cover = cover_from_mis(VIEW, (4,))
@@ -238,7 +229,7 @@ class TestSeparation:
     def test_packing_from_cover(self):
         cover = make_cover_set(VIEW, (2, 3, 4))
         # at z=1 with no influence bought, packing cuts are violated
-        res = packing_from_cover(VIEW, cover, 0.0, {}, 1.0)
+        res = packing_from_cover(VIEW, cover, {xvar(0): 0.0, zvar(0): 1.0})
         if res is not None:
             packing, cut = res
             make_packing_set(VIEW, packing.members)
