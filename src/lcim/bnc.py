@@ -248,7 +248,6 @@ def root_cut_loop(model, instance, params, pool, deadline=math.inf):
     requirement cannot certify the cycle cuts' validity.  No round starts
     separating once the monotonic clock has passed `deadline`.
     """
-    views = {i: instance.node_view(i) for i in range(1, instance.n + 1)}
     bound = None
     for _ in range(params.max_rounds):
         sol = solve_lp(model)
@@ -260,9 +259,10 @@ def root_cut_loop(model, instance, params, pool, deadline=math.inf):
         point = sol.values
         added = 0
 
-        for view in views.values():
+        for i in range(1, instance.n + 1):
             if added >= ROUND_CUT_CAP:
                 break
+            view = instance.node_view(i)
             res = knapcuts.separate_mis(view, point)
             if res is None:
                 continue
@@ -281,8 +281,8 @@ def root_cut_loop(model, instance, params, pool, deadline=math.inf):
             if added >= ROUND_CUT_CAP:
                 break
             if not params.gcec_only and cyclecuts.cycle_cut_allowed(instance, cycle):
-                base_map = _choose_bases(cycle, views, pool, point)
-                res = cyclecuts.separate_uc(cycle, base_map, views, point)
+                base_map = _choose_bases(cycle, instance, pool, point)
+                res = cyclecuts.separate_uc(cycle, base_map, point)
                 if res is not None and _add_cut(model, pool, res[1]):
                     added += 1
                     continue
@@ -304,12 +304,12 @@ def _add_cut(model, pool, cut):
     return True
 
 
-def _choose_bases(cycle, views, pool, point):
+def _choose_bases(cycle, instance, pool, point):
     """Per cycle node, the base inequality minimizing the slack theta; the
     node propagation row is the always-available fallback."""
     base_map = {}
     for i in cycle.nodes:
-        view = views[i]
+        view = instance.node_view(i)
         candidates = [cyclecuts.base_from_row(view)]
         for cut in pool.for_node(i):
             candidates.append(cyclecuts.base_from_inequality(cut, view))
@@ -335,7 +335,8 @@ def _best_gcec(cycle, point):
 
 def branch(model, point):
     """Pick the most fractional binary variable (z before y on ties) and
-    return the two child bound fixings."""
+    return the two child bound fixings, or None when every y and z is
+    integral."""
     best = None
     for idx, name in enumerate(model.var_names):
         kind = name[0]
@@ -349,18 +350,9 @@ def branch(model, point):
         if best is None or rank > best[0]:
             best = (rank, name)
     if best is None:
-        raise ValueError("point is integral; should have been a candidate")
+        return None
     name = best[1]
     return {name: (0.0, 0.0)}, {name: (1.0, 1.0)}
-
-
-def _is_integral(model, point):
-    for name in model.var_names:
-        if name[0] in ("y", "z"):
-            val = point[name]
-            if min(val - math.floor(val), math.ceil(val) - val) > INT_TOL:
-                return False
-    return True
 
 
 def _activation_order(instance, point):
@@ -399,7 +391,6 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
     nodes = 0
     status = "optimal"
 
-    views = {i: instance.node_view(i) for i in range(1, instance.n + 1)}
     counter = 0
     heap = [(0.0, counter, {}, 0)]
     while heap:
@@ -419,7 +410,8 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
             continue
         point = sol.values
 
-        if _is_integral(model, point):
+        children = branch(model, point)
+        if children is None:
             cycle = None
             if mode != "ln":
                 cycle = cyclecuts.find_violated_cycle_integer(instance, point)
@@ -451,8 +443,8 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
         if mode == "cb" and seps < TREE_SEP_ROUNDS:
             # tighten the node with fresh MIS cuts before spending a branch
             added = 0
-            for view in views.values():
-                res = knapcuts.separate_mis(view, point)
+            for i in range(1, instance.n + 1):
+                res = knapcuts.separate_mis(instance.node_view(i), point)
                 if res is not None:
                     added += _add_cut(model, pool, res[1])
             if added:
@@ -460,8 +452,7 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
                 heapq.heappush(heap, (lb_node, counter, overrides, seps + 1))
                 continue
 
-        left, right = branch(model, point)
-        for child in (left, right):
+        for child in children:
             merged = dict(overrides)
             merged.update(child)
             counter += 1

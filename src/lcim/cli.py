@@ -269,10 +269,9 @@ def _suite_trace(failures):
             f"root LP: expected {demo.DEMO_LP_OBJ}, got {sol.objective:.6f}"
         )
     point = demo.demo_lp_point()
-    views = {i: inst.node_view(i) for i in range(1, 6)}
     base_map = demo.demo_base_map(inst)
     cycle = demo.demo_cycle()
-    res = cyclecuts.separate_uc(cycle, base_map, views, point)
+    res = cyclecuts.separate_uc(cycle, base_map, point)
     if res is None:
         failures.append("separate_uc found no cut at the recorded point")
     else:
@@ -290,7 +289,7 @@ def _suite_trace(failures):
                 f"post-cut LP: expected {demo.DEMO_POSTCUT_OBJ}, "
                 f"got {sol2.objective:.6f}"
             )
-    f_direct, exits = cyclecuts.uc_dag_values(cycle, base_map, views, point)
+    f_direct, exits = cyclecuts.uc_dag_values(cycle, base_map, point)
     dag = (f_direct, *exits)
     if any(abs(a - b) > 1e-6 for a, b in zip(dag, demo.DEMO_DAG_VALUES)):
         failures.append(

@@ -16,6 +16,8 @@ DAG of the prefix heuristic is kept as a diagnostic (`uc_dag_values`).
 
 Every search and separator reads the LP point, a dict from variable name
 to value; the cycle searches walk `instance.arcs`, the LP's y column order.
+Each `BaseIneq` holds the node view it was read from, so the (U,C) routines
+take only `(cycle, base_map, point)`, with base_map from cycle node to base.
 """
 
 from __future__ import annotations
@@ -215,26 +217,27 @@ def find_violated_cycles_fractional(instance, point):
 
 @dataclass(frozen=True)
 class BaseIneq:
-    """A node's base inequality x_i + sum alpha_ji y_ji >= beta_i z_i."""
+    """A node's base inequality x_i + sum alpha_ji y_ji >= beta_i z_i, with
+    the view of node i it was read from."""
 
-    node: int
+    view: object  # NodeView of node i
     alpha: tuple  # ((j, alpha_ji), ...)
     beta: int
 
     def theta(self, point):
         """Slack of the base inequality at a point (may be negative)."""
-        i = self.node
+        i = self.view.node
         val = point[xvar(i)] - self.beta * point[zvar(i)]
         for j, a in self.alpha:
             val += a * point.get(yvar(j, i), 0.0)
         return val
 
-    def omega(self, view, cycle_nodes):
+    def omega(self, cycle_nodes):
         """Residual slack h_i - beta_i + sum_{j outside the cycle} (alpha_ji - d_ji)."""
-        w = view.h - self.beta
+        w = self.view.h - self.beta
         for j, a in self.alpha:
             if j not in cycle_nodes:
-                w += a - view.weight_of(j)
+                w += a - self.view.weight_of(j)
         return w
 
 
@@ -242,13 +245,13 @@ def base_from_inequality(ineq, view):
     """Read (alpha, beta) off a cover/packing cut for the node."""
     i = view.node
     alpha = tuple((j, ineq.coeffs.get(yvar(j, i), 0)) for j in view.neighbors)
-    return BaseIneq(node=i, alpha=alpha, beta=-ineq.coeffs[zvar(i)])
+    return BaseIneq(view=view, alpha=alpha, beta=-ineq.coeffs[zvar(i)])
 
 
 def base_from_row(view):
     """Fallback base inequality: the node propagation row itself (alpha = d,
     beta = h), whose omega is 0 — such nodes are excluded from U."""
-    return BaseIneq(node=view.node, alpha=tuple(view.d), beta=view.h)
+    return BaseIneq(view=view, alpha=tuple(view.d), beta=view.h)
 
 
 @dataclass(frozen=True)
@@ -322,23 +325,25 @@ def uc_violation(cycle, base_map, omegas, U, point):
     return val
 
 
-def _cycle_terms(cycle, base_map, views, point):
+def _cycle_terms(cycle, base_map, point):
     """Per cycle node i: omega_i, theta_i and w_i = z_i - y_{pred(i),i}."""
     nodes = set(cycle.nodes)
     omegas, theta, w = {}, {}, {}
     for i in cycle.nodes:
         base = base_map[i]
-        omegas[i] = base.omega(views[i], nodes)
+        omegas[i] = base.omega(nodes)
         theta[i] = base.theta(point)
         k, _ = cycle.pred(i)
         w[i] = point[zvar(i)] - point.get(yvar(k, i), 0.0)
     return omegas, theta, w
 
 
-def separate_uc(cycle, base_map, views, point):
+def separate_uc(cycle, base_map, point):
     """Exact (U,C) separation over one violated cycle.
 
-    With w_i = z_i - y_{pred(i),i} and W their sum, the violation is
+    base_map gives each cycle node its `BaseIneq`; the omegas come from the
+    node views those bases hold.  With w_i = z_i - y_{pred(i),i} and W their
+    sum, the violation is
 
         delta(U) * (K + sum_{i in U} c_i),  K = 1 - W,  c_i = w_i - theta_i/omega_i,
 
@@ -350,7 +355,7 @@ def separate_uc(cycle, base_map, views, point):
     Returns (U tuple, Inequality, violation) or None.
     """
     nodes = cycle.nodes
-    omegas, theta, w = _cycle_terms(cycle, base_map, views, point)
+    omegas, theta, w = _cycle_terms(cycle, base_map, point)
     K = Fraction(1) - sum((Fraction(w[i]) for i in nodes), Fraction(0))
 
     # state: lcm -> (best c-sum, witness subset)
@@ -385,16 +390,17 @@ def separate_uc(cycle, base_map, views, point):
     return best_U, build_uc_cut(ucdata, base_map), violation
 
 
-def uc_dag_values(cycle, base_map, views, point):
+def uc_dag_values(cycle, base_map, point):
     """Arc lengths of the sorted-theta chain DAG used by the prefix heuristic.
 
-    Returns (f_direct, exit_values) where f_direct is the 0 -> sink arc (the
-    best singleton violation) and exit_values[k-1] is the exit arc of the
-    k-th prefix of eligible nodes sorted by ascending theta.  Kept as a
+    Takes the same (cycle, base_map, point) as `separate_uc`.  Returns
+    (f_direct, exit_values) where f_direct is the 0 -> sink arc (the best
+    singleton violation) and exit_values[k-1] is the exit arc of the k-th
+    prefix of eligible nodes sorted by ascending theta.  Kept as a
     diagnostic; exact separation lives in `separate_uc`.
     """
     nodes = cycle.nodes
-    omegas, theta, w = _cycle_terms(cycle, base_map, views, point)
+    omegas, theta, w = _cycle_terms(cycle, base_map, point)
     W = sum(w.values())
     eligible = [i for i in nodes if omegas[i] >= 1]
     eligible.sort(key=lambda i: (theta[i], i))

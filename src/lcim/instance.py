@@ -66,7 +66,8 @@ class Instance:
     """Immutable LCIM instance.
 
     arcs maps directed arc (i, j) to the positive integer influence weight
-    d_ij exerted by i on j.  The arc set is symmetric as a relation.
+    d_ij exerted by i on j.  The arc set is symmetric as a relation.  The
+    node views are built once, while the arcs are validated.
     """
 
     n: int
@@ -74,6 +75,7 @@ class Instance:
     h: tuple  # h[i-1] is the threshold of node i
     b: int
     _arc_dict: dict = field(default=None, repr=False, compare=False)
+    _views: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -85,6 +87,7 @@ class Instance:
         seen = dict(self.arcs)
         if len(seen) != len(self.arcs):
             raise ValueError("duplicate arcs")
+        incoming = [[] for _ in range(self.n)]
         for (i, j), w in self.arcs:
             if i == j:
                 raise ValueError(f"self-loop at node {i}")
@@ -94,10 +97,15 @@ class Instance:
                 raise ValueError(f"arc ({i},{j}) has nonpositive or fractional weight {w}")
             if (j, i) not in seen:
                 raise ValueError(f"asymmetric arc set: ({i},{j}) present without ({j},{i})")
+            incoming[j - 1].append((i, w))
         for i, hi in enumerate(self.h, start=1):
             if hi < 1 or int(hi) != hi:
                 raise ValueError(f"node {i} has nonpositive or fractional threshold {hi}")
         object.__setattr__(self, "_arc_dict", seen)
+        object.__setattr__(self, "_views", tuple(
+            NodeView(node=i, h=hi, d=tuple(sorted(d)))
+            for i, (hi, d) in enumerate(zip(self.h, incoming), start=1)
+        ))
 
     # -- accessors ---------------------------------------------------------
 
@@ -109,23 +117,24 @@ class Instance:
     def weight(self, i, j):
         return self._arc_dict[(i, j)]
 
-    def has_arc(self, i, j):
-        return (i, j) in self._arc_dict
-
     def threshold(self, i):
         return self.h[i - 1]
 
     def neighbors(self, i):
         """In-neighbors of i (equal to out-neighbors by symmetry)."""
-        return tuple(sorted(j for (j, k) in self._arc_dict if k == i))
+        return self._view(i).neighbors
 
     def edges(self):
         """Undirected edge list as (i, j) with i < j."""
         return sorted({(min(i, j), max(i, j)) for (i, j), _ in self.arcs})
 
     def node_view(self, i):
-        d = tuple(sorted((j, self._arc_dict[(j, i)]) for (j, k) in self._arc_dict if k == i))
-        return NodeView(node=i, h=self.threshold(i), d=d)
+        return self._view(i)
+
+    def _view(self, i):
+        if not 1 <= i <= self.n:
+            raise KeyError(i)
+        return self._views[i - 1]
 
     def with_b(self, b):
         return Instance(n=self.n, arcs=self.arcs, h=self.h, b=b)

@@ -74,9 +74,6 @@ class Inequality:
         """Positive when the point violates the inequality."""
         return self.rhs - self.lhs_value(point)
 
-    def is_satisfied(self, point, tol=1e-9):
-        return self.violation(point) <= tol
-
     @property
     def key(self):
         return (self.tag, self.provenance)

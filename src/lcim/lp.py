@@ -28,9 +28,6 @@ class LPSolution:
     objective: float
     dual_objective: float = None
 
-    def value(self, name):
-        return self.values[name]
-
     @property
     def optimal(self):
         return self.status == "optimal"

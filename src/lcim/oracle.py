@@ -37,9 +37,7 @@ def activation_cost(instance, order):
     active = set()
     cost = 0
     for i in order:
-        influence = sum(
-            instance.weight(j, i) for j in instance.neighbors(i) if j in active
-        )
+        influence = sum(w for j, w in instance.node_view(i).d if j in active)
         cost += max(0, instance.threshold(i) - influence)
         active.add(i)
     return cost
@@ -58,11 +56,9 @@ def brute_force_optimum(instance):
     if n > MAX_ORACLE_NODES:
         raise ValueError(f"oracle limited to {MAX_ORACLE_NODES} nodes")
     h = [instance.threshold(i) for i in range(1, n + 1)]
-    inweights = []  # per node: list of (neighbor bit, weight)
-    for i in range(1, n + 1):
-        inweights.append(
-            [(1 << (j - 1), instance.weight(j, i)) for j in instance.neighbors(i)]
-        )
+    inweights = [  # per node: list of (neighbor bit, weight)
+        [(1 << (j - 1), w) for j, w in instance.node_view(i).d] for i in range(1, n + 1)
+    ]
 
     size = 1 << n
     INF = math.inf
@@ -233,9 +229,7 @@ def enumerate_feasible_points(instance):
                 point[yvar(i, j)] = 1
             for i in range(1, n + 1):
                 influence = sum(
-                    instance.weight(j, i)
-                    for j in instance.neighbors(i)
-                    if point[yvar(j, i)]
+                    w for j, w in instance.node_view(i).d if point[yvar(j, i)]
                 )
                 point[xvar(i)] = max(0, instance.threshold(i) * zbits[i - 1] - influence)
             yield point
@@ -258,10 +252,14 @@ def _has_cycle(succ):
     return any(color.get(u) is None and visit(u) for u in succ)
 
 
-def check_validity_instance(ineq, instance, tol=1e-9):
-    """True iff no feasible integral point of the instance violates the cut."""
+def check_validity_instance(cuts, instance, tol=1e-9):
+    """True iff no feasible integral point of the instance violates any of
+    the cuts; the points are enumerated once for all of them."""
+    cuts = list(cuts)
     return all(
-        ineq.violation(point) <= tol for point in enumerate_feasible_points(instance)
+        cut.violation(point) <= tol
+        for point in enumerate_feasible_points(instance)
+        for cut in cuts
     )
 
 
@@ -270,14 +268,12 @@ def check_validity_instance(ineq, instance, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_uc_subsets(cycle, base_map, views, point):
+def enumerate_uc_subsets(cycle, base_map, point):
     """Maximum (U,C) violation over every eligible subset U, by brute force."""
     nodes = cycle.nodes
     if len(nodes) > 12:
         raise ValueError("exhaustive scan limited to 12 cycle nodes")
-    omegas = {
-        i: base_map[i].omega(views[i], set(nodes)) for i in nodes
-    }
+    omegas = {i: base_map[i].omega(set(nodes)) for i in nodes}
     eligible = [i for i in nodes if omegas[i] >= 1]
     best_U, best_viol = (), uc_violation(cycle, base_map, omegas, (), point)
     for mask in range(1, 1 << len(eligible)):

@@ -70,18 +70,19 @@ def cycle_order(instance):
     n = instance.n
     if n < 3:
         raise ValueError("a simple cycle needs at least three nodes")
-    nbrs = {i: instance.neighbors(i) for i in range(1, n + 1)}
-    for i, ns in nbrs.items():
-        if len(ns) != 2:
-            raise ValueError(f"node {i} has degree {len(ns)}, not a simple cycle")
-    order = [1, min(nbrs[1])]
+    for i in range(1, n + 1):
+        degree = instance.node_view(i).degree
+        if degree != 2:
+            raise ValueError(f"node {i} has degree {degree}, not a simple cycle")
+    order = [1, min(instance.neighbors(1))]
     while len(order) < n:
         a, b = order[-2], order[-1]
-        nxt = nbrs[b][0] if nbrs[b][1] == a else nbrs[b][1]
+        first, second = instance.neighbors(b)
+        nxt = first if second == a else second
         if nxt == 1:
             break
         order.append(nxt)
-    if len(order) != n or 1 not in nbrs[order[-1]]:
+    if len(order) != n or 1 not in instance.neighbors(order[-1]):
         raise ValueError("graph is not a single simple cycle")
     return order
 
@@ -300,7 +301,7 @@ def build_tree_equal_model(instance, include_hull=True):
     return model
 
 
-def build_uc_equal_cut(ucdata, hull_map, views):
+def build_uc_equal_cut(ucdata, hull_map, instance):
     """(U,C) inequality specialized to equal influence and z == 1:
 
     sum_{i in U} gamma_i (x_i + alpha_i sum_j y_ji - beta_i)
@@ -316,7 +317,7 @@ def build_uc_equal_cut(ucdata, hull_map, views):
         hc = hull_map[i]
         g = ucdata.gamma(i)
         coeffs[xvar(i)] = coeffs.get(xvar(i), 0) + g
-        for j in views[i].neighbors:
+        for j in instance.neighbors(i):
             key = yvar(j, i)
             coeffs[key] = coeffs.get(key, 0) + g * hc.alpha
         rhs += g * hc.beta

@@ -117,9 +117,8 @@ class TestAcceptance:
         # may legitimately return another vertex of the degenerate face)
         point = demo.demo_lp_point()
         row_vals = {k: sol.values.get(k, 0.0) for k in point}
-        views = {i: inst.node_view(i) for i in range(1, 6)}
         base_map = demo.demo_base_map(inst)
-        res = separate_uc(demo.demo_cycle(), base_map, views, point)
+        res = separate_uc(demo.demo_cycle(), base_map, point)
         assert res is not None
         U, cut, violation = res
         assert U == demo.DEMO_UC_U
@@ -127,7 +126,7 @@ class TestAcceptance:
 
         from lcim.cyclecuts import uc_dag_values
 
-        f_direct, exits = uc_dag_values(demo.demo_cycle(), base_map, views, point)
+        f_direct, exits = uc_dag_values(demo.demo_cycle(), base_map, point)
         assert (f_direct, *exits) == pytest.approx(demo.DEMO_DAG_VALUES, abs=1e-6)
 
         model.add_constraint(cut.coeffs, ">=", cut.rhs)
@@ -162,7 +161,6 @@ class TestAcceptance:
         uc_checks = 0
         while uc_checks < 120:
             inst = random_cycle_instance(rng, n_min=3, n_max=12)
-            views = {i: inst.node_view(i) for i in range(1, inst.n + 1)}
             from lcim.cyclecuts import Cycle, base_from_row
             from lcim.special import cycle_order
 
@@ -174,29 +172,30 @@ class TestAcceptance:
             )
             base_map = {}
             for i in cycle.nodes:
-                cands = [base_from_row(views[i])]
+                view = inst.node_view(i)
+                cands = [base_from_row(view)]
                 for size in (1, 2):
-                    for S in combinations(views[i].neighbors, size):
+                    for S in combinations(view.neighbors, size):
                         for builder in (build_cover_cut, build_packing_cut):
                             try:
-                                cut = builder(views[i], S)
+                                cut = builder(view, S)
                             except ValueError:
                                 continue
                             from lcim.cyclecuts import base_from_inequality
 
-                            cands.append(base_from_inequality(cut, views[i]))
+                            cands.append(base_from_inequality(cut, view))
                 base_map[i] = cands[int(rng.integers(0, len(cands)))]
             point = {}
             for i in cycle.nodes:
                 zv = float(rng.uniform(0.05, 1.0))
                 point[zvar(i)] = zv
-                point[xvar(i)] = float(rng.uniform(0.0, views[i].h * zv))
-                for j in views[i].neighbors:
+                point[xvar(i)] = float(rng.uniform(0.0, inst.threshold(i) * zv))
+                for j in inst.neighbors(i):
                     point[yvar(j, i)] = float(rng.uniform(0.0, zv))
             best_U, best_viol = oracle.enumerate_uc_subsets(
-                cycle, base_map, views, point
+                cycle, base_map, point
             )
-            res = separate_uc(cycle, base_map, views, point)
+            res = separate_uc(cycle, base_map, point)
             if res is None:
                 assert best_viol <= 1e-6
             else:

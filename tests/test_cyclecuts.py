@@ -22,11 +22,11 @@ from lcim.instance import make_instance
 from lcim.knapcuts import xvar, yvar, zvar
 
 
-def random_cycle_point(rng, cycle, views):
+def random_cycle_point(rng, cycle, instance):
     """Random fractional point over the cycle nodes and their neighbors."""
     point = {}
     for i in cycle.nodes:
-        view = views[i]
+        view = instance.node_view(i)
         z = float(rng.uniform(0.05, 1.0))
         point[zvar(i)] = z
         point[xvar(i)] = float(rng.uniform(0.0, view.h * z))
@@ -81,7 +81,7 @@ class TestGcec:
     def test_valid_on_demo(self):
         inst = demo.demo_instance()
         for k in demo.demo_cycle().nodes:
-            assert oracle.check_validity_instance(build_gcec(demo.demo_cycle(), k), inst)
+            assert oracle.check_validity_instance([build_gcec(demo.demo_cycle(), k)], inst)
 
 
 def search_point(instance, z, y):
@@ -150,21 +150,21 @@ class TestBaseIneq:
         base = base_from_row(view)
         assert base.beta == view.h
         assert base.alpha == view.d
-        assert base.omega(view, set(view.neighbors) | {3}) == 0
+        assert base.view is view
+        assert base.omega(set(view.neighbors) | {3}) == 0
 
     def test_from_inequality(self):
         inst = demo.demo_instance()
         cuts = demo.demo_base_cuts(inst)
         base = base_from_inequality(cuts[1], inst.node_view(1))
-        assert base.node == 1
+        assert base.view.node == 1
         assert base.beta == -cuts[1].coeffs[zvar(1)]
 
     def test_demo_omegas(self):
         inst = demo.demo_instance()
-        views = {i: inst.node_view(i) for i in (1, 2, 3)}
         base_map = demo.demo_base_map(inst)
         nodes = set(demo.demo_cycle().nodes)
-        omegas = {i: base_map[i].omega(views[i], nodes) for i in (1, 2, 3)}
+        omegas = {i: base_map[i].omega(nodes) for i in (1, 2, 3)}
         assert omegas == {1: 3, 2: 2, 3: 2}
 
     def test_theta_is_slack(self):
@@ -208,16 +208,15 @@ class TestUcCut:
         assert cut.coeffs[xvar(1)] == 2 and cut.coeffs[xvar(3)] == 3
         assert cut.coeffs[zvar(2)] == 6 and cut.coeffs[yvar(1, 2)] == -6
         assert cut.rhs == 6.0
-        assert oracle.check_validity_instance(cut, inst)
+        assert oracle.check_validity_instance([cut], inst)
 
     def test_uc_violation_matches_cut(self):
         rng = np.random.default_rng(47)
         inst = demo.demo_instance()
-        views = {i: inst.node_view(i) for i in range(1, 6)}
         base_map = demo.demo_base_map(inst)
         omegas = {1: 3, 2: 2, 3: 2}
         for _ in range(50):
-            point = random_cycle_point(rng, demo.demo_cycle(), views)
+            point = random_cycle_point(rng, demo.demo_cycle(), inst)
             for U in ((), (1,), (2,), (1, 3), (1, 2, 3)):
                 cut = build_uc_cut(make_uc_data(demo.demo_cycle(), U, omegas), base_map)
                 direct = uc_violation(demo.demo_cycle(), base_map, omegas, U, point)
@@ -227,9 +226,8 @@ class TestUcCut:
 class TestSeparation:
     def test_demo_point(self):
         inst = demo.demo_instance()
-        views = {i: inst.node_view(i) for i in range(1, 6)}
         point = demo.demo_lp_point()
-        res = separate_uc(demo.demo_cycle(), demo.demo_base_map(inst), views, point)
+        res = separate_uc(demo.demo_cycle(), demo.demo_base_map(inst), point)
         assert res is not None
         U, cut, violation = res
         assert U == demo.DEMO_UC_U
@@ -237,27 +235,25 @@ class TestSeparation:
 
     def test_satisfied_point_returns_none(self):
         inst = demo.demo_instance()
-        views = {i: inst.node_view(i) for i in range(1, 6)}
         point = {}
         for i in range(1, 6):
             point[zvar(i)] = 1.0
-            point[xvar(i)] = float(views[i].h)
-            for j in views[i].neighbors:
+            point[xvar(i)] = float(inst.threshold(i))
+            for j in inst.neighbors(i):
                 point[yvar(j, i)] = 0.0
-        res = separate_uc(demo.demo_cycle(), demo.demo_base_map(inst), views, point)
+        res = separate_uc(demo.demo_cycle(), demo.demo_base_map(inst), point)
         assert res is None
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(53)
         inst = demo.demo_instance()
-        views = {i: inst.node_view(i) for i in range(1, 6)}
         base_map = demo.demo_base_map(inst)
         for _ in range(100):
-            point = random_cycle_point(rng, demo.demo_cycle(), views)
+            point = random_cycle_point(rng, demo.demo_cycle(), inst)
             best_U, best_viol = oracle.enumerate_uc_subsets(
-                demo.demo_cycle(), base_map, views, point
+                demo.demo_cycle(), base_map, point
             )
-            res = separate_uc(demo.demo_cycle(), base_map, views, point)
+            res = separate_uc(demo.demo_cycle(), base_map, point)
             got = res[2] if res is not None else 0.0
             assert got == pytest.approx(max(best_viol, 0.0), abs=1e-9) or (
                 res is None and best_viol <= 1e-6
@@ -265,10 +261,9 @@ class TestSeparation:
 
     def test_dag_values(self):
         inst = demo.demo_instance()
-        views = {i: inst.node_view(i) for i in range(1, 6)}
         point = demo.demo_lp_point()
         f_direct, exits = uc_dag_values(
-            demo.demo_cycle(), demo.demo_base_map(inst), views, point
+            demo.demo_cycle(), demo.demo_base_map(inst), point
         )
         got = (f_direct, *exits)
         assert got == pytest.approx(demo.DEMO_DAG_VALUES, abs=1e-9)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lcim.demo import demo_instance
 from lcim.instance import (
     Instance,
+    NodeView,
     ParseError,
     generate_small_world,
     load,
@@ -40,7 +41,6 @@ class TestInstanceModel:
         assert inst.threshold(1) == 5
         assert inst.neighbors(1) == (2,)
         assert inst.edges() == [(1, 2)]
-        assert inst.has_arc(1, 2) and not inst.has_arc(1, 1)
 
     def test_node_view(self):
         inst = demo_instance()
@@ -52,6 +52,14 @@ class TestInstanceModel:
         assert view.degree == 3
         with pytest.raises(KeyError):
             view.weight_of(4)
+
+    def test_node_id_out_of_range(self):
+        inst = demo_instance()
+        for i in (0, inst.n + 1):
+            with pytest.raises(KeyError):
+                inst.node_view(i)
+            with pytest.raises(KeyError):
+                inst.neighbors(i)
 
     def test_with_b(self):
         inst = tiny().with_b(2)
@@ -244,3 +252,23 @@ class TestProperties:
         once = preprocess(inst)
         assert once.is_preprocessed()
         assert preprocess(once) == once
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_node_views_match_arc_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, n_max=8)
+        # unsorted arcs, and halved thresholds that make preprocess clamp
+        lowered = Instance(
+            n=inst.n,
+            arcs=inst.arcs[::-1],
+            h=tuple(1 + hi // 2 for hi in inst.h),
+            b=inst.b,
+        )
+        b = int(rng.integers(1, inst.n + 1))
+        for case in (inst, inst.with_b(b), lowered, preprocess(lowered)):
+            for i in range(1, case.n + 1):
+                d = tuple(sorted((j, w) for (j, k), w in case.arcs if k == i))
+                expect = NodeView(node=i, h=case.threshold(i), d=d)
+                assert case.node_view(i) == expect
+                assert case.neighbors(i) == case.node_view(i).neighbors

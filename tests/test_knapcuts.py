@@ -48,8 +48,8 @@ class TestInequality:
     def test_violation_and_satisfaction(self):
         ineq = Inequality(coeffs={"x[1]": 1.0, "z[1]": -2.0}, rhs=0.0, tag="base")
         assert ineq.violation({"x[1]": 1.0, "z[1]": 1.0}) == pytest.approx(1.0)
-        assert ineq.is_satisfied({"x[1]": 2.0, "z[1]": 1.0})
-        assert not ineq.is_satisfied({"x[1]": 0.0, "z[1]": 1.0})
+        assert ineq.violation({"x[1]": 2.0, "z[1]": 1.0}) == pytest.approx(0.0)
+        assert ineq.violation({"x[1]": 0.0, "z[1]": 1.0}) == pytest.approx(2.0)
 
     def test_render(self):
         cut = build_mis_cut(VIEW, (1,))

@@ -52,7 +52,7 @@ class TestSolve:
         sol = solve_lp(small_model())
         assert sol.optimal
         assert abs(sol.objective - 3.0) < 1e-9
-        assert abs(sol.value("x") - 3.0) < 1e-9
+        assert abs(sol.values["x"] - 3.0) < 1e-9
 
     def test_infeasible(self):
         m = small_model()
@@ -147,6 +147,6 @@ class TestSolve:
             sol = solve_lp(m)
             assert sol.optimal
             interior = sum(
-                1 for k in range(nv) if 1e-7 < sol.value(f"v{k}") < 6.0 - 1e-7
+                1 for k in range(nv) if 1e-7 < sol.values[f"v{k}"] < 6.0 - 1e-7
             )
             assert interior <= nr

@@ -178,8 +178,8 @@ class TestInstanceEnumeration:
         cover_row = Inequality(
             coeffs={zvar(i): 1 for i in range(1, 6)}, rhs=float(inst.b), tag="base"
         )
-        assert check_validity_instance(cover_row, inst)
+        assert check_validity_instance([cover_row], inst)
         too_strong = Inequality(
             coeffs={zvar(i): 1 for i in range(1, 6)}, rhs=6.0, tag="base"
         )
-        assert not check_validity_instance(too_strong, inst)
+        assert not check_validity_instance([too_strong], inst)

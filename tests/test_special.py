@@ -179,17 +179,18 @@ class TestUcEqualCut:
 
         inst = ring([3, 3, 3], d=2, b=3)
         hull = hull_coefficients(inst)
-        views = {i: inst.node_view(i) for i in (1, 2, 3)}
         cycle = Cycle(arcs=((1, 2), (2, 3), (3, 1)))
         omegas = {
-            i: views[i].h - hull[i].beta
-            + sum(hull[i].alpha - w for j, w in views[i].d if j not in (1, 2, 3))
+            i: inst.threshold(i) - hull[i].beta
+            + sum(
+                hull[i].alpha - w for j, w in inst.node_view(i).d if j not in (1, 2, 3)
+            )
             for i in (1, 2, 3)
         }
         eligible = [i for i in (1, 2, 3) if omegas[i] >= 1]
         for U in ([], eligible[:1], eligible):
             uc = make_uc_data(cycle, U, omegas)
-            cut = build_uc_equal_cut(uc, hull, views)
+            cut = build_uc_equal_cut(uc, hull, inst)
             # validate against every feasible point with z == 1
             from lcim.oracle import enumerate_feasible_points
 
@@ -202,10 +203,9 @@ class TestUcEqualCut:
 
         inst = ring([3, 3, 3], d=2, b=3)
         hull = hull_coefficients(inst)  # sigma=2, g=1: alpha=1, beta=2
-        views = {i: inst.node_view(i) for i in (1, 2, 3)}
         cycle = Cycle(arcs=((1, 2), (2, 3), (3, 1)))
-        omega = {i: views[i].h - hull[i].beta for i in (1, 2, 3)}  # 1 each
-        cut = build_uc_equal_cut(make_uc_data(cycle, (1,), omega), hull, views)
+        omega = {i: inst.threshold(i) - hull[i].beta for i in (1, 2, 3)}  # 1 each
+        cut = build_uc_equal_cut(make_uc_data(cycle, (1,), omega), hull, inst)
         assert cut.coeffs[xvar(1)] == 1
         assert cut.coeffs[yvar(2, 1)] == 1 and cut.coeffs[yvar(3, 1)] == 1
         assert cut.coeffs[yvar(1, 2)] == -1 and cut.coeffs[yvar(2, 3)] == -1
