@@ -14,7 +14,10 @@ value rather than relying on a greedy prefix scan.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 __all__ = [
     "Inequality",
@@ -39,6 +42,7 @@ __all__ = [
 ]
 
 VIOLATION_TOL = 1e-6  # a cut must be violated by more than this to be added
+MIS_DP_CELLS = 1 << 16  # cells per MIS DP table; bounds the memory for large h
 
 
 def xvar(i):
@@ -194,12 +198,7 @@ def make_cover_set(view, S):
         if j in S and w < pi:
             raise ValueError(f"cover not minimal: element {j} (d={w}) removable")
     heavy = sorted((w for j, w in view.d if j in S and w > pi), reverse=True)
-    prefix = []
-    acc = 0
-    for w in heavy:
-        acc += w
-        prefix.append(acc)
-    return CoverSet(node=view.node, members=S, pi=pi, prefix=tuple(prefix))
+    return CoverSet(node=view.node, members=S, pi=pi, prefix=tuple(accumulate(heavy)))
 
 
 def make_packing_set(view, L):
@@ -215,12 +214,7 @@ def make_packing_set(view, L):
         if j in L and w < lam:
             raise ValueError(f"packing not minimal: element {j} (d={w}) removable")
     heavy = sorted((w for j, w in view.d if j in L and w > lam), reverse=True)
-    prefix = []
-    acc = 0
-    for w in heavy:
-        acc += w
-        prefix.append(acc)
-    return PackingSet(node=view.node, members=L, lam=lam, prefix=tuple(prefix))
+    return PackingSet(node=view.node, members=L, lam=lam, prefix=tuple(accumulate(heavy)))
 
 
 def make_mis_set(view, M):
@@ -349,6 +343,9 @@ def separate_mis(view, point):
     single greedy scan by ascending y* can miss the optimum).  Ties between
     equally violated subsets are resolved toward larger p.
 
+    The DPs of all s run at once, one row per s; the winning s is run
+    again on its own to read its subset back from the tables.
+
     Returns (MisSet, Inequality, violation) or None when no cut is violated
     by more than VIOLATION_TOL.
     """
@@ -357,40 +354,32 @@ def separate_mis(view, point):
     x_star, z_star = point[xvar(i)], point[zvar(i)]
     items = list(view.d)  # (neighbor, weight)
     ys = [point.get(yvar(j, i), 0.0) for j, _ in items]
-    v = len(items)
-    best = None  # (violation, p, members)
-    for s in range(0, h):  # ascending s = descending p keeps largest p on ties
-        p = h - s
-        # dp[k][t]: best recovered value using the first k items at weight sum t
-        dp = [[None] * (s + 1) for _ in range(v + 1)]
-        dp[0][0] = 0.0
-        for k, (_, w) in enumerate(items):
-            row, prev = dp[k + 1], dp[k]
-            gain = min(w, p) * ys[k]
-            for t in range(s + 1):
-                cand = prev[t]
-                if w <= t and prev[t - w] is not None:
-                    take = prev[t - w] + gain
-                    if cand is None or take > cand:
-                        cand = take
-                row[t] = cand
-        if dp[v][s] is None:
-            continue
-        total = sum(min(w, p) * y for (_, w), y in zip(items, ys))
-        violation = p * z_star - x_star - (total - dp[v][s])
-        if best is None or violation > best[0] + 1e-12:
-            members = []
-            t = s
-            for k in range(v, 0, -1):
-                j, w = items[k - 1]
-                if dp[k - 1][t] is not None and abs(dp[k][t] - dp[k - 1][t]) <= 1e-9:
-                    continue  # an optimal completion exists without item k
-                members.append(j)
-                t -= w
-            best = (violation, p, frozenset(members))
+    # with y, z >= 0 no violation exceeds h*z - x, so none can be large enough
+    if min(ys + [z_star]) >= 0.0 and h * z_star - x_star <= VIOLATION_TOL:
+        return None
+    best = None  # (violation, s)
+    block = max(1, MIS_DP_CELLS // h)
+    for s0 in range(0, h, block):
+        s = np.arange(s0, min(h, s0 + block))
+        tables, total = _mis_tables(items, ys, h, s)
+        recovered = tables[-1][np.arange(len(s)), s]
+        violation = (h - s) * z_star - x_star - (total - recovered)
+        # unreached s score -inf (s = 0 never is); ascending s keeps larger p on ties
+        for r, viol in enumerate(violation.tolist()):
+            if best is None or viol > best[0] + 1e-12:
+                best = (viol, s0 + r)
     if best is None or best[0] <= VIOLATION_TOL:
         return None
-    _, _, members = best
+    t = best[1]
+    tables, _ = _mis_tables(items, ys, h, np.array([t]))
+    members = []
+    for k in range(len(items), 0, -1):
+        j, w = items[k - 1]
+        without, with_k = tables[k - 1][0, t], tables[k][0, t]
+        if without > -np.inf and abs(with_k - without) <= 1e-9:
+            continue  # an optimal completion exists without item k
+        members.append(j)
+        t -= w
     mis = make_mis_set(view, members)
     cut = build_mis_cut(view, members)
     # recompute from the reconstructed subset; guards against backtrack drift
@@ -398,6 +387,27 @@ def separate_mis(view, point):
     if violation <= VIOLATION_TOL:
         return None
     return mis, cut, violation
+
+
+def _mis_tables(items, ys, h, s):
+    """Knapsack DP of the MIS separation for each weight sum in the array s.
+
+    tables[k][r, t] is the best recovered value sum min(d_j, p) y_j, p =
+    h - s[r], over subsets of the first k items of weight sum t (-inf when
+    no subset has that sum); total[r] is T(p), summed over all items.
+    """
+    p = h - s
+    dp = np.full((len(s), s[-1] + 1), -np.inf)
+    dp[:, 0] = 0.0
+    tables, total = [dp], np.zeros(len(s))
+    for (_, w), y in zip(items, ys):
+        gain = np.minimum(w, p) * y
+        total += gain
+        dp = dp.copy()
+        if w < dp.shape[1]:
+            dp[:, w:] = np.maximum(dp[:, w:], dp[:, :-w] + gain[:, None])
+        tables.append(dp)
+    return tables, total
 
 
 def cover_from_mis(view, M):

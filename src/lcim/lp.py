@@ -8,7 +8,7 @@ optimal basic solutions; the model object is the stable surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -43,6 +43,9 @@ class LPModel:
         self.obj = []
         self._index = {}
         self.rows = []  # (coeffs dict, sense, rhs)
+        # CSR pieces of the rows per sense, kept as rows are added; ">=" rows
+        # are stored negated, as the "<=" rows they become for the solver
+        self._csr = {sense: ([0], [], [], []) for sense in _SENSES}
 
     # -- construction ------------------------------------------------------
 
@@ -68,6 +71,13 @@ class LPModel:
                 raise ValueError(f"non-finite coefficient on {name!r}")
         if coeffs:
             self.rows.append((dict(coeffs), sense, float(rhs)))
+            indptr, cols, vals, rhss = self._csr[sense]
+            sign = -1.0 if sense == ">=" else 1.0
+            for name, c in coeffs.items():
+                cols.append(self._index[name])
+                vals.append(sign * c)
+            indptr.append(len(cols))
+            rhss.append(sign * float(rhs))
 
     def set_bounds(self, name, lb, ub):
         k = self._index[name]
@@ -91,6 +101,20 @@ class LPModel:
         return "\n".join(out)
 
 
+def _csr_rows(parts, nvars):
+    """The rows of the (indptr, cols, vals, rhs) parts, stacked in order, as
+    a CSR matrix and a right-hand side; (None, None) when there are none."""
+    indptr, cols, vals, rhs = [0], [], [], []
+    for p_indptr, p_cols, p_vals, p_rhs in parts:
+        indptr += [k + len(cols) for k in p_indptr[1:]]
+        cols += p_cols
+        vals += p_vals
+        rhs += p_rhs
+    if not rhs:
+        return None, None
+    return csr_matrix((vals, cols, indptr), shape=(len(rhs), nvars)), np.array(rhs)
+
+
 def solve_lp(model, bound_overrides=None):
     """Solve the model, returning an optimal basic solution when one exists.
 
@@ -106,40 +130,9 @@ def solve_lp(model, bound_overrides=None):
             lower[k] = lo
             upper[k] = hi
 
-    data, rows_i, cols_i = [], [], []
-    senses, rhss = [], []
-    for r, (coeffs, sense, rhs) in enumerate(model.rows):
-        for name, c in coeffs.items():
-            rows_i.append(r)
-            cols_i.append(model._index[name])
-            data.append(c)
-        senses.append(sense)
-        rhss.append(rhs)
-
-    nrows = len(model.rows)
-    a_full = csr_matrix((data, (rows_i, cols_i)), shape=(nrows, nvars))
-    senses = np.array(senses)
-    rhss = np.array(rhss)
-
-    le = senses == "<="
-    ge = senses == ">="
-    eq = senses == "="
-    a_ub_parts, b_ub_parts = [], []
-    if le.any():
-        a_ub_parts.append(a_full[le])
-        b_ub_parts.append(rhss[le])
-    if ge.any():
-        a_ub_parts.append(-a_full[ge])
-        b_ub_parts.append(-rhss[ge])
-    a_ub = None
-    b_ub = None
-    if a_ub_parts:
-        from scipy.sparse import vstack
-
-        a_ub = vstack(a_ub_parts, format="csr")
-        b_ub = np.concatenate(b_ub_parts)
-    a_eq = a_full[eq] if eq.any() else None
-    b_eq = rhss[eq] if eq.any() else None
+    # the solver takes "<=" rows first, then ">=" rows negated, then "="
+    a_ub, b_ub = _csr_rows([model._csr["<="], model._csr[">="]], nvars)
+    a_eq, b_eq = _csr_rows([model._csr["="]], nvars)
 
     res = linprog(
         c=np.array(model.obj),
@@ -158,7 +151,7 @@ def solve_lp(model, bound_overrides=None):
     if res.status != 0:
         raise RuntimeError(f"LP solver failed: {res.message}")
 
-    values = dict(zip(model.var_names, res.x))
+    values = dict(zip(model.var_names, res.x.tolist()))
     try:
         dual = 0.0
         if a_ub is not None:

@@ -201,37 +201,37 @@ def enumerate_feasible_points(instance):
     if n > 8:
         raise ValueError("instance enumeration limited to 8 nodes")
     edges = instance.edges()
+    # variable names and in-arcs (y name, weight) per node, formatted once
+    incoming = [
+        [(yvar(j, i), w) for j, w in instance.node_view(i).d] for i in range(1, n + 1)
+    ]
     for zbits in product((0, 1), repeat=n):
         if sum(zbits) < instance.b:
             continue
-        active_edges = [
-            (i, j) for i, j in edges if zbits[i - 1] and zbits[j - 1]
+        template = {zvar(i): zbits[i - 1] for i in range(1, n + 1)}
+        template.update((yvar(i, j), 0) for (i, j), _ in instance.arcs)
+        demand = [  # (x name, h_i z_i, in-arcs) per node
+            (xvar(i), instance.threshold(i) * zbits[i - 1], incoming[i - 1])
+            for i in range(1, n + 1)
         ]
-        # per active edge: 0 = unused, 1 = i->j, 2 = j->i
-        for states in product((0, 1, 2), repeat=len(active_edges)):
+        # per edge between active nodes: unused, i->j or j->i
+        choices = [
+            (None, (i, j, yvar(i, j)), (j, i, yvar(j, i)))
+            for i, j in edges
+            if zbits[i - 1] and zbits[j - 1]
+        ]
+        for arcs in product(*choices):
+            arcs = [arc for arc in arcs if arc is not None]
             succ = {}
-            arcs = []
-            for (i, j), s in zip(active_edges, states):
-                if s == 1:
-                    arcs.append((i, j))
-                    succ.setdefault(i, []).append(j)
-                elif s == 2:
-                    arcs.append((j, i))
-                    succ.setdefault(j, []).append(i)
+            for tail, head, _ in arcs:
+                succ.setdefault(tail, []).append(head)
             if _has_cycle(succ):
                 continue
-            point = {}
-            for i in range(1, n + 1):
-                point[zvar(i)] = zbits[i - 1]
-            for (i, j), _ in instance.arcs:
-                point[yvar(i, j)] = 0
-            for i, j in arcs:
-                point[yvar(i, j)] = 1
-            for i in range(1, n + 1):
-                influence = sum(
-                    w for j, w in instance.node_view(i).d if point[yvar(j, i)]
-                )
-                point[xvar(i)] = max(0, instance.threshold(i) * zbits[i - 1] - influence)
+            point = dict(template)
+            for _, _, name in arcs:
+                point[name] = 1
+            for name, need, ins in demand:
+                point[name] = max(0, need - sum(w for y, w in ins if point[y]))
             yield point
 
 
