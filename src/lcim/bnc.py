@@ -58,10 +58,10 @@ TREE_SEP_ROUNDS = 2  # MIS separation rounds per tree node before branching
 class SolveParams:
     time_limit: float = 600.0
     max_rounds: int = 50
-    gcec_only: bool = False
 
     def __post_init__(self):
-        if self.time_limit <= 0 or self.max_rounds <= 0:
+        # written so that NaN fails too; an infinite time limit means none
+        if not (self.time_limit > 0 and self.max_rounds > 0):
             raise ValueError("limits must be positive")
 
 
@@ -266,21 +266,20 @@ def root_cut_loop(model, instance, params, pool, deadline=math.inf):
             res = knapcuts.separate_mis(view, point)
             if res is None:
                 continue
-            mis, cut, _ = res
+            cut, _ = res
             added += _add_cut(model, pool, cut)
-            cover = knapcuts.cover_from_mis(view, mis.members)
+            cover = knapcuts.cover_from_mis(view, cut.members)
             if cover is not None:
-                ccut = knapcuts.build_cover_cut(view, cover.members)
-                if ccut.violation(point) > VIOLATION_TOL:
-                    added += _add_cut(model, pool, ccut)
-                packed = knapcuts.packing_from_cover(view, cover, point)
-                if packed is not None:
-                    added += _add_cut(model, pool, packed[1])
+                if cover.violation(point) > VIOLATION_TOL:
+                    added += _add_cut(model, pool, cover)
+                packing = knapcuts.packing_from_cover(view, cover, point)
+                if packing is not None:
+                    added += _add_cut(model, pool, packing)
 
         for cycle in cyclecuts.find_violated_cycles_fractional(instance, point):
             if added >= ROUND_CUT_CAP:
                 break
-            if not params.gcec_only and cyclecuts.cycle_cut_allowed(instance, cycle):
+            if cyclecuts.cycle_cut_allowed(instance, cycle):
                 base_map = _choose_bases(cycle, instance, pool, point)
                 res = cyclecuts.separate_uc(cycle, base_map, point)
                 if res is not None and _add_cut(model, pool, res[1]):
@@ -305,14 +304,13 @@ def _add_cut(model, pool, cut):
 
 
 def _choose_bases(cycle, instance, pool, point):
-    """Per cycle node, the base inequality minimizing the slack theta; the
-    node propagation row is the always-available fallback."""
+    """Per cycle node, the node cut minimizing the slack theta among the
+    pooled cover and packing cuts; the node propagation row is the
+    always-available fallback."""
     base_map = {}
     for i in cycle.nodes:
-        view = instance.node_view(i)
-        candidates = [cyclecuts.base_from_row(view)]
-        for cut in pool.for_node(i):
-            candidates.append(cyclecuts.base_from_inequality(cut, view))
+        row = knapcuts.propagation_row(instance.node_view(i))
+        candidates = [row, *pool.for_node(i)]
         base_map[i] = min(candidates, key=lambda b: b.theta(point))
     return base_map
 
@@ -418,9 +416,7 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
             if cycle is not None:
                 gcec = cyclecuts.build_gcec(cycle, min(cycle.nodes))
                 new = _add_cut(model, pool, gcec)
-                if not params.gcec_only and cyclecuts.cycle_cut_allowed(
-                    instance, cycle
-                ):
+                if cyclecuts.cycle_cut_allowed(instance, cycle):
                     empty = cyclecuts.build_uc_cut(
                         cyclecuts.make_uc_data(cycle, (), {}), {}
                     )
@@ -446,7 +442,7 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
             for i in range(1, instance.n + 1):
                 res = knapcuts.separate_mis(instance.node_view(i), point)
                 if res is not None:
-                    added += _add_cut(model, pool, res[1])
+                    added += _add_cut(model, pool, res[0])
             if added:
                 counter += 1
                 heapq.heappush(heap, (lb_node, counter, overrides, seps + 1))

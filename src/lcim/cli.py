@@ -269,7 +269,7 @@ def _suite_trace(failures):
             f"root LP: expected {demo.DEMO_LP_OBJ}, got {sol.objective:.6f}"
         )
     point = demo.demo_lp_point()
-    base_map = demo.demo_base_map(inst)
+    base_map = demo.demo_base_cuts(inst)
     cycle = demo.demo_cycle()
     res = cyclecuts.separate_uc(cycle, base_map, point)
     if res is None:

@@ -16,8 +16,9 @@ DAG of the prefix heuristic is kept as a diagnostic (`uc_dag_values`).
 
 Every search and separator reads the LP point, a dict from variable name
 to value; the cycle searches walk `instance.arcs`, the LP's y column order.
-Each `BaseIneq` holds the node view it was read from, so the (U,C) routines
-take only `(cycle, base_map, point)`, with base_map from cycle node to base.
+The (U,C) routines take `(cycle, base_map, point)`, where base_map maps each
+cycle node to a node cut (`knapcuts.NodeCut`, the node's base inequality in
+(alpha, beta) form, holding its node view).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .knapcuts import VIOLATION_TOL, Inequality, xvar, yvar, zvar
 
 __all__ = [
     "Cycle",
-    "BaseIneq",
     "UCData",
     "build_gcec",
     "find_violated_cycle_integer",
@@ -41,8 +41,6 @@ __all__ = [
     "separate_uc",
     "uc_violation",
     "uc_dag_values",
-    "base_from_inequality",
-    "base_from_row",
     "cycle_cut_allowed",
 ]
 
@@ -216,45 +214,6 @@ def find_violated_cycles_fractional(instance, point):
 
 
 @dataclass(frozen=True)
-class BaseIneq:
-    """A node's base inequality x_i + sum alpha_ji y_ji >= beta_i z_i, with
-    the view of node i it was read from."""
-
-    view: object  # NodeView of node i
-    alpha: tuple  # ((j, alpha_ji), ...)
-    beta: int
-
-    def theta(self, point):
-        """Slack of the base inequality at a point (may be negative)."""
-        i = self.view.node
-        val = point[xvar(i)] - self.beta * point[zvar(i)]
-        for j, a in self.alpha:
-            val += a * point.get(yvar(j, i), 0.0)
-        return val
-
-    def omega(self, cycle_nodes):
-        """Residual slack h_i - beta_i + sum_{j outside the cycle} (alpha_ji - d_ji)."""
-        w = self.view.h - self.beta
-        for j, a in self.alpha:
-            if j not in cycle_nodes:
-                w += a - self.view.weight_of(j)
-        return w
-
-
-def base_from_inequality(ineq, view):
-    """Read (alpha, beta) off a cover/packing cut for the node."""
-    i = view.node
-    alpha = tuple((j, ineq.coeffs.get(yvar(j, i), 0)) for j in view.neighbors)
-    return BaseIneq(view=view, alpha=alpha, beta=-ineq.coeffs[zvar(i)])
-
-
-def base_from_row(view):
-    """Fallback base inequality: the node propagation row itself (alpha = d,
-    beta = h), whose omega is 0 — such nodes are excluded from U."""
-    return BaseIneq(view=view, alpha=tuple(view.d), beta=view.h)
-
-
-@dataclass(frozen=True)
 class UCData:
     cycle: Cycle
     U: tuple  # sorted node subset
@@ -341,9 +300,9 @@ def _cycle_terms(cycle, base_map, point):
 def separate_uc(cycle, base_map, point):
     """Exact (U,C) separation over one violated cycle.
 
-    base_map gives each cycle node its `BaseIneq`; the omegas come from the
-    node views those bases hold.  With w_i = z_i - y_{pred(i),i} and W their
-    sum, the violation is
+    base_map maps each cycle node to a node cut, its base inequality; the
+    omegas come from the node views those cuts hold.  With w_i = z_i -
+    y_{pred(i),i} and W their sum, the violation is
 
         delta(U) * (K + sum_{i in U} c_i),  K = 1 - W,  c_i = w_i - theta_i/omega_i,
 

@@ -12,7 +12,7 @@ from importlib import resources
 
 import numpy as np
 
-from .cyclecuts import Cycle, base_from_inequality
+from .cyclecuts import Cycle
 from .instance import NodeView, loads, make_instance, preprocess
 from .knapcuts import build_packing_cut, xvar, yvar, zvar
 
@@ -25,7 +25,6 @@ __all__ = [
     "demo_lp_point",
     "demo_cycle",
     "demo_base_cuts",
-    "demo_base_map",
     "DEMO_LP_OBJ",
     "DEMO_POSTCUT_OBJ",
     "DEMO_OPTIMUM",
@@ -124,20 +123,13 @@ def demo_cycle():
 
 
 def demo_base_cuts(instance=None):
-    """The packing cuts used as base inequalities on the demo triangle."""
+    """The packing cuts used as base inequalities on the demo triangle,
+    keyed by cycle node: the base_map of the demo (U,C) separation."""
     inst = instance or demo_instance()
     return {
         1: build_packing_cut(inst.node_view(1), (2, 3, 4)),
         2: build_packing_cut(inst.node_view(2), (1, 3, 5)),
         3: build_packing_cut(inst.node_view(3), (1, 2)),
-    }
-
-
-def demo_base_map(instance=None):
-    inst = instance or demo_instance()
-    return {
-        i: base_from_inequality(cut, inst.node_view(i))
-        for i, cut in demo_base_cuts(inst).items()
     }
 
 

@@ -9,6 +9,11 @@ and the three families below are valid (often facet-defining) inequalities
 for conv(P), lifted through the piecewise-linear functions Phi and Psi.
 Separation is exact: MIS separation solves a small knapsack DP per residual
 value rather than relying on a greedy prefix scan.
+
+Every node cut is a `NodeCut` in (alpha, beta) form,
+x_i + sum_j alpha_ji y_ji >= beta_i z_i, holding the node view it was built
+from and its defining set; the same object serves as a base inequality of
+the (U,C) cuts in `cyclecuts`.
 """
 
 from __future__ import annotations
@@ -21,18 +26,18 @@ import numpy as np
 
 __all__ = [
     "Inequality",
+    "NodeCut",
     "CoverSet",
     "PackingSet",
-    "MisSet",
     "CutPool",
     "make_cover_set",
     "make_packing_set",
-    "make_mis_set",
     "phi",
     "psi",
     "build_cover_cut",
     "build_packing_cut",
     "build_mis_cut",
+    "propagation_row",
     "separate_mis",
     "cover_from_mis",
     "packing_from_cover",
@@ -62,8 +67,8 @@ def zvar(i):
 class Inequality:
     """A sparse linear inequality  sum_k coeffs[k] * var_k >= rhs.
 
-    Node cuts are normalized to "lhs >= 0" form: the x coefficient is 1 and
-    z appears with a negative coefficient.
+    Node cuts (`NodeCut`) are in "lhs >= 0" form: the x coefficient is 1
+    and z appears with a negative coefficient.
     """
 
     coeffs: dict
@@ -101,6 +106,42 @@ class Inequality:
         return f"{' + '.join(left) or '0'} >= {' + '.join(right) or '0'}"
 
 
+class NodeCut(Inequality):
+    """A node inequality x_i + sum_j alpha_ji y_ji >= beta_i z_i.
+
+    alpha holds one (j, alpha_ji) pair per entry of view.d, in that order;
+    coeffs is built once from it, zeros kept.  members is the defining set
+    (cover, packing or MIS subset) and goes into the provenance.
+    """
+
+    def __init__(self, view, alpha, beta, tag, members=()):
+        i = view.node
+        coeffs = {xvar(i): 1}
+        for j, a in alpha:
+            coeffs[yvar(j, i)] = a
+        coeffs[zvar(i)] = -beta
+        members = frozenset(members)
+        super().__init__(coeffs=coeffs, rhs=0.0, tag=tag,
+                         provenance=(i, tuple(sorted(members))))
+        self.view, self.alpha, self.beta, self.members = view, alpha, beta, members
+
+    def theta(self, point):
+        """Slack of the inequality at a point (may be negative)."""
+        i = self.view.node
+        val = point[xvar(i)] - self.beta * point[zvar(i)]
+        for j, a in self.alpha:
+            val += a * point.get(yvar(j, i), 0.0)
+        return val
+
+    def omega(self, cycle_nodes):
+        """Residual slack h_i - beta_i + sum_{j outside the cycle} (alpha_ji - d_ji)."""
+        w = self.view.h - self.beta
+        for j, a in self.alpha:
+            if j not in cycle_nodes:
+                w += a - self.view.weight_of(j)
+        return w
+
+
 def _var_sort_key(name):
     kind = name[0]
     ids = tuple(int(t) for t in name[2:-1].split(","))
@@ -128,12 +169,13 @@ class CutPool:
         self.counts[ineq.tag] = self.counts.get(ineq.tag, 0) + 1
         return True
 
-    def for_node(self, node, families=("cover", "packing")):
-        """Node cuts usable as base inequalities for cycle coupling."""
+    def for_node(self, node):
+        """Cover and packing cuts of the node: the base inequalities for
+        cycle coupling."""
         return [
             q
             for q in self._cuts.values()
-            if q.tag in families and q.provenance and q.provenance[0] == node
+            if q.tag in ("cover", "packing") and q.view.node == node
         ]
 
 
@@ -168,15 +210,6 @@ class PackingSet:
     @property
     def r(self):
         return len(self.prefix)
-
-
-@dataclass(frozen=True)
-class MisSet:
-    """Minimal influencing subset M with incentive residual p = h - sum_M d."""
-
-    node: int
-    members: frozenset
-    p: int
 
 
 def make_cover_set(view, S):
@@ -215,18 +248,6 @@ def make_packing_set(view, L):
             raise ValueError(f"packing not minimal: element {j} (d={w}) removable")
     heavy = sorted((w for j, w in view.d if j in L and w > lam), reverse=True)
     return PackingSet(node=view.node, members=L, lam=lam, prefix=tuple(accumulate(heavy)))
-
-
-def make_mis_set(view, M):
-    """Validate M: the residual incentive p = h - sum_M d must be positive."""
-    M = frozenset(M)
-    unknown = M - set(view.neighbors)
-    if unknown:
-        raise ValueError(f"subset references non-neighbors {sorted(unknown)}")
-    p = view.h - sum(w for j, w in view.d if j in M)
-    if p <= 0:
-        raise ValueError(f"residual incentive p = {p} <= 0")
-    return MisSet(node=view.node, members=M, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -281,48 +302,51 @@ def psi(d, packing):
 def build_cover_cut(view, S):
     """Continuous cover inequality for a minimal cover S."""
     cover = make_cover_set(view, S)
-    i, pi = view.node, cover.pi
-    coeffs = {xvar(i): 1}
-    zcoef = pi
+    pi = cover.pi
+    alpha, beta = [], pi
     for j, w in view.d:
         if j in cover.members:
-            coeffs[yvar(j, i)] = min(pi, w)
+            alpha.append((j, min(pi, w)))
         else:
             lifted = phi(w, cover)
-            coeffs[yvar(j, i)] = lifted
-            zcoef += lifted
-    coeffs[zvar(i)] = -zcoef
-    return Inequality(coeffs=coeffs, rhs=0.0, tag="cover",
-                      provenance=(i, tuple(sorted(cover.members))))
+            alpha.append((j, lifted))
+            beta += lifted
+    return NodeCut(view, tuple(alpha), beta, "cover", cover.members)
 
 
 def build_packing_cut(view, L):
     """Continuous packing inequality for a minimal packing L."""
     packing = make_packing_set(view, L)
-    i, lam = view.node, packing.lam
-    coeffs = {xvar(i): 1}
-    zcoef = 0
+    lam = packing.lam
+    alpha, beta = [], 0
     for j, w in view.d:
         if j in packing.members:
-            coeffs[yvar(j, i)] = max(0, w - lam)
-            zcoef += max(0, w - lam)
+            alpha.append((j, max(0, w - lam)))
+            beta += max(0, w - lam)
         else:
-            coeffs[yvar(j, i)] = psi(w, packing)
-    coeffs[zvar(i)] = -zcoef
-    return Inequality(coeffs=coeffs, rhs=0.0, tag="packing",
-                      provenance=(i, tuple(sorted(packing.members))))
+            alpha.append((j, psi(w, packing)))
+    return NodeCut(view, tuple(alpha), beta, "packing", packing.members)
 
 
 def build_mis_cut(view, M):
-    """Minimal influencing subset inequality x + sum_{j not in M} min(d_j, p) y_j >= p z."""
-    mis = make_mis_set(view, M)
-    i, p = view.node, mis.p
-    coeffs = {xvar(i): 1}
-    for j, w in view.d:
-        coeffs[yvar(j, i)] = 0 if j in mis.members else min(w, p)
-    coeffs[zvar(i)] = -p
-    return Inequality(coeffs=coeffs, rhs=0.0, tag="mis",
-                      provenance=(i, tuple(sorted(mis.members))))
+    """Minimal influencing subset inequality x + sum_{j not in M} min(d_j, p) y_j >= p z,
+    for a subset M with residual incentive p = h - sum_M d > 0."""
+    M = frozenset(M)
+    unknown = M - set(view.neighbors)
+    if unknown:
+        raise ValueError(f"subset references non-neighbors {sorted(unknown)}")
+    p = view.h - sum(w for j, w in view.d if j in M)
+    if p <= 0:
+        raise ValueError(f"residual incentive p = {p} <= 0")
+    alpha = tuple((j, 0 if j in M else min(w, p)) for j, w in view.d)
+    return NodeCut(view, alpha, p, "mis", M)
+
+
+def propagation_row(view):
+    """The node's propagation row x_i + sum_j d_ji y_ji >= h_i z_i as a
+    node cut (alpha = d, beta = h); its omega is 0 on any cycle through all
+    its neighbors, so such nodes never enter U."""
+    return NodeCut(view, view.d, view.h, "base")
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +370,8 @@ def separate_mis(view, point):
     The DPs of all s run at once, one row per s; the winning s is run
     again on its own to read its subset back from the tables.
 
-    Returns (MisSet, Inequality, violation) or None when no cut is violated
-    by more than VIOLATION_TOL.
+    Returns (cut, violation), with the MIS `NodeCut` whose members are the
+    subset M, or None when no cut is violated by more than VIOLATION_TOL.
     """
     h = view.h
     i = view.node
@@ -380,13 +404,12 @@ def separate_mis(view, point):
             continue  # an optimal completion exists without item k
         members.append(j)
         t -= w
-    mis = make_mis_set(view, members)
     cut = build_mis_cut(view, members)
     # recompute from the reconstructed subset; guards against backtrack drift
     violation = cut.violation(point)
     if violation <= VIOLATION_TOL:
         return None
-    return mis, cut, violation
+    return cut, violation
 
 
 def _mis_tables(items, ys, h, s):
@@ -416,13 +439,14 @@ def cover_from_mis(view, M):
     The raw complement need not be minimal; elements with d_j < pi are
     peeled off (each removal lowers pi by d_j but keeps it positive) so the
     returned set always satisfies the cover constructor's preconditions.
+    Returns the cover cut, or None when nothing is left of S.
     """
-    mis = make_mis_set(view, M)
+    mis = build_mis_cut(view, M)
     members = set(view.neighbors) - mis.members
-    _shrink(view, members, mis.p)
+    _shrink(view, members, mis.beta)
     if not members:
         return None
-    return make_cover_set(view, members)
+    return build_cover_cut(view, members)
 
 
 def _shrink(view, members, residual):
@@ -438,7 +462,7 @@ def _shrink(view, members, residual):
 
 
 def packing_from_cover(view, cover, point):
-    """Derive the most violated packing cut reachable from a cover set.
+    """Derive the most violated packing cut reachable from a cover cut.
 
     Every k in S whose transfer to the complement pushes the weight sum past
     h yields a candidate packing L = (N \\ S) + {k}; the candidate is shrunk
@@ -454,12 +478,9 @@ def packing_from_cover(view, cover, point):
         _shrink(view, members, base + view.weight_of(k) - view.h)
         if not members:
             continue
-        packing = make_packing_set(view, members)
         cut = build_packing_cut(view, members)
         violation = cut.violation(point)
-        if violation > VIOLATION_TOL and (best is None or violation > best[2]):
-            best = (packing, cut, violation)
-    if best is None:
-        return None
-    return best[0], best[1]
+        if violation > VIOLATION_TOL and (best is None or violation > best[1]):
+            best = (cut, violation)
+    return None if best is None else best[0]
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .knapcuts import Inequality, xvar, yvar, zvar
+from .cyclecuts import build_uc_cut
+from .knapcuts import Inequality, NodeCut, xvar, yvar, zvar
 from .lp import LPModel
 
 __all__ = [
@@ -307,24 +308,18 @@ def build_uc_equal_cut(ucdata, hull_map, instance):
     sum_{i in U} gamma_i (x_i + alpha_i sum_j y_ji - beta_i)
         >= delta(U) (1 - |V(C)| + |U| + sum_{(k,l) in C, l not in U} y_kl),
 
-    with alpha_i = min(g_i, d_i) and beta_i = g_i sigma_i.
+    with alpha_i = min(g_i, d_i) and beta_i = g_i sigma_i: the general (U,C)
+    cut over the hull rows as base inequalities, with z == 1 folded into
+    the right-hand side.
     """
-    cycle, delta = ucdata.cycle, ucdata.delta
-    inU = set(ucdata.U)
-    coeffs = {}
-    rhs = delta * (1 - len(cycle.nodes) + len(ucdata.U))
+    base_map = {}
     for i in ucdata.U:
-        hc = hull_map[i]
-        g = ucdata.gamma(i)
-        coeffs[xvar(i)] = coeffs.get(xvar(i), 0) + g
-        for j in instance.neighbors(i):
-            key = yvar(j, i)
-            coeffs[key] = coeffs.get(key, 0) + g * hc.alpha
-        rhs += g * hc.beta
-    for k, l in cycle.arcs:
-        if l not in inU:
-            key = yvar(k, l)
-            coeffs[key] = coeffs.get(key, 0) - delta
-    coeffs = {k: v for k, v in coeffs.items() if v != 0}
+        view, hc = instance.node_view(i), hull_map[i]
+        alpha = tuple((j, hc.alpha) for j in view.neighbors)
+        base_map[i] = NodeCut(view, alpha, hc.beta, "base")
+    cut = build_uc_cut(ucdata, base_map)
+    z = {zvar(i) for i in ucdata.cycle.nodes}
+    coeffs = {k: c for k, c in cut.coeffs.items() if k not in z}
+    rhs = ucdata.delta - sum(c for k, c in cut.coeffs.items() if k in z)
     return Inequality(coeffs=coeffs, rhs=float(rhs), tag="hull-eq",
-                      provenance=(ucdata.cycle.arcs, ucdata.U))
+                      provenance=cut.provenance)

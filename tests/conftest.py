@@ -1,10 +1,16 @@
 """Shared helpers for the test suite: random instance factories."""
 
 import numpy as np
+from hypothesis import settings
 
 from lcim.demo import random_instance  # noqa: F401  (shared with `lcim verify`)
 from lcim.instance import make_instance, preprocess
 from lcim.knapcuts import xvar, yvar, zvar
+
+# every run draws the same examples, so a property's duration and verdict
+# do not change between runs; each test keeps its own max_examples
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def random_cycle_instance(rng, n_min=3, n_max=8, b=None):

@@ -20,6 +20,7 @@ from lcim.knapcuts import (
     build_cover_cut,
     build_mis_cut,
     build_packing_cut,
+    propagation_row,
     separate_mis,
     xvar,
     yvar,
@@ -117,7 +118,7 @@ class TestAcceptance:
         # may legitimately return another vertex of the degenerate face)
         point = demo.demo_lp_point()
         row_vals = {k: sol.values.get(k, 0.0) for k in point}
-        base_map = demo.demo_base_map(inst)
+        base_map = demo.demo_base_cuts(inst)
         res = separate_uc(demo.demo_cycle(), base_map, point)
         assert res is not None
         U, cut, violation = res
@@ -156,12 +157,12 @@ class TestAcceptance:
             if res is None:
                 assert expect is None or expect <= 1e-6 + 1e-9
             else:
-                assert abs(res[2] - expect) <= 1e-9
+                assert abs(res[1] - expect) <= 1e-9
         # (U,C): random cycles up to 12 nodes against the exhaustive scan
         uc_checks = 0
         while uc_checks < 120:
             inst = random_cycle_instance(rng, n_min=3, n_max=12)
-            from lcim.cyclecuts import Cycle, base_from_row
+            from lcim.cyclecuts import Cycle
             from lcim.special import cycle_order
 
             order = cycle_order(inst)
@@ -173,17 +174,14 @@ class TestAcceptance:
             base_map = {}
             for i in cycle.nodes:
                 view = inst.node_view(i)
-                cands = [base_from_row(view)]
+                cands = [propagation_row(view)]
                 for size in (1, 2):
                     for S in combinations(view.neighbors, size):
                         for builder in (build_cover_cut, build_packing_cut):
                             try:
-                                cut = builder(view, S)
+                                cands.append(builder(view, S))
                             except ValueError:
                                 continue
-                            from lcim.cyclecuts import base_from_inequality
-
-                            cands.append(base_from_inequality(cut, view))
                 base_map[i] = cands[int(rng.integers(0, len(cands)))]
             point = {}
             for i in cycle.nodes:

@@ -231,14 +231,6 @@ class TestSolve:
         assert report.status == "time_limit"
         assert report.lb <= report.ub
 
-    def test_gcec_only_matches(self):
-        rng = np.random.default_rng(131)
-        for _ in range(8):
-            inst = random_instance(rng)
-            expect = oracle.brute_force_optimum(inst)[0]
-            report = solve(inst, "cb", SolveParams(time_limit=60, gcec_only=True))
-            assert report.ub == expect
-
     def test_cb_search_path_pinned(self):
         # node count and cuts per family of two cb solves; a change that
         # alters the search on purpose updates these figures
@@ -301,3 +293,6 @@ class TestReport:
             SolveParams(time_limit=0)
         with pytest.raises(ValueError):
             SolveParams(max_rounds=0)
+        with pytest.raises(ValueError):
+            SolveParams(time_limit=float("nan"))
+        assert SolveParams(time_limit=math.inf).time_limit == math.inf

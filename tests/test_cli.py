@@ -158,6 +158,11 @@ class TestSolve:
             main(["solve", "--seed", "1", demo_path])
         assert exc.value.code == EXIT_USAGE
 
+    def test_nan_time_limit_is_usage_error(self, demo_path, capsys):
+        code = main(["solve", demo_path, "--time-limit", "nan"])
+        assert code == EXIT_USAGE
+        assert "limits must be positive" in capsys.readouterr().out
+
     def test_ln_on_partial_coverage_is_usage_error(self, demo_path, capsys):
         code = main(["solve", demo_path, "--mode", "ln"])
         assert code == EXIT_USAGE

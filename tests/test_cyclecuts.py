@@ -6,8 +6,6 @@ import pytest
 from lcim import demo, oracle
 from lcim.cyclecuts import (
     Cycle,
-    base_from_inequality,
-    base_from_row,
     build_gcec,
     build_uc_cut,
     cycle_cut_allowed,
@@ -19,7 +17,7 @@ from lcim.cyclecuts import (
     uc_violation,
 )
 from lcim.instance import make_instance
-from lcim.knapcuts import xvar, yvar, zvar
+from lcim.knapcuts import propagation_row, xvar, yvar, zvar
 
 
 def random_cycle_point(rng, cycle, instance):
@@ -147,22 +145,27 @@ class TestCycleSearch:
 class TestBaseIneq:
     def test_from_row(self):
         view = demo.demo_instance().node_view(3)
-        base = base_from_row(view)
+        base = propagation_row(view)
         assert base.beta == view.h
         assert base.alpha == view.d
         assert base.view is view
+        assert base.coeffs == {
+            xvar(3): 1, **{yvar(j, 3): w for j, w in view.d}, zvar(3): -view.h
+        }
         assert base.omega(set(view.neighbors) | {3}) == 0
 
     def test_from_inequality(self):
+        # a pooled cut is its own base: (alpha, beta) read off its coeffs
         inst = demo.demo_instance()
-        cuts = demo.demo_base_cuts(inst)
-        base = base_from_inequality(cuts[1], inst.node_view(1))
-        assert base.view.node == 1
-        assert base.beta == -cuts[1].coeffs[zvar(1)]
+        cut = demo.demo_base_cuts(inst)[1]
+        view = inst.node_view(1)
+        assert cut.view is view
+        assert cut.alpha == tuple((j, cut.coeffs[yvar(j, 1)]) for j in view.neighbors)
+        assert cut.beta == -cut.coeffs[zvar(1)]
 
     def test_demo_omegas(self):
         inst = demo.demo_instance()
-        base_map = demo.demo_base_map(inst)
+        base_map = demo.demo_base_cuts(inst)
         nodes = set(demo.demo_cycle().nodes)
         omegas = {i: base_map[i].omega(nodes) for i in (1, 2, 3)}
         assert omegas == {1: 3, 2: 2, 3: 2}
@@ -170,11 +173,8 @@ class TestBaseIneq:
     def test_theta_is_slack(self):
         inst = demo.demo_instance()
         point = demo.demo_lp_point()
-        base_map = demo.demo_base_map(inst)
-        for i, cut in demo.demo_base_cuts(inst).items():
-            assert base_map[i].theta(point) == pytest.approx(
-                -cut.violation(point)
-            )
+        for cut in demo.demo_base_cuts(inst).values():
+            assert cut.theta(point) == pytest.approx(-cut.violation(point))
 
 
 class TestUcCut:
@@ -202,7 +202,7 @@ class TestUcCut:
         inst = demo.demo_instance()
         uc = make_uc_data(demo.demo_cycle(), (1, 3), {1: 3, 2: 2, 3: 2})
         assert uc.delta == 6
-        cut = build_uc_cut(uc, demo.demo_base_map(inst))
+        cut = build_uc_cut(uc, demo.demo_base_cuts(inst))
         # gamma_1 = 2 scales node 1's packing cut, gamma_3 = 3 node 3's;
         # the remaining cycle arc (1,2) contributes 6(z_2 - y_12)
         assert cut.coeffs[xvar(1)] == 2 and cut.coeffs[xvar(3)] == 3
@@ -213,7 +213,7 @@ class TestUcCut:
     def test_uc_violation_matches_cut(self):
         rng = np.random.default_rng(47)
         inst = demo.demo_instance()
-        base_map = demo.demo_base_map(inst)
+        base_map = demo.demo_base_cuts(inst)
         omegas = {1: 3, 2: 2, 3: 2}
         for _ in range(50):
             point = random_cycle_point(rng, demo.demo_cycle(), inst)
@@ -227,7 +227,7 @@ class TestSeparation:
     def test_demo_point(self):
         inst = demo.demo_instance()
         point = demo.demo_lp_point()
-        res = separate_uc(demo.demo_cycle(), demo.demo_base_map(inst), point)
+        res = separate_uc(demo.demo_cycle(), demo.demo_base_cuts(inst), point)
         assert res is not None
         U, cut, violation = res
         assert U == demo.DEMO_UC_U
@@ -241,13 +241,13 @@ class TestSeparation:
             point[xvar(i)] = float(inst.threshold(i))
             for j in inst.neighbors(i):
                 point[yvar(j, i)] = 0.0
-        res = separate_uc(demo.demo_cycle(), demo.demo_base_map(inst), point)
+        res = separate_uc(demo.demo_cycle(), demo.demo_base_cuts(inst), point)
         assert res is None
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(53)
         inst = demo.demo_instance()
-        base_map = demo.demo_base_map(inst)
+        base_map = demo.demo_base_cuts(inst)
         for _ in range(100):
             point = random_cycle_point(rng, demo.demo_cycle(), inst)
             best_U, best_viol = oracle.enumerate_uc_subsets(
@@ -263,7 +263,7 @@ class TestSeparation:
         inst = demo.demo_instance()
         point = demo.demo_lp_point()
         f_direct, exits = uc_dag_values(
-            demo.demo_cycle(), demo.demo_base_map(inst), point
+            demo.demo_cycle(), demo.demo_base_cuts(inst), point
         )
         got = (f_direct, *exits)
         assert got == pytest.approx(demo.DEMO_DAG_VALUES, abs=1e-9)

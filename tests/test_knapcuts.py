@@ -14,13 +14,13 @@ from lcim.knapcuts import (
     build_packing_cut,
     cover_from_mis,
     make_cover_set,
-    make_mis_set,
     make_packing_set,
     packing_from_cover,
     phi,
     psi,
     separate_mis,
     xvar,
+    yvar,
     zvar,
 )
 
@@ -94,10 +94,13 @@ class TestDefiningSets:
             make_packing_set(VIEW, (0,))
 
     def test_mis_set(self):
-        mis = make_mis_set(VIEW, (2,))
-        assert mis.p == 2
+        mis = build_mis_cut(VIEW, (2,))
+        assert mis.beta == 2  # p = 8 - 6
+        assert mis.members == frozenset({2})
         with pytest.raises(ValueError, match="residual incentive"):
-            make_mis_set(VIEW, (1, 2))  # p = 8 - 13 <= 0
+            build_mis_cut(VIEW, (1, 2))  # p = 8 - 13 <= 0
+        with pytest.raises(ValueError, match="non-neighbors"):
+            build_mis_cut(VIEW, (9,))
 
 
 class TestLifting:
@@ -166,6 +169,7 @@ class TestConstructors:
 
     def test_all_constructed_cuts_valid(self):
         rng = np.random.default_rng(31)
+        point_rng = np.random.default_rng(32)
         for _ in range(60):
             view = random_node_view(rng)
             for size in range(0, view.degree + 1):
@@ -178,6 +182,16 @@ class TestConstructors:
                         assert oracle.check_validity(cut, view), (
                             f"{cut.tag} {S} invalid on h={view.h} d={view.d}"
                         )
+                        # (alpha, beta) and coeffs are one row, zeros kept
+                        i = view.node
+                        assert cut.view is view
+                        assert [j for j, _ in cut.alpha] == list(view.neighbors)
+                        expect = {xvar(i): 1}
+                        expect.update((yvar(j, i), a) for j, a in cut.alpha)
+                        expect[zvar(i)] = -cut.beta
+                        assert list(cut.coeffs.items()) == list(expect.items())
+                        point = random_fractional_point(point_rng, view)
+                        assert cut.theta(point) == pytest.approx(-cut.violation(point))
 
 
 class TestSeparation:
@@ -191,7 +205,7 @@ class TestSeparation:
             if res is None:
                 assert expect is None or expect <= 1e-6 + 1e-9
             else:
-                _, cut, violation = res
+                cut, violation = res
                 assert abs(violation - expect) <= 1e-9
                 assert abs(cut.violation(point) - violation) <= 1e-9
 
@@ -199,8 +213,8 @@ class TestSeparation:
         # z=1, y=0, x=0: best violation is p over the empty subset, p = h
         res = separate_mis(VIEW, {xvar(0): 0.0, zvar(0): 1.0})
         assert res is not None
-        mis, _, violation = res
-        assert mis.members == frozenset()
+        cut, violation = res
+        assert cut.members == frozenset() and cut.tag == "mis"
         assert violation == pytest.approx(8.0)
 
     def test_mis_separation_satisfied_point(self):
@@ -209,7 +223,8 @@ class TestSeparation:
     def test_cover_from_mis(self):
         cover = cover_from_mis(VIEW, (4,))
         assert cover.members == frozenset({1, 2, 3})
-        assert cover.pi == 4
+        assert make_cover_set(VIEW, cover.members).pi == 4
+        assert cover.coeffs == demo.TABLE_COVER_PACKING[3]["coeffs"]
 
     def test_cover_from_mis_shrinks(self):
         rng = np.random.default_rng(41)
@@ -218,7 +233,7 @@ class TestSeparation:
             for size in range(0, view.degree):
                 for M in combinations(view.neighbors, size):
                     try:
-                        make_mis_set(view, M)
+                        build_mis_cut(view, M)
                     except ValueError:
                         continue
                     cover = cover_from_mis(view, M)
@@ -227,12 +242,11 @@ class TestSeparation:
                         make_cover_set(view, cover.members)
 
     def test_packing_from_cover(self):
-        cover = make_cover_set(VIEW, (2, 3, 4))
+        cover = build_cover_cut(VIEW, (2, 3, 4))
         # at z=1 with no influence bought, packing cuts are violated
-        res = packing_from_cover(VIEW, cover, {xvar(0): 0.0, zvar(0): 1.0})
-        if res is not None:
-            packing, cut = res
-            make_packing_set(VIEW, packing.members)
+        cut = packing_from_cover(VIEW, cover, {xvar(0): 0.0, zvar(0): 1.0})
+        if cut is not None:
+            make_packing_set(VIEW, cut.members)
             assert cut.tag == "packing"
 
     def test_lemma_identity(self):
@@ -244,13 +258,13 @@ class TestSeparation:
             for size in range(0, view.degree):
                 for M in combinations(view.neighbors, size):
                     try:
-                        mis = make_mis_set(view, M)
+                        mis = build_mis_cut(view, M)
                     except ValueError:
                         continue
                     for k in view.neighbors:
                         if k in mis.members:
                             continue
-                        lam = view.weight_of(k) - mis.p
+                        lam = view.weight_of(k) - mis.beta
                         if lam > 0:
                             members = set(mis.members) | {k}
                             got = sum(
