@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import cyclecuts, knapcuts
-from .knapcuts import VIOLATION_TOL, CutPool, xvar, yvar, zvar
+from .knapcuts import VIOLATION_TOL, CutPool
 from .lp import LPModel, solve_lp
 from .oracle import activation_cost
 
@@ -144,9 +144,10 @@ def assemble(instance, mode):
     """Build the LP relaxation of the chosen formulation.
 
     Variables: x_i in [0, h_i] (paying more than h_i is never optimal),
-    y_ij in [0,1] per directed arc, z_i in [0,1].  ``ln`` additionally
-    fixes z = 1, orients every edge, and adds layer variables l_i in [1,n]
-    with the anti-cycle rows y_ji - (n-1) y_ij <= l_j - l_i.
+    y_ij in [0,1] per directed arc, z_i in [0,1], in the instance's column
+    layout.  ``ln`` additionally fixes z = 1, orients every edge, and adds
+    layer variables l_i in [1,n] after them, with the anti-cycle rows
+    y_ji - (n-1) y_ij <= l_j - l_i.  Rows map columns to coefficients.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -155,49 +156,48 @@ def assemble(instance, mode):
     if mode == "ln" and instance.b != instance.n:
         raise ValueError("layered-network formulation requires b = n")
 
-    n = instance.n
+    n, m = instance.n, instance.m
+    names = instance.var_names
     model = LPModel()
     for i in range(1, n + 1):
-        model.add_var(xvar(i), lb=0.0, ub=float(instance.threshold(i)), obj=1.0)
-    for (i, j), _ in instance.arcs:
-        model.add_var(yvar(i, j), lb=0.0, ub=1.0)
+        model.add_var(names[i - 1], lb=0.0, ub=float(instance.threshold(i)), obj=1.0)
+    for name in names[n:n + m]:
+        model.add_var(name, lb=0.0, ub=1.0)
     zfix = 1.0 if mode == "ln" else 0.0
-    for i in range(1, n + 1):
-        model.add_var(zvar(i), lb=zfix, ub=1.0)
+    for name in names[n + m:]:
+        model.add_var(name, lb=zfix, ub=1.0)
     if mode == "ln":
-        for i in range(1, n + 1):
-            model.add_var(f"l[{i}]", lb=1.0, ub=float(n))
+        lcol = [model.add_var(f"l[{i}]", lb=1.0, ub=float(n)) for i in range(1, n + 1)]
 
     for i in range(1, n + 1):
         view = instance.node_view(i)
-        row = {xvar(i): 1.0, zvar(i): -float(view.h)}
-        for j, w in view.d:
-            row[yvar(j, i)] = float(w)
+        row = {view.xcol: 1.0, view.zcol: -float(view.h)}
+        for (_, w), k in zip(view.d, view.ycols):
+            row[k] = float(w)
         model.add_constraint(row, ">=", 0.0)
 
+    ycol = instance.ycol
     for i, j in instance.edges():
         if mode == "ln":
-            model.add_constraint({yvar(i, j): 1.0, yvar(j, i): 1.0}, "=", 1.0)
+            model.add_constraint({ycol[i, j]: 1.0, ycol[j, i]: 1.0}, "=", 1.0)
         else:
-            model.add_constraint(
-                {yvar(i, j): 1.0, yvar(j, i): 1.0, zvar(i): -1.0}, "<=", 0.0
-            )
-            model.add_constraint(
-                {yvar(i, j): 1.0, yvar(j, i): 1.0, zvar(j): -1.0}, "<=", 0.0
-            )
+            for end in (i, j):
+                model.add_constraint(
+                    {ycol[i, j]: 1.0, ycol[j, i]: 1.0, instance.zcol(end): -1.0}, "<=", 0.0
+                )
 
     model.add_constraint(
-        {zvar(i): 1.0 for i in range(1, n + 1)}, ">=", float(instance.b)
+        {instance.zcol(i): 1.0 for i in range(1, n + 1)}, ">=", float(instance.b)
     )
 
     if mode == "ln":
-        for (j, i), _ in instance.arcs:
+        for (j, i), k in ycol.items():
             model.add_constraint(
                 {
-                    yvar(j, i): 1.0,
-                    yvar(i, j): -float(n - 1),
-                    f"l[{j}]": -1.0,
-                    f"l[{i}]": 1.0,
+                    k: 1.0,
+                    ycol[i, j]: -float(n - 1),
+                    lcol[j - 1]: -1.0,
+                    lcol[i - 1]: 1.0,
                 },
                 "<=",
                 0.0,
@@ -223,9 +223,7 @@ def greedy_incumbent(instance):
                 if j in active_set
             )
             marginal = max(0, instance.threshold(i) - influence)
-            if best is None or marginal < best[0] or (
-                marginal == best[0] and i < best[1]
-            ):
+            if best is None or marginal < best[0]:  # ties keep the smaller id
                 best = (marginal, i)
         cost += best[0]
         active.append(best[1])
@@ -281,11 +279,11 @@ def root_cut_loop(model, instance, params, pool, deadline=math.inf):
                 break
             if cyclecuts.cycle_cut_allowed(instance, cycle):
                 base_map = _choose_bases(cycle, instance, pool, point)
-                res = cyclecuts.separate_uc(cycle, base_map, point)
+                res = cyclecuts.separate_uc(instance, cycle, base_map, point)
                 if res is not None and _add_cut(model, pool, res[1]):
                     added += 1
                     continue
-            gcec = _best_gcec(cycle, point)
+            gcec = _best_gcec(instance, cycle, point)
             if gcec is not None:
                 added += _add_cut(model, pool, gcec)
 
@@ -315,15 +313,15 @@ def _choose_bases(cycle, instance, pool, point):
     return base_map
 
 
-def _best_gcec(cycle, point):
+def _best_gcec(instance, cycle, point):
     """GCEC with the exempted node chosen to maximize violation."""
     W = 0.0
     for k, l in cycle.arcs:
-        W += point[zvar(l)] - point.get(yvar(k, l), 0.0)
-    k_best = max(cycle.nodes, key=lambda k: point[zvar(k)])
-    if point[zvar(k_best)] - W <= VIOLATION_TOL:
+        W += point[instance.zcol(l)] - point[instance.ycol[k, l]]
+    k_best = max(cycle.nodes, key=lambda k: point[instance.zcol(k)])
+    if point[instance.zcol(k_best)] - W <= VIOLATION_TOL:
         return None
-    return cyclecuts.build_gcec(cycle, k_best)
+    return cyclecuts.build_gcec(instance, cycle, k_best)
 
 
 # ---------------------------------------------------------------------------
@@ -331,34 +329,32 @@ def _best_gcec(cycle, point):
 # ---------------------------------------------------------------------------
 
 
-def branch(model, point):
-    """Pick the most fractional binary variable (z before y on ties) and
-    return the two child bound fixings, or None when every y and z is
-    integral."""
+def branch(instance, point):
+    """Pick the most fractional binary variable (z before y on ties, then
+    the lower column) and return the two child bound fixings by column, or
+    None when every y and z is integral."""
+    first_z = instance.zcol(1)
     best = None
-    for idx, name in enumerate(model.var_names):
-        kind = name[0]
-        if kind not in ("y", "z"):
-            continue
-        val = point[name]
+    for k in range(instance.n, instance.ncols):  # the y, then the z columns
+        val = point[k]
         frac = min(val - math.floor(val), math.ceil(val) - val)
         if frac <= INT_TOL:
             continue
-        rank = (frac, 1 if kind == "z" else 0, -idx)
+        rank = (frac, 1 if k >= first_z else 0, -k)
         if best is None or rank > best[0]:
-            best = (rank, name)
+            best = (rank, k)
     if best is None:
         return None
-    name = best[1]
-    return {name: (0.0, 0.0)}, {name: (1.0, 1.0)}
+    k = best[1]
+    return {k: (0.0, 0.0)}, {k: (1.0, 1.0)}
 
 
 def _activation_order(instance, point):
     """The active nodes (z = 1) of an integral candidate, topologically
     sorted along its influence arcs (y = 1)."""
-    preds = {i: [] for i in range(1, instance.n + 1) if point[zvar(i)] > 0.5}
-    for (j, i), _ in instance.arcs:
-        if i in preds and j in preds and point[yvar(j, i)] > 0.5:
+    preds = {i: [] for i in range(1, instance.n + 1) if point[instance.zcol(i)] > 0.5}
+    for (j, i), k in instance.ycol.items():
+        if i in preds and j in preds and point[k] > 0.5:
             preds[i].append(j)
     try:
         return tuple(graphlib.TopologicalSorter(preds).static_order())
@@ -408,17 +404,17 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
             continue
         point = sol.values
 
-        children = branch(model, point)
+        children = branch(instance, point)
         if children is None:
             cycle = None
             if mode != "ln":
                 cycle = cyclecuts.find_violated_cycle_integer(instance, point)
             if cycle is not None:
-                gcec = cyclecuts.build_gcec(cycle, min(cycle.nodes))
+                gcec = cyclecuts.build_gcec(instance, cycle, min(cycle.nodes))
                 new = _add_cut(model, pool, gcec)
                 if cyclecuts.cycle_cut_allowed(instance, cycle):
                     empty = cyclecuts.build_uc_cut(
-                        cyclecuts.make_uc_data(cycle, (), {}), {}
+                        instance, cyclecuts.make_uc_data(cycle, (), {}), {}
                     )
                     if _add_cut(model, pool, empty):
                         new = True

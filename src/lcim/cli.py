@@ -255,7 +255,7 @@ def _suite_facets(failures):
     for coeffs in all_rows:
         ineq = knapcuts.Inequality(coeffs=coeffs, rhs=0.0, tag="base")
         if not oracle.check_facet(ineq, view):
-            failures.append(f"not a facet: {ineq.render()}")
+            failures.append(f"not a facet: {ineq.render(view.var_names)}")
         checks += 1
     return checks
 
@@ -271,7 +271,7 @@ def _suite_trace(failures):
     point = demo.demo_lp_point()
     base_map = demo.demo_base_cuts(inst)
     cycle = demo.demo_cycle()
-    res = cyclecuts.separate_uc(cycle, base_map, point)
+    res = cyclecuts.separate_uc(inst, cycle, base_map, point)
     if res is None:
         failures.append("separate_uc found no cut at the recorded point")
     else:
@@ -289,7 +289,7 @@ def _suite_trace(failures):
                 f"post-cut LP: expected {demo.DEMO_POSTCUT_OBJ}, "
                 f"got {sol2.objective:.6f}"
             )
-    f_direct, exits = cyclecuts.uc_dag_values(cycle, base_map, point)
+    f_direct, exits = cyclecuts.uc_dag_values(inst, cycle, base_map, point)
     dag = (f_direct, *exits)
     if any(abs(a - b) > 1e-6 for a, b in zip(dag, demo.DEMO_DAG_VALUES)):
         failures.append(

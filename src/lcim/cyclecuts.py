@@ -14,11 +14,12 @@ so a dynamic program over achievable lcm values (with exact rational
 accumulation of the c_i) finds the true maximum.  The sorted-theta chain
 DAG of the prefix heuristic is kept as a diagnostic (`uc_dag_values`).
 
-Every search and separator reads the LP point, a dict from variable name
-to value; the cycle searches walk `instance.arcs`, the LP's y column order.
-The (U,C) routines take `(cycle, base_map, point)`, where base_map maps each
-cycle node to a node cut (`knapcuts.NodeCut`, the node's base inequality in
-(alpha, beta) form, holding its node view).
+Every routine takes the instance first, for its column layout, and reads
+the LP point, a list of values indexed by column; the cycle searches walk
+`instance.ycol`, the arcs with their y columns in arc order.  The (U,C)
+routines take `(instance, cycle, base_map, point)`, where base_map maps
+each cycle node to a node cut (`knapcuts.NodeCut`, the node's base
+inequality in (alpha, beta) form, holding its node view).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .knapcuts import VIOLATION_TOL, Inequality, xvar, yvar, zvar
+from .knapcuts import VIOLATION_TOL, Inequality
 
 __all__ = [
     "Cycle",
@@ -71,13 +72,6 @@ class Cycle:
     def __len__(self):
         return len(self.arcs)
 
-    def pred(self, node):
-        """The cycle arc entering `node`."""
-        for k, l in self.arcs:
-            if l == node:
-                return (k, l)
-        raise KeyError(node)
-
     def canonical(self):
         """Rotate so the smallest node id comes first; orientation is kept."""
         nodes = self.nodes
@@ -99,16 +93,16 @@ def cycle_cut_allowed(instance, cycle):
 # ---------------------------------------------------------------------------
 
 
-def build_gcec(cycle, k):
+def build_gcec(instance, cycle, k):
     """Generalized cycle elimination constraint with node k exempted:
     sum_{(i,j) in C} y_ij <= sum_{i in V(C), i != k} z_i."""
     if k not in cycle.nodes:
         raise ValueError(f"node {k} not on the cycle")
     coeffs = {}
     for i, j in cycle.arcs:
-        coeffs[yvar(i, j)] = -1
+        coeffs[instance.ycol[i, j]] = -1
         if i != k:
-            coeffs[zvar(i)] = 1
+            coeffs[instance.zcol(i)] = 1
     return Inequality(coeffs=coeffs, rhs=0.0, tag="gcec",
                       provenance=(cycle.arcs, k))
 
@@ -116,38 +110,27 @@ def build_gcec(cycle, k):
 def find_violated_cycle_integer(instance, point):
     """Find a directed cycle in the support {(i,j): y_ij > 0.5} by DFS."""
     succ = {}
-    for (i, j), _ in instance.arcs:
-        if point[yvar(i, j)] > 0.5:
+    for (i, j), k in instance.ycol.items():
+        if point[k] > 0.5:
             succ.setdefault(i, []).append(j)
     color = {}
-    parent_arc = {}
-
     for root in succ:
         if color.get(root):
             continue
-        stack = [(root, iter(succ.get(root, ())))]
+        stack = [(root, iter(succ.get(root, ())))]  # the gray path, root first
         color[root] = "gray"
         while stack:
             node, it = stack[-1]
-            advanced = False
             for nxt in it:
                 if color.get(nxt) == "gray":
-                    # unwind the stack back to nxt
-                    arcs = [(node, nxt)]
-                    at = node
-                    while at != nxt:
-                        prev = parent_arc[at]
-                        arcs.append(prev)
-                        at = prev[0]
-                    arcs.reverse()
-                    return Cycle(arcs=tuple(arcs)).canonical()
+                    path = [u for u, _ in stack]
+                    path = path[path.index(nxt):]
+                    return Cycle(arcs=tuple(zip(path, path[1:] + path[:1]))).canonical()
                 if color.get(nxt) is None:
                     color[nxt] = "gray"
-                    parent_arc[nxt] = (node, nxt)
                     stack.append((nxt, iter(succ.get(nxt, ()))))
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 color[node] = "black"
                 stack.pop()
     return None
@@ -164,8 +147,8 @@ def find_violated_cycles_fractional(instance, point):
     """
     arcs = {}
     adj = {}
-    for (i, j), _ in instance.arcs:
-        w = max(point[zvar(j)] - point[yvar(i, j)], 0.0)
+    for (i, j), k in instance.ycol.items():
+        w = max(point[instance.zcol(j)] - point[k], 0.0)
         arcs[(i, j)] = w
         adj.setdefault(i, []).append((j, w))
 
@@ -242,7 +225,7 @@ def make_uc_data(cycle, U, omegas):
     return UCData(cycle=cycle, U=U, omega=om, delta=delta)
 
 
-def build_uc_cut(ucdata, base_map):
+def build_uc_cut(instance, ucdata, base_map):
     """The (U,C) inequality
 
     sum_{i in U} gamma_i (x_i + sum_j alpha_ji y_ji - beta_i z_i)
@@ -252,52 +235,48 @@ def build_uc_cut(ucdata, base_map):
     inU = set(ucdata.U)
     coeffs = {}
     for i in ucdata.U:
-        base = base_map[i]
         g = ucdata.gamma(i)
-        coeffs[xvar(i)] = coeffs.get(xvar(i), 0) + g
-        for j, a in base.alpha:
-            key = yvar(j, i)
-            coeffs[key] = coeffs.get(key, 0) + g * a
-        coeffs[zvar(i)] = coeffs.get(zvar(i), 0) - g * base.beta
+        for key, c in base_map[i].coeffs.items():  # x, y in view.d order, z
+            coeffs[key] = coeffs.get(key, 0) + g * c
     for k, l in cycle.arcs:
         if l in inU:
             continue
-        coeffs[zvar(l)] = coeffs.get(zvar(l), 0) + delta
-        key = yvar(k, l)
+        key = instance.zcol(l)
+        coeffs[key] = coeffs.get(key, 0) + delta
+        key = instance.ycol[k, l]
         coeffs[key] = coeffs.get(key, 0) - delta
     coeffs = {k: v for k, v in coeffs.items() if v != 0}
     return Inequality(coeffs=coeffs, rhs=float(delta), tag="uc",
                       provenance=(cycle.arcs, ucdata.U))
 
 
-def uc_violation(cycle, base_map, omegas, U, point):
+def uc_violation(instance, cycle, base_map, omegas, U, point):
     """Violation of the (U,C) inequality at a point, straight from Eq-form."""
     U = set(U)
     delta = math.lcm(*(omegas[i] for i in U)) if U else 1
     outside = 0.0
     for k, l in cycle.arcs:
         if l not in U:
-            outside += point[zvar(l)] - point.get(yvar(k, l), 0.0)
+            outside += point[instance.zcol(l)] - point[instance.ycol[k, l]]
     val = delta * (1.0 - outside)
     for i in U:
         val -= (delta // omegas[i]) * base_map[i].theta(point)
     return val
 
 
-def _cycle_terms(cycle, base_map, point):
+def _cycle_terms(instance, cycle, base_map, point):
     """Per cycle node i: omega_i, theta_i and w_i = z_i - y_{pred(i),i}."""
     nodes = set(cycle.nodes)
     omegas, theta, w = {}, {}, {}
-    for i in cycle.nodes:
+    for k, i in cycle.arcs[-1:] + cycle.arcs[:-1]:  # each node's entering arc
         base = base_map[i]
         omegas[i] = base.omega(nodes)
         theta[i] = base.theta(point)
-        k, _ = cycle.pred(i)
-        w[i] = point[zvar(i)] - point.get(yvar(k, i), 0.0)
+        w[i] = point[instance.zcol(i)] - point[instance.ycol[k, i]]
     return omegas, theta, w
 
 
-def separate_uc(cycle, base_map, point):
+def separate_uc(instance, cycle, base_map, point):
     """Exact (U,C) separation over one violated cycle.
 
     base_map maps each cycle node to a node cut, its base inequality; the
@@ -314,7 +293,7 @@ def separate_uc(cycle, base_map, point):
     Returns (U tuple, Inequality, violation) or None.
     """
     nodes = cycle.nodes
-    omegas, theta, w = _cycle_terms(cycle, base_map, point)
+    omegas, theta, w = _cycle_terms(instance, cycle, base_map, point)
     K = Fraction(1) - sum((Fraction(w[i]) for i in nodes), Fraction(0))
 
     # state: lcm -> (best c-sum, witness subset)
@@ -346,20 +325,20 @@ def separate_uc(cycle, base_map, point):
     if violation <= VIOLATION_TOL:
         return None
     ucdata = make_uc_data(cycle, best_U, omegas)
-    return best_U, build_uc_cut(ucdata, base_map), violation
+    return best_U, build_uc_cut(instance, ucdata, base_map), violation
 
 
-def uc_dag_values(cycle, base_map, point):
+def uc_dag_values(instance, cycle, base_map, point):
     """Arc lengths of the sorted-theta chain DAG used by the prefix heuristic.
 
-    Takes the same (cycle, base_map, point) as `separate_uc`.  Returns
+    Takes the arguments of `separate_uc`.  Returns
     (f_direct, exit_values) where f_direct is the 0 -> sink arc (the best
     singleton violation) and exit_values[k-1] is the exit arc of the k-th
     prefix of eligible nodes sorted by ascending theta.  Kept as a
     diagnostic; exact separation lives in `separate_uc`.
     """
     nodes = cycle.nodes
-    omegas, theta, w = _cycle_terms(cycle, base_map, point)
+    omegas, theta, w = _cycle_terms(instance, cycle, base_map, point)
     W = sum(w.values())
     eligible = [i for i in nodes if omegas[i] >= 1]
     eligible.sort(key=lambda i: (theta[i], i))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .cyclecuts import Cycle
 from .instance import NodeView, loads, make_instance, preprocess
-from .knapcuts import build_packing_cut, xvar, yvar, zvar
+from .knapcuts import build_packing_cut
 
 __all__ = [
     "example_view",
@@ -42,14 +42,10 @@ def example_view():
 
 
 def _row(c1, c2, c3, c4, r):
-    return {
-        xvar(0): 1,
-        yvar(1, 0): c1,
-        yvar(2, 0): c2,
-        yvar(3, 0): c3,
-        yvar(4, 0): c4,
-        zvar(0): -r,
-    }
+    """Coefficients x + c1 y_1 + ... + c4 y_4 - r z over the example view's
+    columns."""
+    view = example_view()
+    return {view.xcol: 1, **dict(zip(view.ycols, (c1, c2, c3, c4))), view.zcol: -r}
 
 
 # The seven distinct cover/packing inequalities of the worked example.  Some
@@ -100,12 +96,14 @@ def demo_lp_point():
     """The known fractional vertex of the demo relaxation (objective 8.52).
 
     The solver may return a different vertex of the same degenerate optimal
-    face; separation checks run against this recorded point.
+    face; separation checks run against this recorded point, a list over
+    the demo instance's columns.
     """
-    point = {}
+    inst = demo_instance()
+    point = [0.0] * inst.ncols
     for i, x in zip(range(1, 6), (0.0, 4.92, 0.6, 3.0, 0.0)):
-        point[xvar(i)] = x
-        point[zvar(i)] = 0.6
+        point[inst.xcol(i)] = x
+        point[inst.zcol(i)] = 0.6
     values = {
         (1, 2): 0.36, (1, 3): 0.0, (1, 4): 0.0,
         (2, 1): 0.24, (2, 3): 0.6, (2, 5): 0.6,
@@ -113,8 +111,8 @@ def demo_lp_point():
         (4, 1): 0.6,
         (5, 2): 0.0,
     }
-    for (i, j), v in values.items():
-        point[yvar(i, j)] = v
+    for arc, v in values.items():
+        point[inst.ycol[arc]] = v
     return point
 
 

@@ -34,13 +34,40 @@ class ParseError(ValueError):
         self.reason = reason
 
 
+def xvar(i):
+    return f"x[{i}]"
+
+
+def yvar(j, i):
+    """Arc variable for influence exerted by j on i."""
+    return f"y[{j},{i}]"
+
+
+def zvar(i):
+    return f"z[{i}]"
+
+
 @dataclass(frozen=True)
 class NodeView:
-    """Single-node propagation data: threshold plus incoming weighted arcs."""
+    """Single-node propagation data: threshold plus incoming weighted arcs,
+    and the LP columns of the node's variables.
+
+    A view built without columns has the layout of the single-node set P
+    alone: x at 0, the y of the k-th entry of d (k from 1) at k, z at v + 1.
+    """
 
     node: int
     h: int
     d: tuple  # ((neighbor, weight), ...) sorted by neighbor id
+    xcol: int = 0
+    ycols: tuple = None  # column of y_ji per entry of d
+    zcol: int = None
+
+    def __post_init__(self):
+        if self.ycols is None:
+            object.__setattr__(self, "ycols", tuple(range(1, len(self.d) + 1)))
+        if self.zcol is None:
+            object.__setattr__(self, "zcol", len(self.d) + 1)
 
     @property
     def neighbors(self):
@@ -57,6 +84,13 @@ class NodeView:
         raise KeyError(j)
 
     @property
+    def var_names(self):
+        """Column -> name table of the node's variables."""
+        names = {self.xcol: xvar(self.node), self.zcol: zvar(self.node)}
+        names.update((c, yvar(j, self.node)) for (j, _), c in zip(self.d, self.ycols))
+        return names
+
+    @property
     def degree(self):
         return len(self.d)
 
@@ -68,14 +102,19 @@ class Instance:
     arcs maps directed arc (i, j) to the positive integer influence weight
     d_ij exerted by i on j.  The arc set is symmetric as a relation.  The
     node views are built once, while the arcs are validated.
+
+    Every LP over the instance numbers its variables the same way: x_i at
+    column i - 1, the y of the k-th arc of `arcs` (k from 0) at n + k,
+    z_i at n + m + i - 1 (and, in the layered formulation only, l_i at
+    2n + m + i - 1).  `ycol` maps each arc to its column, in arc order.
     """
 
     n: int
     arcs: tuple  # (((i, j), d_ij), ...) sorted
     h: tuple  # h[i-1] is the threshold of node i
     b: int
-    _arc_dict: dict = field(default=None, repr=False, compare=False)
     _views: tuple = field(default=None, repr=False, compare=False)
+    ycol: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -84,8 +123,8 @@ class Instance:
             raise ValueError(f"b={self.b} outside [1, n={self.n}]")
         if len(self.h) != self.n:
             raise ValueError("threshold list length != n")
-        seen = dict(self.arcs)
-        if len(seen) != len(self.arcs):
+        ycol = {arc: self.n + k for k, (arc, _) in enumerate(self.arcs)}
+        if len(ycol) != len(self.arcs):
             raise ValueError("duplicate arcs")
         incoming = [[] for _ in range(self.n)]
         for (i, j), w in self.arcs:
@@ -95,17 +134,22 @@ class Instance:
                 raise ValueError(f"arc ({i},{j}) references unknown node")
             if w < 1 or int(w) != w:
                 raise ValueError(f"arc ({i},{j}) has nonpositive or fractional weight {w}")
-            if (j, i) not in seen:
+            if (j, i) not in ycol:
                 raise ValueError(f"asymmetric arc set: ({i},{j}) present without ({j},{i})")
-            incoming[j - 1].append((i, w))
+            incoming[j - 1].append((i, w, ycol[i, j]))
         for i, hi in enumerate(self.h, start=1):
             if hi < 1 or int(hi) != hi:
                 raise ValueError(f"node {i} has nonpositive or fractional threshold {hi}")
-        object.__setattr__(self, "_arc_dict", seen)
-        object.__setattr__(self, "_views", tuple(
-            NodeView(node=i, h=hi, d=tuple(sorted(d)))
-            for i, (hi, d) in enumerate(zip(self.h, incoming), start=1)
-        ))
+        object.__setattr__(self, "ycol", ycol)
+        views = []
+        for i, (hi, arcs) in enumerate(zip(self.h, incoming), start=1):
+            arcs.sort()
+            views.append(NodeView(
+                node=i, h=hi, d=tuple((j, w) for j, w, _ in arcs),
+                xcol=self.xcol(i), ycols=tuple(c for _, _, c in arcs),
+                zcol=self.zcol(i),
+            ))
+        object.__setattr__(self, "_views", tuple(views))
 
     # -- accessors ---------------------------------------------------------
 
@@ -115,7 +159,27 @@ class Instance:
         return len(self.arcs)
 
     def weight(self, i, j):
-        return self._arc_dict[(i, j)]
+        return self.arcs[self.ycol[i, j] - self.n][1]
+
+    @property
+    def ncols(self):
+        """Number of x, y and z columns."""
+        return 2 * self.n + self.m
+
+    def xcol(self, i):
+        return i - 1
+
+    def zcol(self, i):
+        return self.n + self.m + i - 1
+
+    @property
+    def var_names(self):
+        """Column -> name table of the x, y and z variables."""
+        return (
+            [xvar(i) for i in range(1, self.n + 1)]
+            + [yvar(i, j) for (i, j), _ in self.arcs]
+            + [zvar(i) for i in range(1, self.n + 1)]
+        )
 
     def threshold(self, i):
         return self.h[i - 1]

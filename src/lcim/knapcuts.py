@@ -24,6 +24,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .instance import xvar, yvar, zvar  # noqa: F401  (re-exported)
+
 __all__ = [
     "Inequality",
     "NodeCut",
@@ -41,31 +43,17 @@ __all__ = [
     "separate_mis",
     "cover_from_mis",
     "packing_from_cover",
-    "xvar",
-    "yvar",
-    "zvar",
 ]
 
 VIOLATION_TOL = 1e-6  # a cut must be violated by more than this to be added
 MIS_DP_CELLS = 1 << 16  # cells per MIS DP table; bounds the memory for large h
 
 
-def xvar(i):
-    return f"x[{i}]"
-
-
-def yvar(j, i):
-    """Arc variable for influence exerted by j on i."""
-    return f"y[{j},{i}]"
-
-
-def zvar(i):
-    return f"z[{i}]"
-
-
 @dataclass
 class Inequality:
-    """A sparse linear inequality  sum_k coeffs[k] * var_k >= rhs.
+    """A sparse linear inequality  sum_k coeffs[k] * v_k >= rhs, where
+    coeffs maps LP columns k to coefficients and a point is a list of
+    values indexed by column.
 
     Node cuts (`NodeCut`) are in "lhs >= 0" form: the x coefficient is 1
     and z appears with a negative coefficient.
@@ -76,28 +64,27 @@ class Inequality:
     tag: str  # cover | packing | mis | gcec | uc | hull-eq | base
     provenance: tuple = ()
 
-    def lhs_value(self, point):
-        return sum(c * point.get(name, 0.0) for name, c in self.coeffs.items())
-
     def violation(self, point):
         """Positive when the point violates the inequality."""
-        return self.rhs - self.lhs_value(point)
+        return self.rhs - sum(c * point[k] for k, c in self.coeffs.items())
 
     @property
     def key(self):
         return (self.tag, self.provenance)
 
-    def render(self):
-        """Canonical text form, positive terms left, negated terms right."""
+    def render(self, names):
+        """Canonical text form, positive terms left, negated terms right;
+        names maps each column to its variable name (the `var_names` of an
+        instance or of a node view)."""
 
-        def fmt(c, name):
+        def fmt(c, k):
             if c == int(c):
                 c = int(c)
-            return name if c == 1 else f"{c} {name}"
+            return names[k] if c == 1 else f"{c} {names[k]}"
 
-        order = sorted(self.coeffs, key=_var_sort_key)
-        left = [fmt(c, name) for name in order if (c := self.coeffs[name]) > 0]
-        right = [fmt(-c, name) for name in order if (c := self.coeffs[name]) < 0]
+        order = sorted(self.coeffs)
+        left = [fmt(c, k) for k in order if (c := self.coeffs[k]) > 0]
+        right = [fmt(-c, k) for k in order if (c := self.coeffs[k]) < 0]
         rhs = self.rhs
         if rhs == int(rhs):
             rhs = int(rhs)
@@ -115,22 +102,21 @@ class NodeCut(Inequality):
     """
 
     def __init__(self, view, alpha, beta, tag, members=()):
-        i = view.node
-        coeffs = {xvar(i): 1}
-        for j, a in alpha:
-            coeffs[yvar(j, i)] = a
-        coeffs[zvar(i)] = -beta
+        coeffs = {view.xcol: 1}
+        for (_, a), k in zip(alpha, view.ycols):
+            coeffs[k] = a
+        coeffs[view.zcol] = -beta
         members = frozenset(members)
         super().__init__(coeffs=coeffs, rhs=0.0, tag=tag,
-                         provenance=(i, tuple(sorted(members))))
+                         provenance=(view.node, tuple(sorted(members))))
         self.view, self.alpha, self.beta, self.members = view, alpha, beta, members
 
     def theta(self, point):
         """Slack of the inequality at a point (may be negative)."""
-        i = self.view.node
-        val = point[xvar(i)] - self.beta * point[zvar(i)]
-        for j, a in self.alpha:
-            val += a * point.get(yvar(j, i), 0.0)
+        view = self.view
+        val = point[view.xcol] - self.beta * point[view.zcol]
+        for (_, a), k in zip(self.alpha, view.ycols):
+            val += a * point[k]
         return val
 
     def omega(self, cycle_nodes):
@@ -140,12 +126,6 @@ class NodeCut(Inequality):
             if j not in cycle_nodes:
                 w += a - self.view.weight_of(j)
         return w
-
-
-def _var_sort_key(name):
-    kind = name[0]
-    ids = tuple(int(t) for t in name[2:-1].split(","))
-    return ({"x": 0, "y": 1, "z": 2}[kind], ids)
 
 
 class CutPool:
@@ -374,10 +354,9 @@ def separate_mis(view, point):
     subset M, or None when no cut is violated by more than VIOLATION_TOL.
     """
     h = view.h
-    i = view.node
-    x_star, z_star = point[xvar(i)], point[zvar(i)]
+    x_star, z_star = point[view.xcol], point[view.zcol]
     items = list(view.d)  # (neighbor, weight)
-    ys = [point.get(yvar(j, i), 0.0) for j, _ in items]
+    ys = [point[k] for k in view.ycols]
     # with y, z >= 0 no violation exceeds h*z - x, so none can be large enough
     if min(ys + [z_star]) >= 0.0 and h * z_star - x_star <= VIOLATION_TOL:
         return None

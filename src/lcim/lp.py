@@ -24,7 +24,7 @@ _SENSES = ("<=", ">=", "=")
 @dataclass
 class LPSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
-    values: dict
+    values: list  # value per column, as Python floats; empty unless optimal
     objective: float
     dual_objective: float = None
 
@@ -34,15 +34,15 @@ class LPSolution:
 
 
 class LPModel:
-    """A minimization LP with explicit variable bounds and sparse rows."""
+    """A minimization LP over columns 0, 1, ... with explicit bounds and
+    sparse rows; the column names serve only `dump`."""
 
     def __init__(self):
         self.var_names = []
         self.lower = []
         self.upper = []
         self.obj = []
-        self._index = {}
-        self.rows = []  # (coeffs dict, sense, rhs)
+        self.rows = []  # (coeffs dict column -> coefficient, sense, rhs)
         # CSR pieces of the rows per sense, kept as rows are added; ">=" rows
         # are stored negated, as the "<=" rows they become for the solver
         self._csr = {sense: ([0], [], [], []) for sense in _SENSES}
@@ -50,42 +50,41 @@ class LPModel:
     # -- construction ------------------------------------------------------
 
     def add_var(self, name, lb=0.0, ub=None, obj=0.0):
-        if name in self._index:
+        """Append a variable; returns its column."""
+        if name in self.var_names:
             raise ValueError(f"duplicate variable {name!r}")
         if ub is not None and lb > ub:
             raise ValueError(f"variable {name!r} has lb {lb} > ub {ub}")
-        self._index[name] = len(self.var_names)
         self.var_names.append(name)
         self.lower.append(float(lb))
         self.upper.append(np.inf if ub is None else float(ub))
         self.obj.append(float(obj))
-        return name
+        return len(self.var_names) - 1
 
     def add_constraint(self, coeffs, sense, rhs):
         if sense not in _SENSES:
             raise ValueError(f"unknown sense {sense!r}")
-        for name, c in coeffs.items():
-            if name not in self._index:
-                raise ValueError(f"constraint references unknown variable {name!r}")
+        columns = range(len(self.var_names))
+        for k, c in coeffs.items():
+            if k not in columns:
+                raise ValueError(f"constraint references unknown column {k!r}")
             if not np.isfinite(c):
-                raise ValueError(f"non-finite coefficient on {name!r}")
+                raise ValueError(f"non-finite coefficient on column {k}")
         if coeffs:
             self.rows.append((dict(coeffs), sense, float(rhs)))
             indptr, cols, vals, rhss = self._csr[sense]
             sign = -1.0 if sense == ">=" else 1.0
-            for name, c in coeffs.items():
-                cols.append(self._index[name])
+            for k, c in coeffs.items():
+                cols.append(k)
                 vals.append(sign * c)
             indptr.append(len(cols))
             rhss.append(sign * float(rhs))
 
-    def set_bounds(self, name, lb, ub):
-        k = self._index[name]
+    def set_bounds(self, k, lb, ub):
         self.lower[k] = float(lb)
         self.upper[k] = float(ub)
 
-    def bounds(self, name):
-        k = self._index[name]
+    def bounds(self, k):
         return self.lower[k], self.upper[k]
 
     # -- debugging dump ----------------------------------------------------
@@ -94,7 +93,7 @@ class LPModel:
         """Row-oriented sparse text form, for debugging only."""
         out = ["min " + " + ".join(f"{c:g}*{v}" for v, c in zip(self.var_names, self.obj) if c)]
         for coeffs, sense, rhs in self.rows:
-            lhs = " + ".join(f"{c:g}*{v}" for v, c in sorted(coeffs.items()))
+            lhs = " + ".join(f"{c:g}*{self.var_names[k]}" for k, c in sorted(coeffs.items()))
             out.append(f"{lhs} {sense} {rhs:g}")
         for v, lo, hi in zip(self.var_names, self.lower, self.upper):
             out.append(f"{lo:g} <= {v} <= {hi:g}")
@@ -118,15 +117,15 @@ def _csr_rows(parts, nvars):
 def solve_lp(model, bound_overrides=None):
     """Solve the model, returning an optimal basic solution when one exists.
 
-    bound_overrides optionally maps variable names to (lb, ub) pairs used for
-    this solve only (branching without copying the model).
+    bound_overrides optionally maps columns to (lb, ub) pairs used for this
+    solve only (branching without copying the model).  The solution's
+    values are a list indexed by column.
     """
     nvars = len(model.var_names)
     lower = np.array(model.lower)
     upper = np.array(model.upper)
     if bound_overrides:
-        for name, (lo, hi) in bound_overrides.items():
-            k = model._index[name]
+        for k, (lo, hi) in bound_overrides.items():
             lower[k] = lo
             upper[k] = hi
 
@@ -145,13 +144,13 @@ def solve_lp(model, bound_overrides=None):
     )
 
     if res.status == 2:
-        return LPSolution(status="infeasible", values={}, objective=np.inf)
+        return LPSolution(status="infeasible", values=[], objective=np.inf)
     if res.status == 3:
-        return LPSolution(status="unbounded", values={}, objective=-np.inf)
+        return LPSolution(status="unbounded", values=[], objective=-np.inf)
     if res.status != 0:
         raise RuntimeError(f"LP solver failed: {res.message}")
 
-    values = dict(zip(model.var_names, res.x.tolist()))
+    values = res.x.tolist()
     try:
         dual = 0.0
         if a_ub is not None:

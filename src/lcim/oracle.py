@@ -15,7 +15,6 @@ from itertools import permutations, product
 import numpy as np
 
 from .cyclecuts import uc_violation
-from .knapcuts import xvar, yvar, zvar
 
 __all__ = [
     "brute_force_optimum",
@@ -131,21 +130,19 @@ def _node_points(view):
             yield x, ybits, z
 
 
-def _node_point_dict(view, x, ybits, z):
-    point = {xvar(view.node): x, zvar(view.node): z}
-    for j, y in zip(view.neighbors, ybits):
-        point[yvar(j, view.node)] = y
-    return point
-
-
 def check_validity(ineq, view, tol=1e-9):
     """True iff no feasible point of P violates the inequality.
 
     Minimal-x points suffice: raising x only increases the left-hand side
-    (the x coefficient of every node cut is positive).
+    (the x coefficient of every node cut is positive).  Each point is a
+    list over the view's columns, 0 elsewhere.
     """
+    point = [0] * (1 + max(view.xcol, view.zcol, *view.ycols))
     for x, ybits, z in _node_points(view):
-        if ineq.violation(_node_point_dict(view, x, ybits, z)) > tol:
+        point[view.xcol], point[view.zcol] = x, z
+        for k, y in zip(view.ycols, ybits):
+            point[k] = y
+        if ineq.violation(point) > tol:
             return False
     return True
 
@@ -160,22 +157,17 @@ def check_facet(ineq, view, tol=1e-8):
     """
     if not check_validity(ineq, view):
         raise ValueError("inequality is not valid; facetness undefined")
-    i = view.node
-    cx = ineq.coeffs.get(xvar(i), 0.0)
+    cx = ineq.coeffs.get(view.xcol, 0.0)
     if cx <= 0:
         raise ValueError("node inequality must have a positive x coefficient")
     v = view.degree
     tight = []
-    for ybits, z in (
-        (yb, zz) for zz in (0, 1) for yb in product((0, 1), repeat=v)
-    ):
-        rest = ineq.coeffs.get(zvar(i), 0.0) * z
+    for x_min, ybits, z in _node_points(view):
+        rest = ineq.coeffs.get(view.zcol, 0.0) * z
         rest += sum(
-            ineq.coeffs.get(yvar(j, i), 0.0) * y
-            for j, y in zip(view.neighbors, ybits)
+            ineq.coeffs.get(k, 0.0) * y for k, y in zip(view.ycols, ybits)
         )
         x_tight = (ineq.rhs - rest) / cx
-        x_min = max(0, view.h * z - sum(w * y for w, y in zip(view.weights, ybits)))
         if x_tight >= x_min - 1e-9:
             tight.append([x_tight, *ybits, z])
     if len(tight) < v + 2:
@@ -191,7 +183,8 @@ def check_facet(ineq, view, tol=1e-8):
 
 
 def enumerate_feasible_points(instance):
-    """All feasible integral points with minimal x, as variable dicts.
+    """All feasible integral points with minimal x, as lists of values
+    indexed by LP column.
 
     Feasibility: edge coupling (influence only between active nodes, at
     most one direction per edge), acyclic influence support, coverage
@@ -200,56 +193,52 @@ def enumerate_feasible_points(instance):
     n = instance.n
     if n > 8:
         raise ValueError("instance enumeration limited to 8 nodes")
-    edges = instance.edges()
-    # variable names and in-arcs (y name, weight) per node, formatted once
-    incoming = [
-        [(yvar(j, i), w) for j, w in instance.node_view(i).d] for i in range(1, n + 1)
-    ]
+    ycol = instance.ycol
+    views = [instance.node_view(i) for i in range(1, n + 1)]
     for zbits in product((0, 1), repeat=n):
         if sum(zbits) < instance.b:
             continue
-        template = {zvar(i): zbits[i - 1] for i in range(1, n + 1)}
-        template.update((yvar(i, j), 0) for (i, j), _ in instance.arcs)
-        demand = [  # (x name, h_i z_i, in-arcs) per node
-            (xvar(i), instance.threshold(i) * zbits[i - 1], incoming[i - 1])
-            for i in range(1, n + 1)
-        ]
-        # per edge between active nodes: unused, i->j or j->i
+        template = [0] * instance.ncols
+        for view, z in zip(views, zbits):
+            template[view.zcol] = z
+        active = [view for view, z in zip(views, zbits) if z]
+        # per edge between active nodes, its orientations i->j and j->i as
+        # (tail, head, y column, weight)
         choices = [
-            (None, (i, j, yvar(i, j)), (j, i, yvar(j, i)))
-            for i, j in edges
+            tuple((a, c, ycol[a, c], instance.weight(a, c)) for a, c in ((i, j), (j, i)))
+            for i, j in instance.edges()
             if zbits[i - 1] and zbits[j - 1]
         ]
-        for arcs in product(*choices):
-            arcs = [arc for arc in arcs if arc is not None]
-            succ = {}
-            for tail, head, _ in arcs:
-                succ.setdefault(tail, []).append(head)
-            if _has_cycle(succ):
-                continue
-            point = dict(template)
-            for _, _, name in arcs:
-                point[name] = 1
-            for name, need, ins in demand:
-                point[name] = max(0, need - sum(w for y, w in ins if point[y]))
+        reach = [1 << i for i in range(n + 1)]
+        for arcs in _acyclic_arc_sets(choices, 0, reach, ()):
+            point = template.copy()
+            influence = [0] * (n + 1)
+            for _, head, k, w in arcs:
+                point[k] = 1
+                influence[head] += w
+            for view in active:
+                point[view.xcol] = max(0, view.h - influence[view.node])
             yield point
 
 
-def _has_cycle(succ):
-    color = {}
+def _acyclic_arc_sets(choices, t, reach, arcs):
+    """Every extension of `arcs` that leaves each edge of choices[t:] unused
+    or gives it one of its orientations without closing a directed cycle,
+    in the order of itertools.product over (unused, *orientations).
 
-    def visit(u):
-        color[u] = 1
-        for w in succ.get(u, ()):
-            c = color.get(w)
-            if c == 1:
-                return True
-            if c is None and visit(w):
-                return True
-        color[u] = 2
-        return False
-
-    return any(color.get(u) is None and visit(u) for u in succ)
+    reach[u] is the bit set of the nodes that u reaches along `arcs`; an
+    arc tail -> head closes a cycle exactly when head reaches tail.
+    """
+    if t == len(choices):
+        yield arcs
+        return
+    yield from _acyclic_arc_sets(choices, t + 1, reach, arcs)
+    for arc in choices[t]:
+        tail, head = arc[0], arc[1]
+        if reach[head] >> tail & 1:
+            continue
+        grown = [r | reach[head] if r >> tail & 1 else r for r in reach]
+        yield from _acyclic_arc_sets(choices, t + 1, grown, arcs + (arc,))
 
 
 def check_validity_instance(cuts, instance, tol=1e-9):
@@ -268,17 +257,17 @@ def check_validity_instance(cuts, instance, tol=1e-9):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_uc_subsets(cycle, base_map, point):
+def enumerate_uc_subsets(instance, cycle, base_map, point):
     """Maximum (U,C) violation over every eligible subset U, by brute force."""
     nodes = cycle.nodes
     if len(nodes) > 12:
         raise ValueError("exhaustive scan limited to 12 cycle nodes")
     omegas = {i: base_map[i].omega(set(nodes)) for i in nodes}
     eligible = [i for i in nodes if omegas[i] >= 1]
-    best_U, best_viol = (), uc_violation(cycle, base_map, omegas, (), point)
+    best_U, best_viol = (), uc_violation(instance, cycle, base_map, omegas, (), point)
     for mask in range(1, 1 << len(eligible)):
         U = tuple(i for k, i in enumerate(eligible) if mask >> k & 1)
-        viol = uc_violation(cycle, base_map, omegas, U, point)
+        viol = uc_violation(instance, cycle, base_map, omegas, U, point)
         if viol > best_viol:
             best_U, best_viol = U, viol
     return best_U, best_viol

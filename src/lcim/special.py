@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .cyclecuts import build_uc_cut
-from .knapcuts import Inequality, NodeCut, xvar, yvar, zvar
+from .knapcuts import Inequality, NodeCut
 from .lp import LPModel
 
 __all__ = [
@@ -224,18 +224,6 @@ def _plan_from_solution(instance, order, b, cost, actives, edges):
 # ---------------------------------------------------------------------------
 
 
-def _equal_influence(instance):
-    """Common incoming weight per node; None when weights differ."""
-    d = {}
-    for i in range(1, instance.n + 1):
-        view = instance.node_view(i)
-        weights = set(view.weights)
-        if len(weights) != 1:
-            return None
-        d[i] = weights.pop()
-    return d
-
-
 def _is_tree(instance):
     if instance.m != 2 * (instance.n - 1):
         return False
@@ -251,15 +239,17 @@ def _is_tree(instance):
 
 
 def hull_coefficients(instance):
-    """sigma_i = ceil(h_i/d_i) and g_i = h_i - (sigma_i - 1) d_i per node."""
-    d = _equal_influence(instance)
-    if d is None:
-        raise ValueError("unequal incoming influence weights")
+    """sigma_i = ceil(h_i/d_i) and g_i = h_i - (sigma_i - 1) d_i per node,
+    where d_i is the node's common incoming weight."""
     out = {}
     for i in range(1, instance.n + 1):
-        sigma = math.ceil(instance.threshold(i) / d[i])
-        g = instance.threshold(i) - (sigma - 1) * d[i]
-        out[i] = HullCoeffs(node=i, d=d[i], sigma=sigma, g=g)
+        weights = set(instance.node_view(i).weights)
+        if len(weights) != 1:
+            raise ValueError("unequal incoming influence weights")
+        d = weights.pop()
+        sigma = math.ceil(instance.threshold(i) / d)
+        g = instance.threshold(i) - (sigma - 1) * d
+        out[i] = HullCoeffs(node=i, d=d, sigma=sigma, g=g)
     return out
 
 
@@ -270,7 +260,8 @@ def build_tree_equal_model(instance, include_hull=True):
     propagation x_i + d_i sum y_ji >= h_i, orientation y_ij + y_ji = 1 per
     edge, and hull rows x_i + min(g_i, d_i) sum y_ji >= g_i sigma_i (omitted
     where they coincide with the propagation row).  `include_hull=False`
-    drops the hull rows, which can leave fractional vertices.
+    drops the hull rows, which can leave fractional vertices.  The columns
+    are the x and y columns of the instance's layout; there is no z.
     """
     if not _is_tree(instance):
         raise ValueError("instance graph is not a tree")
@@ -278,27 +269,30 @@ def build_tree_equal_model(instance, include_hull=True):
         raise ValueError("complete linear description requires b = n")
     hull = hull_coefficients(instance)
 
+    n = instance.n
+    names = instance.var_names
     model = LPModel()
-    for i in range(1, instance.n + 1):
-        model.add_var(xvar(i), lb=0.0, ub=float(instance.threshold(i)), obj=1.0)
-    for (i, j), _ in instance.arcs:
-        model.add_var(yvar(i, j), lb=0.0, ub=1.0)
+    for i in range(1, n + 1):
+        model.add_var(names[i - 1], lb=0.0, ub=float(instance.threshold(i)), obj=1.0)
+    for name in names[n:n + instance.m]:
+        model.add_var(name, lb=0.0, ub=1.0)
 
-    for i in range(1, instance.n + 1):
+    for i in range(1, n + 1):
         view = instance.node_view(i)
-        row = {xvar(i): 1.0}
-        for j in view.neighbors:
-            row[yvar(j, i)] = float(hull[i].d)
+        row = {view.xcol: 1.0}
+        for k in view.ycols:
+            row[k] = float(hull[i].d)
         model.add_constraint(row, ">=", float(view.h))
         if include_hull:
             alpha, beta = hull[i].alpha, hull[i].beta
             if (alpha, beta) != (hull[i].d, view.h):
-                hrow = {xvar(i): 1.0}
-                for j in view.neighbors:
-                    hrow[yvar(j, i)] = float(alpha)
+                hrow = {view.xcol: 1.0}
+                for k in view.ycols:
+                    hrow[k] = float(alpha)
                 model.add_constraint(hrow, ">=", float(beta))
+    ycol = instance.ycol
     for i, j in instance.edges():
-        model.add_constraint({yvar(i, j): 1.0, yvar(j, i): 1.0}, "=", 1.0)
+        model.add_constraint({ycol[i, j]: 1.0, ycol[j, i]: 1.0}, "=", 1.0)
     return model
 
 
@@ -317,8 +311,8 @@ def build_uc_equal_cut(ucdata, hull_map, instance):
         view, hc = instance.node_view(i), hull_map[i]
         alpha = tuple((j, hc.alpha) for j in view.neighbors)
         base_map[i] = NodeCut(view, alpha, hc.beta, "base")
-    cut = build_uc_cut(ucdata, base_map)
-    z = {zvar(i) for i in ucdata.cycle.nodes}
+    cut = build_uc_cut(instance, ucdata, base_map)
+    z = {instance.zcol(i) for i in ucdata.cycle.nodes}
     coeffs = {k: c for k, c in cut.coeffs.items() if k not in z}
     rhs = ucdata.delta - sum(c for k, c in cut.coeffs.items() if k in z)
     return Inequality(coeffs=coeffs, rhs=float(rhs), tag="hull-eq",

@@ -5,7 +5,6 @@ from hypothesis import settings
 
 from lcim.demo import random_instance  # noqa: F401  (shared with `lcim verify`)
 from lcim.instance import make_instance, preprocess
-from lcim.knapcuts import xvar, yvar, zvar
 
 # every run draws the same examples, so a property's duration and verdict
 # do not change between runs; each test keeps its own max_examples
@@ -58,9 +57,12 @@ def random_node_view(rng, v_max=6, node=0):
 
 
 def random_fractional_point(rng, view):
-    """Random fractional point over one node's x, y and z variables."""
+    """Random fractional point over one node's x, y and z columns (its z
+    column is the last of them), 0 on every other column."""
     z = float(rng.uniform(0.05, 1.0))
-    point = {yvar(j, view.node): float(rng.uniform(0.0, z)) for j in view.neighbors}
-    point[xvar(view.node)] = float(rng.uniform(0.0, view.h * z))
-    point[zvar(view.node)] = z
+    point = [0.0] * (view.zcol + 1)
+    for k in view.ycols:
+        point[k] = float(rng.uniform(0.0, z))
+    point[view.xcol] = float(rng.uniform(0.0, view.h * z))
+    point[view.zcol] = z
     return point

@@ -14,7 +14,7 @@ import pytest
 from lcim import bnc, demo, oracle
 from lcim.bnc import SolveParams, assemble
 from lcim.cyclecuts import separate_uc
-from lcim.instance import generate_small_world
+from lcim.instance import generate_small_world, make_instance
 from lcim.knapcuts import (
     Inequality,
     build_cover_cut,
@@ -22,9 +22,6 @@ from lcim.knapcuts import (
     build_packing_cut,
     propagation_row,
     separate_mis,
-    xvar,
-    yvar,
-    zvar,
 )
 from lcim.lp import solve_lp
 from lcim.special import build_tree_equal_model, dp_cycle
@@ -87,22 +84,20 @@ class TestAcceptance:
         assert len(rows) == 12
         for coeffs in rows:
             ineq = Inequality(coeffs=coeffs, rhs=0.0, tag="base")
-            assert oracle.check_facet(ineq, view), ineq.render()
+            assert oracle.check_facet(ineq, view), ineq.render(view.var_names)
         # trivial-facet conditions on random views: the propagation row is a
         # facet exactly when every weight is clamped to the threshold, and
         # x >= 0 is always one
         rng = np.random.default_rng(42)
         for _ in range(100):
             v = random_node_view(rng)
-            row = {xvar(v.node): 1, zvar(v.node): -v.h}
-            for j, w in v.d:
-                row[yvar(j, v.node)] = w
+            row = {v.xcol: 1, **dict(zip(v.ycols, v.weights)), v.zcol: -v.h}
             expect = all(w <= v.h for w in v.weights)
             assert (
                 oracle.check_facet(Inequality(coeffs=row, rhs=0.0, tag="base"), v)
                 == expect
             )
-            xrow = Inequality(coeffs={xvar(v.node): 1}, rhs=0.0, tag="base")
+            xrow = Inequality(coeffs={v.xcol: 1}, rhs=0.0, tag="base")
             assert oracle.check_facet(xrow, v)
         elapsed = time.monotonic() - t0
         assert elapsed < 10.0
@@ -117,9 +112,8 @@ class TestAcceptance:
         # separation runs against the recorded fractional vertex (the solver
         # may legitimately return another vertex of the degenerate face)
         point = demo.demo_lp_point()
-        row_vals = {k: sol.values.get(k, 0.0) for k in point}
         base_map = demo.demo_base_cuts(inst)
-        res = separate_uc(demo.demo_cycle(), base_map, point)
+        res = separate_uc(inst, demo.demo_cycle(), base_map, point)
         assert res is not None
         U, cut, violation = res
         assert U == demo.DEMO_UC_U
@@ -127,7 +121,7 @@ class TestAcceptance:
 
         from lcim.cyclecuts import uc_dag_values
 
-        f_direct, exits = uc_dag_values(demo.demo_cycle(), base_map, point)
+        f_direct, exits = uc_dag_values(inst, demo.demo_cycle(), base_map, point)
         assert (f_direct, *exits) == pytest.approx(demo.DEMO_DAG_VALUES, abs=1e-6)
 
         model.add_constraint(cut.coeffs, ">=", cut.rhs)
@@ -137,7 +131,7 @@ class TestAcceptance:
         report = bnc.solve(inst, "def", SolveParams(time_limit=60))
         assert report.ub == demo.DEMO_OPTIMUM
         same_vertex = all(
-            abs(row_vals[k] - v) <= 1e-4 for k, v in point.items()
+            abs(s - v) <= 1e-4 for s, v in zip(sol.values, point, strict=True)
         )
         _report(
             4,
@@ -183,17 +177,18 @@ class TestAcceptance:
                             except ValueError:
                                 continue
                 base_map[i] = cands[int(rng.integers(0, len(cands)))]
-            point = {}
+            point = [0.0] * inst.ncols
             for i in cycle.nodes:
+                view = inst.node_view(i)
                 zv = float(rng.uniform(0.05, 1.0))
-                point[zvar(i)] = zv
-                point[xvar(i)] = float(rng.uniform(0.0, inst.threshold(i) * zv))
-                for j in inst.neighbors(i):
-                    point[yvar(j, i)] = float(rng.uniform(0.0, zv))
+                point[view.zcol] = zv
+                point[view.xcol] = float(rng.uniform(0.0, view.h * zv))
+                for k in view.ycols:
+                    point[k] = float(rng.uniform(0.0, zv))
             best_U, best_viol = oracle.enumerate_uc_subsets(
-                cycle, base_map, point
+                inst, cycle, base_map, point
             )
-            res = separate_uc(cycle, base_map, point)
+            res = separate_uc(inst, cycle, base_map, point)
             if res is None:
                 assert best_viol <= 1e-6
             else:
@@ -231,9 +226,8 @@ class TestAcceptance:
             assert sol.optimal
             opt, _ = oracle.brute_force_optimum(inst)
             assert sol.objective == pytest.approx(opt, abs=1e-6)
-            for name, val in sol.values.items():
-                if name.startswith("y["):
-                    assert min(val, 1.0 - val) <= 1e-6
+            for val in sol.values[inst.n:]:  # the y columns
+                assert min(val, 1.0 - val) <= 1e-6
         # necessity: dropping the hull rows leaves a fractional optimum
         gap_inst = demo.hull_gap_instance()
         full = solve_lp(build_tree_equal_model(gap_inst)).objective
@@ -261,18 +255,23 @@ class TestAcceptance:
             cycle = Cycle(
                 arcs=tuple((k + 1, (k + 1) % n + 1) for k in range(n))
             )
-            point = {}
-            for i in cycle.nodes:
-                point[zvar(i)] = float(rng.uniform(0.0, 1.0))
-            for k, l in cycle.arcs:
-                point[yvar(k, l)] = float(rng.uniform(0.0, point[zvar(l)]))
-            W = sum(
-                point[zvar(l)] - point[yvar(k, l)] for k, l in cycle.arcs
+            ring = make_instance(  # the cycle as an instance, for its columns
+                n,
+                {arc: 1 for k, l in cycle.arcs for arc in ((k, l), (l, k))},
+                dict.fromkeys(range(1, n + 1), 1),
+                b=n,
             )
+            y, z = ring.ycol, ring.zcol
+            point = [0.0] * ring.ncols
+            for i in cycle.nodes:
+                point[z(i)] = float(rng.uniform(0.0, 1.0))
+            for k, l in cycle.arcs:
+                point[y[k, l]] = float(rng.uniform(0.0, point[z(l)]))
+            W = sum(point[z(l)] - point[y[k, l]] for k, l in cycle.arcs)
             empty_viol = 1.0 - W
             any_gcec_violated = False
             for k in cycle.nodes:
-                gv = build_gcec(cycle, k).violation(point)
+                gv = build_gcec(ring, cycle, k).violation(point)
                 if gv > 1e-9:
                     any_gcec_violated = True
                     assert empty_viol >= gv - 1e-9
@@ -313,16 +312,29 @@ class TestAcceptance:
             f"in {elapsed:.1f}s",
         )
 
+    # optima of the desk grid, computed independently by scipy.optimize.milp
+    # on the arc formulation with MTZ layers
+    DESK_OPTIMA = {
+        0.1: (19, 37, 63, 98, 130),
+        0.3: (24, 48, 84, 107, 136),
+    }
+
     def test_10_desk_scale(self):
         t0 = time.monotonic()
         strict = 0
         total = 0
         for q in (0.1, 0.3):
-            for a in (0.1, 0.25, 0.5, 0.75, 1.0):
+            for a, opt in zip((0.1, 0.25, 0.5, 0.75, 1.0), self.DESK_OPTIMA[q]):
                 inst = generate_small_world(50, 4, q, a, seed=42)
                 def_root = solve_lp(assemble(inst, "def")).objective
                 report = bnc.solve(inst, "cb", SolveParams(time_limit=600))
                 assert report.status == "optimal", (q, a, report.status)
+                assert report.ub == opt, (q, a, report.ub)
+                # the incumbent, checked from the instance alone
+                order = report.incumbent["order"]
+                assert len(set(order)) == len(order) >= inst.b, (q, a)
+                assert all(1 <= i <= inst.n for i in order), (q, a)
+                assert oracle.activation_cost(inst, order) == report.ub, (q, a)
                 assert report.root_bound >= def_root - 1e-6, (q, a)
                 if report.root_bound > def_root + 1e-6:
                     strict += 1
@@ -332,6 +344,6 @@ class TestAcceptance:
         assert elapsed < 1800.0
         _report(
             10,
-            f"{total} desk-scale instances optimal; CB root > DEF root on "
+            f"{total} desk-scale instances at their pinned optima; CB root > DEF root on "
             f"{strict}/{total} in {elapsed:.0f}s",
         )

@@ -20,8 +20,8 @@ from lcim.bnc import (
     root_cut_loop,
     solve,
 )
-from lcim.instance import generate_small_world, make_instance, preprocess
-from lcim.knapcuts import CutPool, xvar, yvar, zvar
+from lcim.instance import generate_small_world, make_instance, preprocess, xvar, yvar, zvar
+from lcim.knapcuts import CutPool
 from lcim.lp import solve_lp
 
 from conftest import random_instance
@@ -60,8 +60,27 @@ class TestAssemble:
     def test_ln_structure(self):
         inst = demo.demo_instance().with_b(5)
         model = assemble(inst, "ln")
-        assert model.bounds("l[1]") == (1.0, 5.0)
-        assert model.bounds(zvar(1)) == (1.0, 1.0)
+        assert model.bounds(inst.ncols) == (1.0, 5.0)  # l[1]
+        assert model.bounds(inst.zcol(1)) == (1.0, 1.0)
+
+    def test_columns_follow_instance_layout(self):
+        # the LP's name of every column is the name of the variable the
+        # instance's layout puts there
+        rng = np.random.default_rng(131)
+        for inst in (demo.demo_instance(), random_instance(rng, n_min=5, n_max=8)):
+            inst = inst.with_b(inst.n)
+            expect = {}
+            for i in range(1, inst.n + 1):
+                expect[inst.xcol(i)] = xvar(i)
+                expect[inst.zcol(i)] = zvar(i)
+            for (i, j), k in inst.ycol.items():
+                expect[k] = yvar(i, j)
+            assert sorted(expect) == list(range(inst.ncols))
+            assert inst.var_names == [expect[k] for k in range(inst.ncols)]
+            for mode in ("def", "cb", "ln"):
+                names = assemble(inst, mode).var_names
+                tail = [f"l[{i}]" for i in range(1, inst.n + 1)] if mode == "ln" else []
+                assert names == [expect[k] for k in range(inst.ncols)] + tail, mode
 
     def test_ln_relaxation_not_weaker_than_def(self):
         rng = np.random.default_rng(101)
@@ -98,27 +117,28 @@ class TestGreedy:
 
 class TestBranch:
     def test_fractional_z(self):
-        model = assemble(demo.demo_instance(), "def")
-        sol = solve_lp(model)
-        left, right = branch(model, sol.values)
-        (name, lo), = left.items()
-        assert name[0] in ("y", "z")
+        inst = demo.demo_instance()
+        sol = solve_lp(assemble(inst, "def"))
+        left, right = branch(inst, sol.values)
+        (col, lo), = left.items()
+        assert inst.n <= col < inst.ncols  # a y or z column
         assert lo == (0.0, 0.0)
-        assert right[name] == (1.0, 1.0)
+        assert right[col] == (1.0, 1.0)
 
     def test_z_beats_y_on_ties(self):
-        model = assemble(demo.demo_instance(), "def")
-        point = {name: 0.0 for name in model.var_names}
-        point[yvar(1, 2)] = 0.5
-        point[zvar(4)] = 0.5
-        left, _ = branch(model, point)
-        assert list(left) == [zvar(4)]
+        inst = demo.demo_instance()
+        point = [0.0] * inst.ncols
+        point[inst.ycol[1, 2]] = 0.5
+        point[inst.zcol(4)] = 0.5
+        left, _ = branch(inst, point)
+        assert list(left) == [inst.zcol(4)]
 
     def test_integral_point_returns_none(self):
-        model = assemble(demo.demo_instance(), "def")
-        point = {name: 0.0 for name in model.var_names}
-        point[zvar(2)] = 1.0
-        assert branch(model, point) is None
+        inst = demo.demo_instance()
+        point = [0.0] * inst.ncols
+        point[inst.zcol(2)] = 1.0
+        point[inst.xcol(3)] = 0.5  # x is continuous
+        assert branch(inst, point) is None
 
 
 class TestRootCuts:

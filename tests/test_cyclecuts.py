@@ -17,19 +17,35 @@ from lcim.cyclecuts import (
     uc_violation,
 )
 from lcim.instance import make_instance
-from lcim.knapcuts import propagation_row, xvar, yvar, zvar
+from lcim.knapcuts import propagation_row
+
+DEMO = demo.demo_instance()
 
 
 def random_cycle_point(rng, cycle, instance):
-    """Random fractional point over the cycle nodes and their neighbors."""
-    point = {}
+    """Random fractional point over the cycle nodes and their in-arcs, 0 on
+    every other column."""
+    point = [0.0] * instance.ncols
     for i in cycle.nodes:
         view = instance.node_view(i)
         z = float(rng.uniform(0.05, 1.0))
-        point[zvar(i)] = z
-        point[xvar(i)] = float(rng.uniform(0.0, view.h * z))
-        for j in view.neighbors:
-            point[yvar(j, i)] = float(rng.uniform(0.0, z))
+        point[view.zcol] = z
+        point[view.xcol] = float(rng.uniform(0.0, view.h * z))
+        for k in view.ycols:
+            point[k] = float(rng.uniform(0.0, z))
+    return point
+
+
+def columns(instance, cycle_point):
+    """The list point of an instance from a dict whose optional "x", "y" and
+    "z" entries map nodes (arcs for "y") to values; 0 on every other column."""
+    point = [0.0] * instance.ncols
+    for i, v in cycle_point.get("x", {}).items():
+        point[instance.xcol(i)] = v
+    for arc, v in cycle_point.get("y", {}).items():
+        point[instance.ycol[arc]] = v
+    for i, v in cycle_point.get("z", {}).items():
+        point[instance.zcol(i)] = v
     return point
 
 
@@ -45,7 +61,6 @@ class TestCycle:
     def test_nodes_pred_canonical(self):
         c = Cycle(arcs=((3, 1), (1, 2), (2, 3)))
         assert c.nodes == (3, 1, 2)
-        assert c.pred(2) == (1, 2)
         assert c.canonical().arcs == ((1, 2), (2, 3), (3, 1))
         assert len(c) == 3
 
@@ -57,38 +72,34 @@ class TestCycle:
 
 class TestGcec:
     def test_triangle(self):
-        cut = build_gcec(demo.demo_cycle(), 1)
+        cut = build_gcec(DEMO, demo.demo_cycle(), 1)
+        y, z = DEMO.ycol, DEMO.zcol
         assert cut.coeffs == {
-            yvar(1, 2): -1, yvar(2, 3): -1, yvar(3, 1): -1,
-            zvar(2): 1, zvar(3): 1,
+            y[1, 2]: -1, y[2, 3]: -1, y[3, 1]: -1, z(2): 1, z(3): 1,
         }
         assert cut.rhs == 0.0
 
     def test_unknown_exempt_node(self):
         with pytest.raises(ValueError, match="not on the cycle"):
-            build_gcec(demo.demo_cycle(), 9)
+            build_gcec(DEMO, demo.demo_cycle(), 9)
 
     def test_all_on_point_violates(self):
-        cut = build_gcec(demo.demo_cycle(), 1)
-        point = {
-            yvar(1, 2): 1, yvar(2, 3): 1, yvar(3, 1): 1,
-            zvar(1): 1, zvar(2): 1, zvar(3): 1,
-        }
+        cut = build_gcec(DEMO, demo.demo_cycle(), 1)
+        point = columns(DEMO, {
+            "y": dict.fromkeys(((1, 2), (2, 3), (3, 1)), 1),
+            "z": dict.fromkeys((1, 2, 3), 1),
+        })
         assert cut.violation(point) == pytest.approx(1.0)
 
     def test_valid_on_demo(self):
-        inst = demo.demo_instance()
         for k in demo.demo_cycle().nodes:
-            assert oracle.check_validity_instance([build_gcec(demo.demo_cycle(), k)], inst)
+            assert oracle.check_validity_instance([build_gcec(DEMO, demo.demo_cycle(), k)], DEMO)
 
 
 def search_point(instance, z, y):
     """A point over every z and y variable of the instance: z[i] for each
-    node, y[(i, j)] for the listed arcs and 0 on every other arc."""
-    point = {zvar(i): z[i] for i in range(1, instance.n + 1)}
-    for (i, j), _ in instance.arcs:
-        point[yvar(i, j)] = y.get((i, j), 0.0)
-    return point
+    node, y[(i, j)] for the listed arcs and 0 on every other column."""
+    return columns(instance, {"z": z, "y": y})
 
 
 class TestCycleSearch:
@@ -150,7 +161,7 @@ class TestBaseIneq:
         assert base.alpha == view.d
         assert base.view is view
         assert base.coeffs == {
-            xvar(3): 1, **{yvar(j, 3): w for j, w in view.d}, zvar(3): -view.h
+            view.xcol: 1, **dict(zip(view.ycols, view.weights)), view.zcol: -view.h
         }
         assert base.omega(set(view.neighbors) | {3}) == 0
 
@@ -160,8 +171,10 @@ class TestBaseIneq:
         cut = demo.demo_base_cuts(inst)[1]
         view = inst.node_view(1)
         assert cut.view is view
-        assert cut.alpha == tuple((j, cut.coeffs[yvar(j, 1)]) for j in view.neighbors)
-        assert cut.beta == -cut.coeffs[zvar(1)]
+        assert cut.alpha == tuple(
+            (j, cut.coeffs[k]) for j, k in zip(view.neighbors, view.ycols)
+        )
+        assert cut.beta == -cut.coeffs[view.zcol]
 
     def test_demo_omegas(self):
         inst = demo.demo_instance()
@@ -190,23 +203,23 @@ class TestUcCut:
             make_uc_data(demo.demo_cycle(), (1,), {1: 0})
 
     def test_empty_u_cut(self):
-        cut = build_uc_cut(make_uc_data(demo.demo_cycle(), (), {}), {})
+        cut = build_uc_cut(DEMO, make_uc_data(demo.demo_cycle(), (), {}), {})
         # sum over cycle arcs of (z_l - y_kl) >= 1
+        y, z = DEMO.ycol, DEMO.zcol
         assert cut.rhs == 1.0
         assert cut.coeffs == {
-            zvar(2): 1, zvar(3): 1, zvar(1): 1,
-            yvar(1, 2): -1, yvar(2, 3): -1, yvar(3, 1): -1,
+            z(2): 1, z(3): 1, z(1): 1, y[1, 2]: -1, y[2, 3]: -1, y[3, 1]: -1,
         }
 
     def test_demo_u13_cut(self):
         inst = demo.demo_instance()
         uc = make_uc_data(demo.demo_cycle(), (1, 3), {1: 3, 2: 2, 3: 2})
         assert uc.delta == 6
-        cut = build_uc_cut(uc, demo.demo_base_cuts(inst))
+        cut = build_uc_cut(inst, uc, demo.demo_base_cuts(inst))
         # gamma_1 = 2 scales node 1's packing cut, gamma_3 = 3 node 3's;
         # the remaining cycle arc (1,2) contributes 6(z_2 - y_12)
-        assert cut.coeffs[xvar(1)] == 2 and cut.coeffs[xvar(3)] == 3
-        assert cut.coeffs[zvar(2)] == 6 and cut.coeffs[yvar(1, 2)] == -6
+        assert cut.coeffs[inst.xcol(1)] == 2 and cut.coeffs[inst.xcol(3)] == 3
+        assert cut.coeffs[inst.zcol(2)] == 6 and cut.coeffs[inst.ycol[1, 2]] == -6
         assert cut.rhs == 6.0
         assert oracle.check_validity_instance([cut], inst)
 
@@ -218,8 +231,8 @@ class TestUcCut:
         for _ in range(50):
             point = random_cycle_point(rng, demo.demo_cycle(), inst)
             for U in ((), (1,), (2,), (1, 3), (1, 2, 3)):
-                cut = build_uc_cut(make_uc_data(demo.demo_cycle(), U, omegas), base_map)
-                direct = uc_violation(demo.demo_cycle(), base_map, omegas, U, point)
+                cut = build_uc_cut(inst, make_uc_data(demo.demo_cycle(), U, omegas), base_map)
+                direct = uc_violation(inst, demo.demo_cycle(), base_map, omegas, U, point)
                 assert cut.violation(point) == pytest.approx(direct, abs=1e-9)
 
 
@@ -227,7 +240,7 @@ class TestSeparation:
     def test_demo_point(self):
         inst = demo.demo_instance()
         point = demo.demo_lp_point()
-        res = separate_uc(demo.demo_cycle(), demo.demo_base_cuts(inst), point)
+        res = separate_uc(inst, demo.demo_cycle(), demo.demo_base_cuts(inst), point)
         assert res is not None
         U, cut, violation = res
         assert U == demo.DEMO_UC_U
@@ -235,13 +248,11 @@ class TestSeparation:
 
     def test_satisfied_point_returns_none(self):
         inst = demo.demo_instance()
-        point = {}
-        for i in range(1, 6):
-            point[zvar(i)] = 1.0
-            point[xvar(i)] = float(inst.threshold(i))
-            for j in inst.neighbors(i):
-                point[yvar(j, i)] = 0.0
-        res = separate_uc(demo.demo_cycle(), demo.demo_base_cuts(inst), point)
+        point = columns(inst, {
+            "x": {i: float(inst.threshold(i)) for i in range(1, 6)},
+            "z": dict.fromkeys(range(1, 6), 1.0),
+        })
+        res = separate_uc(inst, demo.demo_cycle(), demo.demo_base_cuts(inst), point)
         assert res is None
 
     def test_matches_exhaustive_scan(self):
@@ -251,9 +262,9 @@ class TestSeparation:
         for _ in range(100):
             point = random_cycle_point(rng, demo.demo_cycle(), inst)
             best_U, best_viol = oracle.enumerate_uc_subsets(
-                demo.demo_cycle(), base_map, point
+                inst, demo.demo_cycle(), base_map, point
             )
-            res = separate_uc(demo.demo_cycle(), base_map, point)
+            res = separate_uc(inst, demo.demo_cycle(), base_map, point)
             got = res[2] if res is not None else 0.0
             assert got == pytest.approx(max(best_viol, 0.0), abs=1e-9) or (
                 res is None and best_viol <= 1e-6
@@ -263,7 +274,7 @@ class TestSeparation:
         inst = demo.demo_instance()
         point = demo.demo_lp_point()
         f_direct, exits = uc_dag_values(
-            demo.demo_cycle(), demo.demo_base_cuts(inst), point
+            inst, demo.demo_cycle(), demo.demo_base_cuts(inst), point
         )
         got = (f_direct, *exits)
         assert got == pytest.approx(demo.DEMO_DAG_VALUES, abs=1e-9)
@@ -273,14 +284,13 @@ class TestDominance:
     def test_empty_u_dominates_gcec(self):
         rng = np.random.default_rng(59)
         cycle = demo.demo_cycle()
+        y, z = DEMO.ycol, DEMO.zcol
         for _ in range(300):
-            point = {zvar(i): float(rng.uniform(0, 1)) for i in (1, 2, 3)}
+            point = columns(DEMO, {"z": {i: float(rng.uniform(0, 1)) for i in (1, 2, 3)}})
             for k, l in cycle.arcs:
-                point[yvar(k, l)] = float(rng.uniform(0, point[zvar(l)]))
+                point[y[k, l]] = float(rng.uniform(0, point[z(l)]))
             # explicit form: GCEC violation never exceeds the U={} violation
-            W = sum(
-                point[zvar(l)] - point[yvar(k, l)] for k, l in cycle.arcs
-            )
+            W = sum(point[z(l)] - point[y[k, l]] for k, l in cycle.arcs)
             for k in cycle.nodes:
-                gcec = build_gcec(cycle, k)
+                gcec = build_gcec(DEMO, cycle, k)
                 assert gcec.violation(point) <= (1.0 - W) + 1e-9

@@ -52,6 +52,15 @@ class TestInstanceModel:
         assert view.degree == 3
         with pytest.raises(KeyError):
             view.weight_of(4)
+        assert view.var_names == {
+            k: inst.var_names[k] for k in (view.xcol, *view.ycols, view.zcol)
+        }
+
+    def test_bare_view_layout(self):
+        # a view built alone has the single-node layout x, y_1..y_v, z
+        view = NodeView(node=7, h=4, d=((2, 3), (5, 1)))
+        assert (view.xcol, view.ycols, view.zcol) == (0, (1, 2), 3)
+        assert view.var_names == {0: "x[7]", 1: "y[2,7]", 2: "y[5,7]", 3: "z[7]"}
 
     def test_node_id_out_of_range(self):
         inst = demo_instance()
@@ -267,8 +276,21 @@ class TestProperties:
         )
         b = int(rng.integers(1, inst.n + 1))
         for case in (inst, inst.with_b(b), lowered, preprocess(lowered)):
-            for i in range(1, case.n + 1):
-                d = tuple(sorted((j, w) for (j, k), w in case.arcs if k == i))
-                expect = NodeView(node=i, h=case.threshold(i), d=d)
+            # columns: x_i at i - 1, the k-th arc's y at n + k, z_i at n + m + i - 1
+            n, m = case.n, len(case.arcs)
+            assert case.ycol == {arc: n + k for k, (arc, _) in enumerate(case.arcs)}
+            for i in range(1, n + 1):
+                ins = sorted(
+                    (j, w, n + k) for k, ((j, l), w) in enumerate(case.arcs) if l == i
+                )
+                expect = NodeView(
+                    node=i,
+                    h=case.threshold(i),
+                    d=tuple((j, w) for j, w, _ in ins),
+                    xcol=i - 1,
+                    ycols=tuple(k for _, _, k in ins),
+                    zcol=n + m + i - 1,
+                )
                 assert case.node_view(i) == expect
+                assert (case.xcol(i), case.zcol(i)) == (expect.xcol, expect.zcol)
                 assert case.neighbors(i) == case.node_view(i).neighbors

@@ -19,14 +19,18 @@ from lcim.knapcuts import (
     phi,
     psi,
     separate_mis,
-    xvar,
-    yvar,
-    zvar,
 )
 
 from conftest import random_fractional_point, random_node_view
 
 VIEW = demo.example_view()  # h=8, d=(7,6,5,4)
+
+
+def view_point(x, z):
+    """The point of VIEW with the given x and z and every y = 0."""
+    point = [0.0] * (VIEW.zcol + 1)
+    point[VIEW.xcol], point[VIEW.zcol] = x, z
+    return point
 
 
 def brute_force_mis_violation(view, point):
@@ -46,14 +50,17 @@ def brute_force_mis_violation(view, point):
 
 class TestInequality:
     def test_violation_and_satisfaction(self):
-        ineq = Inequality(coeffs={"x[1]": 1.0, "z[1]": -2.0}, rhs=0.0, tag="base")
-        assert ineq.violation({"x[1]": 1.0, "z[1]": 1.0}) == pytest.approx(1.0)
-        assert ineq.violation({"x[1]": 2.0, "z[1]": 1.0}) == pytest.approx(0.0)
-        assert ineq.violation({"x[1]": 0.0, "z[1]": 1.0}) == pytest.approx(2.0)
+        ineq = Inequality(coeffs={0: 1.0, 2: -2.0}, rhs=0.0, tag="base")
+        assert ineq.violation([1.0, 5.0, 1.0]) == pytest.approx(1.0)
+        assert ineq.violation([2.0, 5.0, 1.0]) == pytest.approx(0.0)
+        assert ineq.violation([0.0, 5.0, 1.0]) == pytest.approx(2.0)
 
     def test_render(self):
         cut = build_mis_cut(VIEW, (1,))
-        assert cut.render() == "x[0] + y[2,0] + y[3,0] + y[4,0] >= z[0]"
+        assert cut.render(VIEW.var_names) == "x[0] + y[2,0] + y[3,0] + y[4,0] >= z[0]"
+        inst = demo.demo_instance()
+        cut = build_mis_cut(inst.node_view(1), (3,))
+        assert cut.render(inst.var_names) == "x[1] + 5 y[2,1] + 9 y[4,1] >= 11 z[1]"
 
     def test_pool_dedup(self):
         pool = CutPool()
@@ -183,12 +190,11 @@ class TestConstructors:
                             f"{cut.tag} {S} invalid on h={view.h} d={view.d}"
                         )
                         # (alpha, beta) and coeffs are one row, zeros kept
-                        i = view.node
                         assert cut.view is view
                         assert [j for j, _ in cut.alpha] == list(view.neighbors)
-                        expect = {xvar(i): 1}
-                        expect.update((yvar(j, i), a) for j, a in cut.alpha)
-                        expect[zvar(i)] = -cut.beta
+                        expect = {view.xcol: 1}
+                        expect.update((k, a) for k, (_, a) in zip(view.ycols, cut.alpha))
+                        expect[view.zcol] = -cut.beta
                         assert list(cut.coeffs.items()) == list(expect.items())
                         point = random_fractional_point(point_rng, view)
                         assert cut.theta(point) == pytest.approx(-cut.violation(point))
@@ -211,14 +217,14 @@ class TestSeparation:
 
     def test_mis_separation_at_origin(self):
         # z=1, y=0, x=0: best violation is p over the empty subset, p = h
-        res = separate_mis(VIEW, {xvar(0): 0.0, zvar(0): 1.0})
+        res = separate_mis(VIEW, view_point(0.0, 1.0))
         assert res is not None
         cut, violation = res
         assert cut.members == frozenset() and cut.tag == "mis"
         assert violation == pytest.approx(8.0)
 
     def test_mis_separation_satisfied_point(self):
-        assert separate_mis(VIEW, {xvar(0): float(VIEW.h), zvar(0): 1.0}) is None
+        assert separate_mis(VIEW, view_point(float(VIEW.h), 1.0)) is None
 
     def test_cover_from_mis(self):
         cover = cover_from_mis(VIEW, (4,))
@@ -244,7 +250,7 @@ class TestSeparation:
     def test_packing_from_cover(self):
         cover = build_cover_cut(VIEW, (2, 3, 4))
         # at z=1 with no influence bought, packing cuts are violated
-        cut = packing_from_cover(VIEW, cover, {xvar(0): 0.0, zvar(0): 1.0})
+        cut = packing_from_cover(VIEW, cover, view_point(0.0, 1.0))
         if cut is not None:
             make_packing_set(VIEW, cut.members)
             assert cut.tag == "packing"

@@ -8,8 +8,8 @@ from lcim.lp import LPModel, solve_lp
 
 def small_model():
     m = LPModel()
-    m.add_var("x", lb=0.0, obj=1.0)
-    m.add_constraint({"x": 1.0}, ">=", 3.0)
+    x = m.add_var("x", lb=0.0, obj=1.0)
+    m.add_constraint({x: 1.0}, ">=", 3.0)
     return m
 
 
@@ -20,17 +20,31 @@ class TestModel:
         with pytest.raises(ValueError, match="duplicate"):
             m.add_var("x")
 
+    def test_add_var_returns_column(self):
+        m = LPModel()
+        assert [m.add_var(name) for name in ("u", "v", "w")] == [0, 1, 2]
+        assert m.var_names == ["u", "v", "w"]
+
     def test_unknown_var_in_constraint(self):
         m = LPModel()
         m.add_var("x")
-        with pytest.raises(ValueError, match="unknown variable"):
-            m.add_constraint({"y": 1.0}, ">=", 0.0)
+        for col in (1, -1, "x"):
+            with pytest.raises(ValueError, match="unknown column"):
+                m.add_constraint({col: 1.0}, ">=", 0.0)
+
+    def test_non_finite_coefficient(self):
+        m = LPModel()
+        m.add_var("x")
+        for c in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                m.add_constraint({0: c}, ">=", 0.0)
+        assert m.rows == []
 
     def test_bad_sense(self):
         m = LPModel()
         m.add_var("x")
         with pytest.raises(ValueError, match="sense"):
-            m.add_constraint({"x": 1.0}, ">>", 0.0)
+            m.add_constraint({0: 1.0}, ">>", 0.0)
 
     def test_crossed_bounds(self):
         m = LPModel()
@@ -39,8 +53,8 @@ class TestModel:
 
     def test_bounds_round_trip(self):
         m = small_model()
-        m.set_bounds("x", 1.0, 9.0)
-        assert m.bounds("x") == (1.0, 9.0)
+        m.set_bounds(0, 1.0, 9.0)
+        assert m.bounds(0) == (1.0, 9.0)
 
     def test_dump_mentions_everything(self):
         text = small_model().dump()
@@ -52,35 +66,36 @@ class TestSolve:
         sol = solve_lp(small_model())
         assert sol.optimal
         assert abs(sol.objective - 3.0) < 1e-9
-        assert abs(sol.values["x"] - 3.0) < 1e-9
+        assert sol.values == [pytest.approx(3.0, abs=1e-9)]
+        assert type(sol.values[0]) is float
 
     def test_infeasible(self):
         m = small_model()
-        m.set_bounds("x", 0.0, 1.0)
+        m.set_bounds(0, 0.0, 1.0)
         sol = solve_lp(m)
         assert sol.status == "infeasible"
         assert sol.objective == np.inf
 
     def test_unbounded(self):
         m = LPModel()
-        m.add_var("x", lb=0.0, obj=-1.0)
-        m.add_constraint({"x": 1.0}, ">=", 0.0)
+        x = m.add_var("x", lb=0.0, obj=-1.0)
+        m.add_constraint({x: 1.0}, ">=", 0.0)
         sol = solve_lp(m)
         assert sol.status == "unbounded"
 
     def test_bound_overrides_do_not_stick(self):
         m = small_model()
-        sol = solve_lp(m, bound_overrides={"x": (5.0, 5.0)})
+        sol = solve_lp(m, bound_overrides={0: (5.0, 5.0)})
         assert abs(sol.objective - 5.0) < 1e-9
         assert abs(solve_lp(m).objective - 3.0) < 1e-9
 
     def test_mixed_senses(self):
         m = LPModel()
-        m.add_var("u", obj=1.0)
-        m.add_var("v", obj=2.0)
-        m.add_constraint({"u": 1.0, "v": 1.0}, "=", 4.0)
-        m.add_constraint({"u": 1.0}, "<=", 3.0)
-        m.add_constraint({"v": 1.0}, ">=", 1.0)
+        u = m.add_var("u", obj=1.0)
+        v = m.add_var("v", obj=2.0)
+        m.add_constraint({u: 1.0, v: 1.0}, "=", 4.0)
+        m.add_constraint({u: 1.0}, "<=", 3.0)
+        m.add_constraint({v: 1.0}, ">=", 1.0)
         sol = solve_lp(m)
         assert abs(sol.objective - 5.0) < 1e-9  # u=3, v=1
 
@@ -94,7 +109,7 @@ class TestSolve:
             prev = 0.0
             for _ in range(4):
                 coeffs = {
-                    f"v{k}": float(rng.uniform(0.1, 1)) for k in range(nv)
+                    k: float(rng.uniform(0.1, 1)) for k in range(nv)
                 }
                 m.add_constraint(coeffs, ">=", float(rng.uniform(0, 5)))
                 sol = solve_lp(m)
@@ -110,7 +125,7 @@ class TestSolve:
             for k in range(4):
                 m.add_var(f"v{k}", lb=0.0, ub=5.0, obj=float(rng.uniform(0.1, 2)))
             for _ in range(3):
-                coeffs = {f"v{k}": float(rng.uniform(0.1, 1)) for k in range(4)}
+                coeffs = {k: float(rng.uniform(0.1, 1)) for k in range(4)}
                 m.add_constraint(coeffs, ">=", float(rng.uniform(0, 4)))
             a = solve_lp(m).objective
             b = solve_lp(m).objective
@@ -124,7 +139,7 @@ class TestSolve:
             for k in range(nv):
                 m.add_var(f"v{k}", lb=0.0, ub=8.0, obj=float(rng.uniform(-1, 2)))
             for _ in range(int(rng.integers(1, 5))):
-                coeffs = {f"v{k}": float(rng.uniform(-1, 1)) for k in range(nv)}
+                coeffs = {k: float(rng.uniform(-1, 1)) for k in range(nv)}
                 m.add_constraint(coeffs, rng.choice(["<=", ">=", "="]), float(rng.uniform(-2, 4)))
             sol = solve_lp(m)
             if not sol.optimal:
@@ -142,11 +157,11 @@ class TestSolve:
                 m.add_var(f"v{k}", lb=0.0, ub=6.0, obj=float(rng.uniform(0.1, 2)))
             nr = int(rng.integers(1, 4))
             for _ in range(nr):
-                coeffs = {f"v{k}": float(rng.uniform(0.1, 1)) for k in range(nv)}
+                coeffs = {k: float(rng.uniform(0.1, 1)) for k in range(nv)}
                 m.add_constraint(coeffs, ">=", float(rng.uniform(1, 6)))
             sol = solve_lp(m)
             assert sol.optimal
             interior = sum(
-                1 for k in range(nv) if 1e-7 < sol.values[f"v{k}"] < 6.0 - 1e-7
+                1 for k in range(nv) if 1e-7 < sol.values[k] < 6.0 - 1e-7
             )
             assert interior <= nr

@@ -5,13 +5,7 @@ import pytest
 
 from lcim import demo
 from lcim.instance import make_instance, preprocess
-from lcim.knapcuts import (
-    Inequality,
-    build_mis_cut,
-    xvar,
-    yvar,
-    zvar,
-)
+from lcim.knapcuts import Inequality, build_mis_cut
 from lcim.oracle import (
     activation_cost,
     brute_force_optimum,
@@ -25,6 +19,11 @@ from lcim.oracle import (
 from conftest import random_instance, random_node_view
 
 VIEW = demo.example_view()
+
+
+def node_row(view, alpha, beta):
+    """Coefficients x + sum_k alpha_k y_k - beta z over the view's columns."""
+    return {view.xcol: 1, **dict(zip(view.ycols, alpha)), view.zcol: -beta}
 
 
 def relabel(instance, perm):
@@ -84,17 +83,21 @@ class TestOptimum:
 
 class TestValidity:
     def test_propagation_row_valid(self):
-        row = {xvar(0): 1}
-        for j, w in VIEW.d:
-            row[yvar(j, 0)] = w
-        row[zvar(0)] = -VIEW.h
+        row = node_row(VIEW, VIEW.weights, VIEW.h)
         assert check_validity(Inequality(coeffs=row, rhs=0.0, tag="base"), VIEW)
 
     def test_overtight_row_invalid(self):
-        row = {xvar(0): 1, zvar(0): -(VIEW.h + 1)}
-        for j in VIEW.neighbors:
-            row[yvar(j, 0)] = 0
+        row = node_row(VIEW, [0] * VIEW.degree, VIEW.h + 1)
         assert not check_validity(Inequality(coeffs=row, rhs=0.0, tag="base"), VIEW)
+
+    def test_instance_view_columns(self):
+        # a view of an instance has its columns spread over the layout
+        inst = demo.demo_instance()
+        for i in range(1, inst.n + 1):
+            view = inst.node_view(i)
+            assert check_validity(build_mis_cut(view, ()), view)
+            row = node_row(view, [0] * view.degree, view.h + 1)
+            assert not check_validity(Inequality(coeffs=row, rhs=0.0, tag="base"), view)
 
     def test_table_rows_valid(self):
         for r in demo.TABLE_COVER_PACKING + demo.TABLE_MIS:
@@ -108,12 +111,10 @@ class TestFacet:
         rows.append(demo.EXTRA_FACET_ROW)
         for coeffs in rows:
             ineq = Inequality(coeffs=coeffs, rhs=0.0, tag="base")
-            assert check_facet(ineq, VIEW), ineq.render()
+            assert check_facet(ineq, VIEW), ineq.render(VIEW.var_names)
 
     def test_slackened_row_not_facet(self):
-        row = {xvar(0): 1, zvar(0): -(VIEW.h - 1)}
-        for j, w in VIEW.d:
-            row[yvar(j, 0)] = w
+        row = node_row(VIEW, VIEW.weights, VIEW.h - 1)
         ineq = Inequality(coeffs=row, rhs=0.0, tag="base")
         assert check_validity(ineq, VIEW)
         assert not check_facet(ineq, VIEW)
@@ -122,10 +123,7 @@ class TestFacet:
         rng = np.random.default_rng(83)
         for _ in range(60):
             view = random_node_view(rng)
-            row = {xvar(view.node): 1, zvar(view.node): -view.h}
-            for j, w in view.d:
-                row[yvar(j, view.node)] = w
-            ineq = Inequality(coeffs=row, rhs=0.0, tag="base")
+            ineq = Inequality(coeffs=node_row(view, view.weights, view.h), rhs=0.0, tag="base")
             expect = all(w <= view.h for w in view.weights)
             assert check_facet(ineq, view) == expect
 
@@ -141,13 +139,13 @@ class TestFacet:
                 assert check_facet(cut, view), (view, M)
 
     def test_invalid_inequality_raises(self):
-        row = {xvar(0): 1, zvar(0): -(VIEW.h + 1)}
+        row = {VIEW.xcol: 1, VIEW.zcol: -(VIEW.h + 1)}
         ineq = Inequality(coeffs=row, rhs=0.0, tag="base")
         with pytest.raises(ValueError, match="not valid"):
             check_facet(ineq, VIEW)
 
     def test_nonpositive_x_coefficient_raises(self):
-        ineq = Inequality(coeffs={zvar(0): 1}, rhs=0.0, tag="base")
+        ineq = Inequality(coeffs={VIEW.zcol: 1}, rhs=0.0, tag="base")
         with pytest.raises(ValueError, match="positive x"):
             check_facet(ineq, VIEW)
 
@@ -157,29 +155,27 @@ class TestInstanceEnumeration:
         inst = demo.demo_instance()
         pts = list(enumerate_feasible_points(inst))
         assert pts
-        opt = min(
-            sum(v for k, v in p.items() if k.startswith("x[")) for p in pts
-        )
+        opt = min(sum(p[inst.xcol(i)] for i in range(1, inst.n + 1)) for p in pts)
         assert opt == demo.DEMO_OPTIMUM
 
     def test_points_respect_structure(self):
         rng = np.random.default_rng(97)
         inst = random_instance(rng, n_max=5)
+        y, z = inst.ycol, inst.zcol
         for point in enumerate_feasible_points(inst):
-            assert sum(point[zvar(i)] for i in range(1, inst.n + 1)) >= inst.b
+            assert len(point) == inst.ncols
+            assert sum(point[z(i)] for i in range(1, inst.n + 1)) >= inst.b
             for i, j in inst.edges():
-                assert point[yvar(i, j)] + point[yvar(j, i)] <= min(
-                    point[zvar(i)], point[zvar(j)]
-                )
+                assert point[y[i, j]] + point[y[j, i]] <= min(point[z(i)], point[z(j)])
 
     def test_validity_instance(self):
         inst = demo.demo_instance()
         # coverage row is valid; its strengthening past n is not
         cover_row = Inequality(
-            coeffs={zvar(i): 1 for i in range(1, 6)}, rhs=float(inst.b), tag="base"
+            coeffs={inst.zcol(i): 1 for i in range(1, 6)}, rhs=float(inst.b), tag="base"
         )
         assert check_validity_instance([cover_row], inst)
         too_strong = Inequality(
-            coeffs={zvar(i): 1 for i in range(1, 6)}, rhs=6.0, tag="base"
+            coeffs={inst.zcol(i): 1 for i in range(1, 6)}, rhs=6.0, tag="base"
         )
         assert not check_validity_instance([too_strong], inst)

@@ -5,7 +5,6 @@ import pytest
 
 from lcim import demo
 from lcim.instance import make_instance, preprocess
-from lcim.knapcuts import xvar, yvar
 from lcim.lp import solve_lp
 from lcim.oracle import brute_force_optimum
 from lcim.special import (
@@ -159,9 +158,9 @@ class TestTreeEqualModel:
             assert sol.optimal
             opt, _ = brute_force_optimum(inst)
             assert sol.objective == pytest.approx(opt, abs=1e-6)
-            for name, val in sol.values.items():
-                if name.startswith("y["):
-                    assert min(val, 1 - val) < 1e-6
+            assert len(sol.values) == inst.n + inst.m  # x and y, no z
+            for val in sol.values[inst.n:]:
+                assert min(val, 1 - val) < 1e-6
 
     def test_hull_rows_necessary(self):
         inst = demo.hull_gap_instance()
@@ -195,7 +194,7 @@ class TestUcEqualCut:
             from lcim.oracle import enumerate_feasible_points
 
             for point in enumerate_feasible_points(inst):
-                if all(point[f"z[{i}]"] == 1 for i in (1, 2, 3)):
+                if all(point[inst.zcol(i)] == 1 for i in (1, 2, 3)):
                     assert cut.violation(point) <= 1e-9, (U, point)
 
     def test_coefficients(self):
@@ -206,8 +205,10 @@ class TestUcEqualCut:
         cycle = Cycle(arcs=((1, 2), (2, 3), (3, 1)))
         omega = {i: inst.threshold(i) - hull[i].beta for i in (1, 2, 3)}  # 1 each
         cut = build_uc_equal_cut(make_uc_data(cycle, (1,), omega), hull, inst)
-        assert cut.coeffs[xvar(1)] == 1
-        assert cut.coeffs[yvar(2, 1)] == 1 and cut.coeffs[yvar(3, 1)] == 1
-        assert cut.coeffs[yvar(1, 2)] == -1 and cut.coeffs[yvar(2, 3)] == -1
+        y = inst.ycol
+        assert cut.coeffs[inst.xcol(1)] == 1
+        assert cut.coeffs[y[2, 1]] == 1 and cut.coeffs[y[3, 1]] == 1
+        assert cut.coeffs[y[1, 2]] == -1 and cut.coeffs[y[2, 3]] == -1
+        assert not any(inst.zcol(i) in cut.coeffs for i in (1, 2, 3))
         # rhs = delta (1 - 3 + 1) + gamma * beta = -1 + 2 = 1
         assert cut.rhs == 1.0
