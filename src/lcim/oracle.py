@@ -10,7 +10,7 @@ fast code is tested against.
 from __future__ import annotations
 
 import math
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 MAX_ORACLE_NODES = 12
+VALIDITY_BLOCK = 4096  # points per matrix product in check_validity_instance
 
 
 def activation_cost(instance, order):
@@ -243,13 +244,19 @@ def _acyclic_arc_sets(choices, t, reach, arcs):
 
 def check_validity_instance(cuts, instance, tol=1e-9):
     """True iff no feasible integral point of the instance violates any of
-    the cuts; the points are enumerated once for all of them."""
+    the cuts; the points are enumerated once for all of them and checked
+    against every cut a block at a time, by one matrix product."""
     cuts = list(cuts)
-    return all(
-        cut.violation(point) <= tol
-        for point in enumerate_feasible_points(instance)
-        for cut in cuts
-    )
+    coef = np.zeros((instance.ncols, len(cuts)))
+    for j, cut in enumerate(cuts):
+        for k, c in cut.coeffs.items():
+            coef[k, j] = c
+    rhs = np.array([cut.rhs for cut in cuts], dtype=float)
+    points = enumerate_feasible_points(instance)
+    while block := list(islice(points, VALIDITY_BLOCK)):
+        if not (rhs - np.array(block, dtype=float) @ coef <= tol).all():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

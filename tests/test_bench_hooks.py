@@ -28,4 +28,5 @@ def test_traced_solve_passes_the_gate(monkeypatch):
     for layer in ("lp.solve_lp", "lp.highs", "instance.node_view", "instance.neighbors"):
         calls, _ = trace.layer(layer)
         assert calls > 0, layer
+    assert trace.counters["lp.simplex_iters"] > 0  # the HiGHS layer's nit got through
     assert bnc.solve_lp is lcim.lp.solve_lp  # uninstalled

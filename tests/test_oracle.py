@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lcim import demo
+from lcim import demo, oracle
 from lcim.instance import make_instance, preprocess
 from lcim.knapcuts import Inequality, build_mis_cut
 from lcim.oracle import (
@@ -179,3 +179,30 @@ class TestInstanceEnumeration:
             coeffs={inst.zcol(i): 1 for i in range(1, 6)}, rhs=6.0, tag="base"
         )
         assert not check_validity_instance([too_strong], inst)
+
+    def test_validity_instance_matches_point_loop(self, monkeypatch):
+        # the blocked matrix product gives the verdict of the loop over
+        # (point, cut) pairs, here on cuts tight at, just past and short of
+        # the best point, with blocks small enough that most checks span
+        # several of them
+        monkeypatch.setattr(oracle, "VALIDITY_BLOCK", 7)
+        rng = np.random.default_rng(113)
+        checked = set()
+        for _ in range(8):
+            inst = random_instance(rng, n_max=5)
+            points = list(enumerate_feasible_points(inst))
+            cuts = []
+            for _ in range(6):
+                size = int(rng.integers(1, inst.ncols + 1))
+                cols = rng.choice(inst.ncols, size=size, replace=False)
+                coeffs = {int(k): float(rng.uniform(-2, 2)) for k in cols}
+                floor = min(sum(c * p[k] for k, c in coeffs.items()) for p in points)
+                for rhs in (floor, floor + 1e-6, floor - 0.5):
+                    cuts.append(Inequality(coeffs=coeffs, rhs=rhs, tag="base"))
+            for cut in cuts:
+                loop = all(cut.violation(p) <= 1e-9 for p in points)
+                assert check_validity_instance([cut], inst) == loop
+                checked.add(loop)
+            assert check_validity_instance(cuts, inst) is False
+            assert check_validity_instance(cuts[::3], inst) is True
+        assert checked == {True, False}
