@@ -8,7 +8,8 @@ owns one HiGHS instance, reached through the bindings bundled with scipy
 the model as it stands and runs its dual simplex from a cold start, with
 the options, row order and checks of scipy's
 ``linprog(method="highs-ds")``, so it returns the optimal basic solutions
-that function returns; tests/test_lp.py keeps it as the oracle.
+that function returns; tests/test_lp.py keeps it as the oracle.  A solve
+reads back the status, iteration count, column values and objective only.
 """
 
 from __future__ import annotations
@@ -46,16 +47,16 @@ _CHECK_TOL = np.sqrt(1e-9) * 10
 _OPTIMAL = _h.HighsModelStatus.kOptimal
 _INFEASIBLE = _h.HighsModelStatus.kInfeasible
 _UNBOUNDED = _h.HighsModelStatus.kUnbounded
-_AT_LOWER = int(_h.HighsBasisStatus.kLower)
-_AT_UPPER = int(_h.HighsBasisStatus.kUpper)
 
 
 @dataclass
 class LPSolution:
+    """The outcome of one solve: an optimal basic solution's column values
+    and objective, or +inf (infeasible) or -inf (unbounded) and no values."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: list  # value per column, as Python floats; empty unless optimal
     objective: float
-    dual_objective: float = None
 
     @property
     def optimal(self):
@@ -74,9 +75,6 @@ class LPModel:
         self.upper = []
         self.obj = []
         self.rows = []  # (coeffs dict column -> coefficient, sense, rhs)
-        # CSR pieces of the rows per sense, kept as rows are added; ">=" rows
-        # are stored negated, as the "<=" rows they become for the solver
-        self._csr = {sense: ([0], [], [], []) for sense in _SENSES}
         self._lp = None  # HighsLp of the current columns and rows, built on demand
         self._highs = _h._Highs()
         for option, value in _OPTIONS:
@@ -86,23 +84,29 @@ class LPModel:
     # -- construction ------------------------------------------------------
 
     def add_var(self, name, lb=0.0, ub=None, obj=0.0):
-        """Append a variable; returns its column."""
+        """Append a variable; returns its column.  ub=None means +inf."""
         if name in self.var_names:
             raise ValueError(f"duplicate variable {name!r}")
-        if ub is not None and lb > ub:
-            raise ValueError(f"variable {name!r} has lb {lb} > ub {ub}")
+        lb = float(lb)
+        ub = np.inf if ub is None else float(ub)
+        if not lb <= ub or lb == np.inf or ub == -np.inf:
+            raise ValueError(f"variable {name!r} has no value in bounds [{lb}, {ub}]")
         if not np.isfinite(obj):
             raise ValueError(f"non-finite objective coefficient on variable {name!r}")
         self.var_names.append(name)
-        self.lower.append(float(lb))
-        self.upper.append(np.inf if ub is None else float(ub))
+        self.lower.append(lb)
+        self.upper.append(ub)
         self.obj.append(float(obj))
         self._lp = None
         return len(self.var_names) - 1
 
     def add_constraint(self, coeffs, sense, rhs):
+        """Append the row sum(coeffs[k] * x_k) `sense` rhs.  A row without
+        coefficients is dropped when 0 satisfies it and rejected otherwise."""
         if sense not in _SENSES:
             raise ValueError(f"unknown sense {sense!r}")
+        if not np.isfinite(rhs):
+            raise ValueError(f"non-finite right-hand side {rhs}")
         columns = range(len(self.var_names))
         for k, c in coeffs.items():
             if k not in columns:
@@ -111,21 +115,9 @@ class LPModel:
                 raise ValueError(f"non-finite coefficient on column {k}")
         if coeffs:
             self.rows.append((dict(coeffs), sense, float(rhs)))
-            indptr, cols, vals, rhss = self._csr[sense]
-            sign = -1.0 if sense == ">=" else 1.0
-            for k, c in coeffs.items():
-                cols.append(k)
-                vals.append(sign * c)
-            indptr.append(len(cols))
-            rhss.append(sign * float(rhs))
             self._lp = None
-
-    def set_bounds(self, k, lb, ub):
-        self.lower[k] = float(lb)
-        self.upper[k] = float(ub)
-
-    def bounds(self, k):
-        return self.lower[k], self.upper[k]
+        elif not {"<=": 0.0 <= rhs, ">=": 0.0 >= rhs, "=": 0.0 == rhs}[sense]:
+            raise ValueError(f"empty row 0 {sense} {rhs} cannot hold")
 
     # -- debugging dump ----------------------------------------------------
 
@@ -148,13 +140,13 @@ class LPModel:
         column bounds are set per solve."""
         if self._lp is None:
             starts, cols, vals, lower, upper = [0], [], [], [], []
-            for sense in _SENSES:
-                p_indptr, p_cols, p_vals, p_rhs = self._csr[sense]
-                starts += [k + len(cols) for k in p_indptr[1:]]
-                cols += p_cols
-                vals += p_vals
-                upper += p_rhs
-                lower += p_rhs if sense == "=" else [-_h.kHighsInf] * len(p_rhs)
+            for coeffs, sense, rhs in sorted(self.rows, key=lambda row: _SENSES.index(row[1])):
+                sign = -1.0 if sense == ">=" else 1.0
+                cols += coeffs
+                vals += [sign * c for c in coeffs.values()]
+                starts.append(len(cols))
+                upper.append(sign * rhs)
+                lower.append(rhs if sense == "=" else -_h.kHighsInf)
             lp = _h.HighsLp()
             lp.num_col_ = lp.a_matrix_.num_col_ = len(self.var_names)
             lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
@@ -170,13 +162,13 @@ class LPModel:
 
 
 class HighsResult(NamedTuple):
-    """What one HiGHS run reports; solution and basis only when optimal."""
+    """What one HiGHS run reports; objective and solution only when
+    optimal."""
 
     status: object  # HighsModelStatus
     nit: int  # simplex iterations
     fun: float = None
-    solution: object = None  # HighsSolution
-    basis: object = None  # HighsBasis
+    solution: object = None  # HighsSolution: col_value and row_value are read
 
 
 def linprog(highs, lp):
@@ -195,9 +187,7 @@ def linprog(highs, lp):
     nit = info.simplex_iteration_count or info.ipm_iteration_count
     if status != _OPTIMAL:
         return HighsResult(status, nit)
-    return HighsResult(
-        status, nit, info.objective_function_value, highs.getSolution(), highs.getBasis()
-    )
+    return HighsResult(status, nit, info.objective_function_value, highs.getSolution())
 
 
 def solve_lp(model, bound_overrides=None):
@@ -230,42 +220,18 @@ def solve_lp(model, bound_overrides=None):
         raise RuntimeError(
             f"LP solver failed: HiGHS status {model._highs.modelStatusToString(res.status)}"
         )
-
-    x = np.array(res.solution.col_value)
-    row_upper = np.array(lp.row_upper_)
-    residual = row_upper - np.array(res.solution.row_value)
-    n_ub = len(model._csr["<="][3]) + len(model._csr[">="][3])
-    if not _feasible(x, res.fun, lower, upper, residual, n_ub):
+    if not _feasible(lp, res):
         raise RuntimeError(
             "LP solver failed: the optimal solution breaks its bounds or rows "
             f"by more than {_CHECK_TOL:.2E}"
         )
-
-    # dual objective: row duals against the row bounds, column duals
-    # against the bound each nonbasic column sits at
-    row_dual = np.array(res.solution.row_dual)
-    col_dual = np.array(res.solution.col_dual)
-    col_status = np.array([int(s) for s in res.basis.col_status])
-    dual = float(row_upper[:n_ub] @ row_dual[:n_ub]) + float(row_upper[n_ub:] @ row_dual[n_ub:])
-    finite_lo = np.isfinite(lower)
-    finite_hi = np.isfinite(upper)
-    at_lo = np.where(col_status == _AT_LOWER, col_dual, 0.0)
-    at_hi = np.where(col_status == _AT_UPPER, col_dual, 0.0)
-    dual += float(lower[finite_lo] @ at_lo[finite_lo])
-    dual += float(upper[finite_hi] @ at_hi[finite_hi])
-    return LPSolution(
-        status="optimal", values=x.tolist(), objective=float(res.fun), dual_objective=dual
-    )
+    return LPSolution(status="optimal", values=res.solution.col_value, objective=float(res.fun))
 
 
-def _feasible(x, fun, lower, upper, residual, n_ub):
-    """Whether x, with row residuals rhs - Ax (the first n_ub rows "<=",
-    the rest "="), keeps its bounds and rows within `_CHECK_TOL`."""
-    if np.isnan(x).any() or np.isnan(fun) or np.isnan(residual).any():
-        return False
-    tol = _CHECK_TOL
-    return bool(
-        np.all((x >= lower - tol) & (x <= upper + tol))
-        and not (residual[:n_ub] < -tol).any()
-        and not (np.abs(residual[n_ub:]) > tol).any()
-    )
+def _feasible(lp, res):
+    """Whether the column values and row activities of an optimal `res`
+    lie within `_CHECK_TOL` of the bounds `lp` gives them; NaN fails."""
+    value = np.concatenate([res.solution.col_value, res.solution.row_value])
+    lower = np.concatenate([lp.col_lower_, lp.row_lower_]) - _CHECK_TOL
+    upper = np.concatenate([lp.col_upper_, lp.row_upper_]) + _CHECK_TOL
+    return not np.isnan(res.fun) and bool(np.all((value >= lower) & (value <= upper)))

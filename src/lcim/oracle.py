@@ -29,6 +29,8 @@ __all__ = [
 
 MAX_ORACLE_NODES = 12
 VALIDITY_BLOCK = 4096  # points per matrix product in check_validity_instance
+VALIDITY_TOL = 1e-9  # largest violation a valid inequality may show at a point
+FACET_RANK_TOL = 1e-8  # singular-value cut-off of the affine rank in check_facet
 
 
 def activation_cost(instance, order):
@@ -131,7 +133,7 @@ def _node_points(view):
             yield x, ybits, z
 
 
-def check_validity(ineq, view, tol=1e-9):
+def check_validity(ineq, view):
     """True iff no feasible point of P violates the inequality.
 
     Minimal-x points suffice: raising x only increases the left-hand side
@@ -143,12 +145,12 @@ def check_validity(ineq, view, tol=1e-9):
         point[view.xcol], point[view.zcol] = x, z
         for k, y in zip(view.ycols, ybits):
             point[k] = y
-        if ineq.violation(point) > tol:
+        if ineq.violation(point) > VALIDITY_TOL:
             return False
     return True
 
 
-def check_facet(ineq, view, tol=1e-8):
+def check_facet(ineq, view):
     """Whether a valid node inequality is facet-defining for conv(P).
 
     For every binary (y, z), the unique x making the cut tight is computed
@@ -174,7 +176,7 @@ def check_facet(ineq, view, tol=1e-8):
     if len(tight) < v + 2:
         return False
     mat = np.array(tight, dtype=float)
-    rank = np.linalg.matrix_rank(mat - mat[0], tol=tol)
+    rank = np.linalg.matrix_rank(mat - mat[0], tol=FACET_RANK_TOL)
     return rank == v + 1
 
 
@@ -242,7 +244,7 @@ def _acyclic_arc_sets(choices, t, reach, arcs):
         yield from _acyclic_arc_sets(choices, t + 1, grown, arcs + (arc,))
 
 
-def check_validity_instance(cuts, instance, tol=1e-9):
+def check_validity_instance(cuts, instance):
     """True iff no feasible integral point of the instance violates any of
     the cuts; the points are enumerated once for all of them and checked
     against every cut a block at a time, by one matrix product."""
@@ -254,7 +256,7 @@ def check_validity_instance(cuts, instance, tol=1e-9):
     rhs = np.array([cut.rhs for cut in cuts], dtype=float)
     points = enumerate_feasible_points(instance)
     while block := list(islice(points, VALIDITY_BLOCK)):
-        if not (rhs - np.array(block, dtype=float) @ coef <= tol).all():
+        if not (rhs - np.array(block, dtype=float) @ coef <= VALIDITY_TOL).all():
             return False
     return True
 

@@ -60,8 +60,9 @@ class TestAssemble:
     def test_ln_structure(self):
         inst = demo.demo_instance().with_b(5)
         model = assemble(inst, "ln")
-        assert model.bounds(inst.ncols) == (1.0, 5.0)  # l[1]
-        assert model.bounds(inst.zcol(1)) == (1.0, 1.0)
+        bounds = list(zip(model.lower, model.upper))
+        assert bounds[inst.ncols] == (1.0, 5.0)  # l[1]
+        assert bounds[inst.zcol(1)] == (1.0, 1.0)
 
     def test_columns_follow_instance_layout(self):
         # the LP's name of every column is the name of the variable the
