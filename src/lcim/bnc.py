@@ -9,9 +9,12 @@ Three formulation modes are supported:
 * ``ln``  — the layered-network formulation (only for b = n), where layer
   variables make cyclic influence infeasible outright.
 
-The tree uses best-bound node selection and most-fractional branching with
-a z-before-y tie-break.  All data are integral, so the optimum is integral
-and node bounds are rounded up before pruning.
+The tree uses best-bound node selection and reliability branching
+(Achterberg, Koch & Martin, "Branching rules revisited", Oper. Res. Lett.
+2005): candidates are probed by warm LP solves until their pseudocosts are
+trusted, and scored by the product rule.  Every LP of a solve runs on the
+one model, warm from its parent's basis.  All data are integral, so the
+optimum is integral and node bounds are rounded up before pruning.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ TSV_HEADER = "\t".join(
 INT_TOL = 1e-6  # a y/z value this close to 0 or 1 counts as integral
 ROUND_CUT_CAP = 200  # cuts added per root round
 TREE_SEP_ROUNDS = 2  # MIS separation rounds per tree node before branching
+RELIABILITY = 1  # probes per column and direction before its pseudocost is trusted
+LOOKAHEAD = 4  # candidates in a row not beating the best score end the choice
+SCORE_EPS = 1e-6  # floor of each child's gain in the product score
 
 
 @dataclass
@@ -81,6 +87,7 @@ class SolveReport:
     seconds: float
     incumbent: dict = field(default=None, repr=False)  # {"order", "objective"}
     root_bound: float = None
+    lp_solves: int = 0  # LPs solved, branching probes included
 
     def tsv_line(self):
         cells = [
@@ -329,24 +336,88 @@ def _best_gcec(instance, cycle, point):
 # ---------------------------------------------------------------------------
 
 
-def branch(instance, point):
-    """Pick the most fractional binary variable (z before y on ties, then
-    the lower column) and return the two child bound fixings by column, or
-    None when every y and z is integral."""
-    first_z = instance.zcol(1)
-    best = None
-    for k in range(instance.n, instance.ncols):  # the y, then the z columns
-        val = point[k]
-        frac = min(val - math.floor(val), math.ceil(val) - val)
-        if frac <= INT_TOL:
-            continue
-        rank = (frac, 1 if k >= first_z else 0, -k)
-        if best is None or rank > best[0]:
-            best = (rank, k)
-    if best is None:
+def branch(instance, model, sol, overrides, ub, pseudocosts, deadline=math.inf):
+    """Choose a fractional y or z column of `sol`, the LP answer of a node
+    whose bound fixings are `overrides`, and return the children worth
+    keeping as (bound, overrides, basis) triples; None when every y and z
+    is integral.
+
+    Candidates are ranked as `_fractional` ranks them.  A candidate with
+    fewer than RELIABILITY probes in either direction is probed: both
+    children are solved on `model`, warm from the node's basis, and each
+    optimal probe adds its gain per unit of bound change to `pseudocosts`,
+    a dict (column, up) -> [summed unit gain, probes] kept for one solve.
+    Other candidates' gains are estimated from their pseudocosts.  The
+    score is the product of the two gains, each at least SCORE_EPS, and an
+    infeasible child counts as an infinite gain.  The choice ends when
+    LOOKAHEAD candidates in a row do not beat the best score, when a score
+    is infinite, or when the monotonic clock has passed `deadline`; with no
+    candidate scored by then, the first is taken unprobed.  A probed child
+    is kept with the bound max(probe objective, node bound), unless its
+    probe was infeasible or that bound prunes it against `ub`; an
+    estimated child carries the node's bound.
+    """
+    candidates = _fractional(instance, sol.values)
+    if not candidates:
         return None
-    k = best[1]
-    return {k: (0.0, 0.0)}, {k: (1.0, 1.0)}
+    best_score, best = -1.0, None
+    stale = 0
+    for k in candidates:
+        if time.monotonic() > deadline:
+            break
+        dists = (sol.values[k], 1.0 - sol.values[k])  # down, up
+        costs = [pseudocosts.get((k, up), (0.0, 0)) for up in (0, 1)]
+        if min(probes for _, probes in costs) >= RELIABILITY:
+            gains = [total / probes * d for (total, probes), d in zip(costs, dists)]
+            children = _unprobed(sol, overrides, k)
+        else:
+            gains, children = [], []
+            for up, dist in enumerate(dists):
+                fixings = {**overrides, k: (float(up), float(up))}
+                child = solve_lp(model, bound_overrides=fixings, basis=sol.basis)
+                if not child.optimal:
+                    gains.append(math.inf)
+                    continue
+                gains.append(max(child.objective - sol.objective, 0.0))
+                unit = pseudocosts.setdefault((k, up), [0.0, 0])
+                unit[0] += gains[-1] / dist
+                unit[1] += 1
+                bound = max(child.objective, sol.objective)
+                if not _prunable(bound, ub):
+                    children.append((bound, fixings, sol.basis))
+        score = max(gains[0], SCORE_EPS) * max(gains[1], SCORE_EPS)
+        if score > best_score:
+            best_score, best, stale = score, children, 0
+        else:
+            stale += 1
+        if stale >= LOOKAHEAD or score == math.inf:
+            break
+    return _unprobed(sol, overrides, candidates[0]) if best is None else best
+
+
+def _unprobed(sol, overrides, k):
+    """Both children of branching on column k, with the node's bound and
+    basis."""
+    return [(sol.objective, {**overrides, k: (v, v)}, sol.basis) for v in (0.0, 1.0)]
+
+
+def _fractional(instance, point):
+    """The y and z columns whose values are not within INT_TOL of 0 or 1,
+    most fractional first, z before y on ties, then the lower column."""
+    first_z = instance.zcol(1)
+    ranked = []
+    for k in range(instance.n, instance.ncols):  # the y, then the z columns
+        frac = min(point[k], 1.0 - point[k])  # y and z lie in [0, 1]
+        if frac > INT_TOL:
+            ranked.append((-frac, k < first_z, k))
+    ranked.sort()
+    return [k for _, _, k in ranked]
+
+
+def _prunable(bound, ub):
+    """Whether a node with this finite LP bound cannot hold a solution
+    cheaper than ub; the optimum is integral."""
+    return math.ceil(bound - 1e-6) >= ub
 
 
 def _activation_order(instance, point):
@@ -385,27 +456,27 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
     nodes = 0
     status = "optimal"
 
+    pseudocosts = {}
     counter = 0
-    heap = [(0.0, counter, {}, 0)]
+    heap = [(0.0, counter, {}, 0, None)]  # (bound, tie, fixings, rounds, basis)
     while heap:
         if time.monotonic() > deadline:
             status = "time_limit"
             break
-        node_lb, _, overrides, seps = heapq.heappop(heap)
+        node_lb, _, overrides, seps, basis = heapq.heappop(heap)
         lb_report = max(lb_report, node_lb)
-        if math.ceil(node_lb - 1e-6) >= ub:
+        if _prunable(node_lb, ub):
             continue
-        sol = solve_lp(model, bound_overrides=overrides)
+        sol = solve_lp(model, bound_overrides=overrides, basis=basis)
         nodes += 1
         if not sol.optimal:
             continue
         lb_node = sol.objective
-        if math.ceil(lb_node - 1e-6) >= ub:
+        if _prunable(lb_node, ub):
             continue
         point = sol.values
 
-        children = branch(instance, point)
-        if children is None:
+        if not _fractional(instance, point):
             cycle = None
             if mode != "ln":
                 cycle = cyclecuts.find_violated_cycle_integer(instance, point)
@@ -423,7 +494,7 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
                         "integral candidate violates a cycle cut already in the model"
                     )
                 counter += 1
-                heapq.heappush(heap, (lb_node, counter, overrides, seps))
+                heapq.heappush(heap, (lb_node, counter, overrides, seps, sol.basis))
                 continue
             order = _activation_order(instance, point)
             cost = activation_cost(instance, order)
@@ -441,14 +512,14 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
                     added += _add_cut(model, pool, res[0])
             if added:
                 counter += 1
-                heapq.heappush(heap, (lb_node, counter, overrides, seps + 1))
+                heapq.heappush(heap, (lb_node, counter, overrides, seps + 1, sol.basis))
                 continue
 
-        for child in children:
-            merged = dict(overrides)
-            merged.update(child)
+        for bound, fixings, start in branch(
+            instance, model, sol, overrides, ub, pseudocosts, deadline
+        ):
             counter += 1
-            heapq.heappush(heap, (lb_node, counter, merged, 0))
+            heapq.heappush(heap, (bound, counter, fixings, 0, start))
 
     if status == "optimal":
         lb_report = float(ub)
@@ -472,4 +543,5 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
         seconds=time.monotonic() - t0,
         incumbent=incumbent,
         root_bound=root_bound,
+        lp_solves=model.solves,
     )

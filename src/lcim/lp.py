@@ -1,15 +1,18 @@
 """Bounded-variable linear programs and their solution.
 
-All relaxations in this package (branch-and-bound nodes, root cut loops,
-tree-hull integrality checks) go through `LPModel`/`solve_lp`.  Each model
-owns one HiGHS instance, reached through the bindings bundled with scipy
-(`scipy.optimize._highspy._core`, a private module shipped since scipy
-1.15); this is the only module that touches it.  `solve_lp` hands HiGHS
-the model as it stands and runs its dual simplex from a cold start, with
-the options, row order and checks of scipy's
-``linprog(method="highs-ds")``, so it returns the optimal basic solutions
-that function returns; tests/test_lp.py keeps it as the oracle.  A solve
-reads back the status, iteration count, column values and objective only.
+All relaxations in this package (branch-and-bound nodes, branching probes,
+root cut loops, tree-hull integrality checks) go through
+`LPModel`/`solve_lp`.  Each model owns one HiGHS instance, reached through
+the bindings bundled with scipy (`scipy.optimize._highspy._core`, a private
+module shipped since scipy 1.15); this is the only module that touches it.
+The handle holds the model itself: a solve passes it only the columns and
+rows added since the last one, sets every column bound, and runs HiGHS's
+dual simplex, with the options of scipy's ``linprog(method="highs-ds")``,
+warm from a given basis or from the handle's last one.  Only the first
+solve of a model starts cold (with presolve); HiGHS skips presolve when it
+holds a valid basis.  A solve reads back the status, iteration count,
+column and row values, objective and optimal basis only.
+tests/test_lp.py keeps ``linprog`` as the oracle.
 """
 
 from __future__ import annotations
@@ -47,16 +50,26 @@ _CHECK_TOL = np.sqrt(1e-9) * 10
 _OPTIMAL = _h.HighsModelStatus.kOptimal
 _INFEASIBLE = _h.HighsModelStatus.kInfeasible
 _UNBOUNDED = _h.HighsModelStatus.kUnbounded
+_BASIC = _h.HighsBasisStatus.kBasic
+
+
+class Basis(NamedTuple):
+    """An optimal basis as HiGHS reports it, and how many rows it covers."""
+
+    highs: object  # HighsBasis
+    rows: int
 
 
 @dataclass
 class LPSolution:
-    """The outcome of one solve: an optimal basic solution's column values
-    and objective, or +inf (infeasible) or -inf (unbounded) and no values."""
+    """The outcome of one solve: an optimal basic solution's column values,
+    objective and basis, or +inf (infeasible) or -inf (unbounded) and no
+    values or basis."""
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: list  # value per column, as Python floats; empty unless optimal
     objective: float
+    basis: Basis = None  # a start for later solves of the same model
 
     @property
     def optimal(self):
@@ -75,7 +88,11 @@ class LPModel:
         self.upper = []
         self.obj = []
         self.rows = []  # (coeffs dict column -> coefficient, sense, rhs)
-        self._lp = None  # HighsLp of the current columns and rows, built on demand
+        self.solves = 0  # LPs solved on this model
+        self._sent = (0, 0)  # columns and rows the handle holds
+        # bounds of the rows the handle holds, for the answer check
+        self._row_lower = np.empty(0)
+        self._row_upper = np.empty(0)
         self._highs = _h._Highs()
         for option, value in _OPTIONS:
             if self._highs.setOptionValue(option, value) != _h.HighsStatus.kOk:
@@ -97,7 +114,6 @@ class LPModel:
         self.lower.append(lb)
         self.upper.append(ub)
         self.obj.append(float(obj))
-        self._lp = None
         return len(self.var_names) - 1
 
     def add_constraint(self, coeffs, sense, rhs):
@@ -115,7 +131,6 @@ class LPModel:
                 raise ValueError(f"non-finite coefficient on column {k}")
         if coeffs:
             self.rows.append((dict(coeffs), sense, float(rhs)))
-            self._lp = None
         elif not {"<=": 0.0 <= rhs, ">=": 0.0 >= rhs, "=": 0.0 == rhs}[sense]:
             raise ValueError(f"empty row 0 {sense} {rhs} cannot hold")
 
@@ -133,72 +148,93 @@ class LPModel:
 
     # -- the HiGHS form ----------------------------------------------------
 
-    def _highs_lp(self):
-        """The model's costs and rows as a row-wise HighsLp: the "<=" rows,
-        then the ">=" rows negated, then the "=" rows, as scipy's linprog
-        orders them.  Rebuilt only after a row or column was added; the
-        column bounds are set per solve."""
-        if self._lp is None:
-            starts, cols, vals, lower, upper = [0], [], [], [], []
-            for coeffs, sense, rhs in sorted(self.rows, key=lambda row: _SENSES.index(row[1])):
-                sign = -1.0 if sense == ">=" else 1.0
-                cols += coeffs
-                vals += [sign * c for c in coeffs.values()]
-                starts.append(len(cols))
-                upper.append(sign * rhs)
-                lower.append(rhs if sense == "=" else -_h.kHighsInf)
-            lp = _h.HighsLp()
-            lp.num_col_ = lp.a_matrix_.num_col_ = len(self.var_names)
-            lp.num_row_ = lp.a_matrix_.num_row_ = len(upper)
-            lp.a_matrix_.format_ = _h.MatrixFormat.kRowwise
-            lp.a_matrix_.start_ = np.array(starts, dtype=np.int32)
-            lp.a_matrix_.index_ = np.array(cols, dtype=np.int32)
-            lp.a_matrix_.value_ = np.array(vals, dtype=float)
-            lp.col_cost_ = np.array(self.obj)
-            lp.row_lower_ = np.array(lower, dtype=float)
-            lp.row_upper_ = np.array(upper, dtype=float)
-            self._lp = lp
-        return self._lp
+    def _unsent(self):
+        """The columns and rows added since the last solve, in the form
+        HiGHS's addCols and addRows take them, and None where there are
+        none; from here on the handle holds them.  A row's bounds follow
+        its sense: ">=" is [rhs, inf], "<=" is [-inf, rhs], "=" is
+        [rhs, rhs]."""
+        ncols, nrows = self._sent
+        cols = rows = None
+        if ncols < len(self.obj):
+            cols = (np.array(self.obj[ncols:]), np.array(self.lower[ncols:]),
+                    np.array(self.upper[ncols:]))
+        if nrows < len(self.rows):
+            starts, index, value, lower, upper = [], [], [], [], []
+            for coeffs, sense, rhs in self.rows[nrows:]:
+                starts.append(len(index))
+                index += coeffs
+                value += coeffs.values()
+                lower.append(-np.inf if sense == "<=" else rhs)
+                upper.append(np.inf if sense == ">=" else rhs)
+            rows = (np.array(lower), np.array(upper), np.array(starts, dtype=np.int32),
+                    np.array(index, dtype=np.int32), np.array(value, dtype=float))
+            self._row_lower = np.concatenate([self._row_lower, rows[0]])
+            self._row_upper = np.concatenate([self._row_upper, rows[1]])
+        self._sent = (len(self.obj), len(self.rows))
+        return cols, rows
 
 
 class HighsResult(NamedTuple):
-    """What one HiGHS run reports; objective and solution only when
+    """What one HiGHS run reports; objective, solution and basis only when
     optimal."""
 
     status: object  # HighsModelStatus
     nit: int  # simplex iterations
     fun: float = None
     solution: object = None  # HighsSolution: col_value and row_value are read
+    basis: object = None  # HighsBasis
 
 
-def linprog(highs, lp):
-    """Load `lp` into the handle `highs`, solve it from a cold start and
-    read the outcome.
+def linprog(highs, cols, rows, lower, upper, basis):
+    """Bring the handle `highs` up to date, solve and read the outcome.
+
+    cols and rows are the new columns and rows as `LPModel._unsent` gives
+    them, lower and upper every column's bounds for this solve, and basis
+    a HighsBasis over every column and row to start from, or None to start
+    from the handle's own.
 
     The name is kept from scipy's `linprog`, which this replaces: the
     benchmark's tracer wraps `lcim.lp.linprog` as its HiGHS layer and sums
     the `nit` of its results, so every HiGHS call of a solve sits in here.
     """
-    if highs.passModel(lp) == _h.HighsStatus.kError:
-        raise RuntimeError("LP solver failed: HiGHS rejected the model")
+    empty = np.empty(0, dtype=np.int32)
+    calls = []
+    if cols is not None:
+        cost, lo, hi = cols
+        calls.append(highs.addCols(len(cost), cost, lo, hi, 0, empty, empty, np.empty(0)))
+    if rows is not None:
+        lo, hi, starts, index, value = rows
+        calls.append(highs.addRows(len(lo), lo, hi, len(index), starts, index, value))
+    n = len(lower)
+    calls.append(highs.changeColsBounds(n, np.arange(n, dtype=np.int32), lower, upper))
+    if basis is not None:
+        calls.append(highs.setBasis(basis))
+    if _h.HighsStatus.kError in calls:
+        raise RuntimeError("LP solver failed: HiGHS rejected the model, bounds or basis")
     highs.run()
     status = highs.getModelStatus()
     info = highs.getInfo()
     nit = info.simplex_iteration_count or info.ipm_iteration_count
     if status != _OPTIMAL:
         return HighsResult(status, nit)
-    return HighsResult(status, nit, info.objective_function_value, highs.getSolution())
+    return HighsResult(
+        status, nit, info.objective_function_value, highs.getSolution(), highs.getBasis()
+    )
 
 
-def solve_lp(model, bound_overrides=None):
+def solve_lp(model, bound_overrides=None, basis=None):
     """Solve the model, returning an optimal basic solution when one exists.
 
     bound_overrides optionally maps columns to (lb, ub) pairs used for this
-    solve only (branching without copying the model).  The solution's
-    values are a list indexed by column.  HiGHS solves the model from a
-    cold start on the model's own handle; an answer it calls optimal that
-    breaks a bound or row by more than `_CHECK_TOL`, and any outcome other
-    than optimal, infeasible or unbounded, raise RuntimeError.
+    solve only (branching without copying the model).  basis, the `basis`
+    of an earlier solution of this model, is where the dual simplex starts,
+    with the slacks of rows added since made basic (HiGHS rejects a basis
+    taken before a column was added); without one it starts from the
+    handle's last basis.  The solution's values are a list
+    indexed by column.  An answer HiGHS calls optimal that breaks a bound
+    or row by more than `_CHECK_TOL`, and any outcome other than optimal,
+    infeasible or unbounded, raise RuntimeError.
     """
     lower = np.array(model.lower)
     upper = np.array(model.upper)
@@ -206,11 +242,14 @@ def solve_lp(model, bound_overrides=None):
         for k, (lo, hi) in bound_overrides.items():
             lower[k] = lo
             upper[k] = hi
-    lp = model._highs_lp()
-    lp.col_lower_ = lower
-    lp.col_upper_ = upper
+    cols, rows = model._unsent()
+    nrows = len(model.rows)
+    start = None
+    if basis is not None:
+        start = basis.highs if basis.rows == nrows else _extended(basis, nrows)
 
-    res = linprog(model._highs, lp)
+    model.solves += 1
+    res = linprog(model._highs, cols, rows, lower, upper, start)
 
     if res.status == _INFEASIBLE:
         return LPSolution(status="infeasible", values=[], objective=np.inf)
@@ -220,18 +259,34 @@ def solve_lp(model, bound_overrides=None):
         raise RuntimeError(
             f"LP solver failed: HiGHS status {model._highs.modelStatusToString(res.status)}"
         )
-    if not _feasible(lp, res):
+    value = np.concatenate([res.solution.col_value, res.solution.row_value])
+    if np.isnan(res.fun) or not _feasible(
+        value, np.concatenate([lower, model._row_lower]), np.concatenate([upper, model._row_upper])
+    ):
         raise RuntimeError(
             "LP solver failed: the optimal solution breaks its bounds or rows "
             f"by more than {_CHECK_TOL:.2E}"
         )
-    return LPSolution(status="optimal", values=res.solution.col_value, objective=float(res.fun))
+    return LPSolution(
+        status="optimal",
+        values=res.solution.col_value,
+        objective=float(res.fun),
+        basis=Basis(res.basis, nrows),
+    )
 
 
-def _feasible(lp, res):
-    """Whether the column values and row activities of an optimal `res`
-    lie within `_CHECK_TOL` of the bounds `lp` gives them; NaN fails."""
-    value = np.concatenate([res.solution.col_value, res.solution.row_value])
-    lower = np.concatenate([lp.col_lower_, lp.row_lower_]) - _CHECK_TOL
-    upper = np.concatenate([lp.col_upper_, lp.row_upper_]) + _CHECK_TOL
-    return not np.isnan(res.fun) and bool(np.all((value >= lower) & (value <= upper)))
+def _extended(basis, nrows):
+    """The HighsBasis of `basis` grown to nrows rows, the slacks of the new
+    rows basic."""
+    full = _h.HighsBasis()
+    full.valid = True
+    full.alien = False
+    full.col_status = basis.highs.col_status
+    full.row_status = basis.highs.row_status + [_BASIC] * (nrows - basis.rows)
+    return full
+
+
+def _feasible(value, lower, upper):
+    """Whether every value lies within `_CHECK_TOL` of its bounds; NaN
+    fails."""
+    return bool(np.all((value >= lower - _CHECK_TOL) & (value <= upper + _CHECK_TOL)))

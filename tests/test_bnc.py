@@ -22,7 +22,7 @@ from lcim.bnc import (
 )
 from lcim.instance import generate_small_world, make_instance, preprocess, xvar, yvar, zvar
 from lcim.knapcuts import CutPool
-from lcim.lp import solve_lp
+from lcim.lp import LPSolution, solve_lp
 
 from conftest import random_instance
 
@@ -35,6 +35,19 @@ def _invalid_cuts(cuts, inst):
         for cut in cuts
         if not oracle.check_validity_instance([cut], inst)
     ]
+
+
+def count_solve_lp(monkeypatch):
+    """Route bnc's solve_lp calls through a recorder; returns the list of
+    models solved, one entry per call."""
+    calls = []
+
+    def counting_solve_lp(model, **kwargs):
+        calls.append(model)
+        return solve_lp(model, **kwargs)
+
+    monkeypatch.setattr(bnc, "solve_lp", counting_solve_lp)
+    return calls
 
 
 class TestAssemble:
@@ -117,29 +130,67 @@ class TestGreedy:
 
 
 class TestBranch:
+    @staticmethod
+    def unprobed(inst, point):
+        """branch on a hand-made point with the deadline already past, so
+        no probe runs and the first ranked candidate is taken."""
+        sol = LPSolution("optimal", point, 0.0)
+        return branch(inst, assemble(inst, "def"), sol, {}, math.inf, {}, time.monotonic() - 1.0)
+
     def test_fractional_z(self):
+        # both probed children of the demo root, with their probe bounds;
+        # a child whose bound reaches ub is dropped
         inst = demo.demo_instance()
-        sol = solve_lp(assemble(inst, "def"))
-        left, right = branch(inst, sol.values)
-        (col, lo), = left.items()
+        model = assemble(inst, "def")
+        sol = solve_lp(model)
+        pseudocosts = {}
+        children = branch(inst, model, sol, {}, math.inf, pseudocosts)
+        assert len(children) == 2
+        (col, lo), = children[0][1].items()
         assert inst.n <= col < inst.ncols  # a y or z column
         assert lo == (0.0, 0.0)
-        assert right[col] == (1.0, 1.0)
+        assert children[1][1] == {col: (1.0, 1.0)}
+        for bound, fixings, start in children:
+            probe = solve_lp(assemble(inst, "def"), bound_overrides=fixings)
+            assert bound == pytest.approx(max(probe.objective, sol.objective), abs=1e-9)
+            assert start is sol.basis
+        assert {(col, 0), (col, 1)} <= set(pseudocosts)
+        ub = math.ceil(max(bound for bound, _, _ in children) - 1e-6)
+        kept = branch(inst, model, sol, {}, ub, {})
+        assert len(kept) == 1
+        assert [c[1] for c in kept] == [c[1] for c in children if c[0] < ub - 1e-6]
 
     def test_z_beats_y_on_ties(self):
         inst = demo.demo_instance()
         point = [0.0] * inst.ncols
         point[inst.ycol[1, 2]] = 0.5
         point[inst.zcol(4)] = 0.5
-        left, _ = branch(inst, point)
-        assert list(left) == [inst.zcol(4)]
+        left, right = self.unprobed(inst, point)
+        assert left[1] == {inst.zcol(4): (0.0, 0.0)}
+        assert right[1] == {inst.zcol(4): (1.0, 1.0)}
+        point[inst.zcol(2)] = 0.5  # equally fractional: the lower column first
+        assert list(self.unprobed(inst, point)[0][1]) == [inst.zcol(2)]
 
     def test_integral_point_returns_none(self):
         inst = demo.demo_instance()
         point = [0.0] * inst.ncols
         point[inst.zcol(2)] = 1.0
         point[inst.xcol(3)] = 0.5  # x is continuous
-        assert branch(inst, point) is None
+        assert self.unprobed(inst, point) is None
+        assert branch(inst, assemble(inst, "def"), LPSolution("optimal", point, 0.0),
+                      {}, math.inf, {}) is None
+
+    def test_infeasible_probe_child_dropped(self):
+        # a row x_k >= x*_k on the first candidate k leaves the node's answer
+        # optimal and makes the child x_k = 0 infeasible
+        inst = demo.demo_instance()
+        model = assemble(inst, "def")
+        sol = solve_lp(model)
+        first = branch(inst, model, sol, {}, math.inf, {}, time.monotonic() - 1.0)
+        (k,) = first[0][1]
+        model.add_constraint({k: 1.0}, ">=", sol.values[k])
+        children = branch(inst, model, sol, {}, math.inf, {})
+        assert [fixings for _, fixings, _ in children] == [{k: (1.0, 1.0)}]
 
 
 class TestRootCuts:
@@ -234,13 +285,7 @@ class TestSolve:
         assert report.gap >= 0.0
 
     def test_deadline_holds_in_root_loop(self, monkeypatch):
-        calls = []
-
-        def counting_solve_lp(model, **kwargs):
-            calls.append(model)
-            return solve_lp(model, **kwargs)
-
-        monkeypatch.setattr(bnc, "solve_lp", counting_solve_lp)
+        calls = count_solve_lp(monkeypatch)
         inst = demo.demo_instance()
         model = assemble(inst, "cb")
         pool = CutPool()
@@ -252,12 +297,35 @@ class TestSolve:
         assert report.status == "time_limit"
         assert report.lb <= report.ub
 
+    def test_deadline_holds_in_branch_probes(self, monkeypatch):
+        inst = demo.demo_instance()
+        model = assemble(inst, "def")
+        sol = solve_lp(model)
+        calls = count_solve_lp(monkeypatch)
+        pseudocosts = {}
+        children = branch(inst, model, sol, {}, math.inf, pseudocosts, time.monotonic() - 1.0)
+        assert calls == [] and pseudocosts == {}
+        assert len(children) == 2
+        (k,) = children[0][1]
+        assert [c[1] for c in children] == [{k: (0.0, 0.0)}, {k: (1.0, 1.0)}]
+        assert [c[0] for c in children] == [sol.objective] * 2
+
+    def test_lp_solves_counts_every_lp(self, monkeypatch):
+        calls = count_solve_lp(monkeypatch)
+        rng = np.random.default_rng(139)
+        cases = [(demo.demo_instance(), "cb")]
+        cases += [(random_instance(rng, n_min=6, n_max=8), mode) for mode in ("def", "cb")]
+        for inst, mode in cases:
+            calls.clear()
+            report = solve(inst, mode, SolveParams(time_limit=60))
+            assert report.lp_solves == len(calls) >= report.nodes, mode
+
     def test_cb_search_path_pinned(self):
         # node count and cuts per family of two cb solves; a change that
         # alters the search on purpose updates these figures
         cases = {
-            (0.1, 0.5): (118, (17, 13, 27, 31, 2)),
-            (0.3, 1.0): (181, (18, 17, 46, 5, 49)),
+            (0.1, 0.5): (20, (17, 14, 18, 34, 2)),
+            (0.3, 1.0): (28, (17, 16, 33, 1, 55)),
         }
         for (q, a), (nodes, cuts) in cases.items():
             inst = generate_small_world(20, 4, q, a, seed=3)

@@ -11,6 +11,7 @@ from scipy.optimize import linprog as scipy_linprog
 from scipy.sparse import csr_matrix
 
 from lcim import bnc, demo, lp
+from lcim.instance import generate_small_world
 from lcim.knapcuts import CutPool
 from lcim.lp import LPModel, solve_lp
 
@@ -184,9 +185,9 @@ class TestSolve:
 
 
 def oracle_solve(model, bound_overrides=None):
-    """scipy's linprog(method="highs-ds") on the model: the "<=" rows, then
-    the ">=" rows negated, then the "=" rows, as solve_lp hands them to
-    HiGHS."""
+    """scipy's linprog(method="highs-ds") on the model, solved from scratch:
+    the "<=" rows and the ">=" rows negated as A_ub, the "=" rows as
+    A_eq."""
     lower, upper = np.array(model.lower), np.array(model.upper)
     for k, (lo, hi) in (bound_overrides or {}).items():
         lower[k], upper[k] = lo, hi
@@ -212,10 +213,25 @@ def oracle_solve(model, bound_overrides=None):
     )
 
 
+def random_row(rng, nv, x0):
+    """A row over some of the nv columns, of a random sense, that holds at
+    x0 unless it is one of the tenth drawn with an arbitrary rhs."""
+    cols = rng.choice(nv, size=int(rng.integers(1, nv + 1)), replace=False)
+    coeffs = {int(k): float(rng.uniform(-1, 1)) for k in cols}
+    sense = str(rng.choice(["<=", ">=", "="]))
+    rhs = sum(c * x0[k] for k, c in coeffs.items())
+    if rng.random() < 0.1:
+        rhs = float(rng.uniform(-3, 3))
+    elif sense != "=":
+        rhs += float(rng.uniform(0, 2)) * (1 if sense == "<=" else -1)
+    return coeffs, sense, rhs
+
+
 def random_lp(rng):
-    """A small LP with mixed senses and finite and infinite bounds.  Most
-    rows hold at a point x0 inside the bounds; the others, crossed bound
-    overrides and free columns give infeasible and unbounded draws."""
+    """A small LP with mixed senses and finite and infinite bounds, and the
+    point x0 inside its bounds at which most of its rows hold.  The other
+    rows, crossed bound overrides and free columns give infeasible and
+    unbounded draws."""
     m = LPModel()
     nv = int(rng.integers(2, 9))
     x0 = []
@@ -227,21 +243,13 @@ def random_lp(rng):
         m.add_var(f"v{k}", lb=lb, ub=ub, obj=float(rng.uniform(-1, 2)))
         x0.append(lb if np.isfinite(lb) else (ub if ub is not None else 0.0))
     for _ in range(int(rng.integers(0, 7))):
-        cols = rng.choice(nv, size=int(rng.integers(1, nv + 1)), replace=False)
-        coeffs = {int(k): float(rng.uniform(-1, 1)) for k in cols}
-        sense = str(rng.choice(["<=", ">=", "="]))
-        rhs = sum(c * x0[k] for k, c in coeffs.items())
-        if rng.random() < 0.1:
-            rhs = float(rng.uniform(-3, 3))
-        elif sense != "=":
-            rhs += float(rng.uniform(0, 2)) * (1 if sense == "<=" else -1)
-        m.add_constraint(coeffs, sense, rhs)
+        m.add_constraint(*random_row(rng, nv, x0))
     overrides = None
     if rng.random() < 0.35:
         k = int(rng.integers(nv))
         lo = float(rng.integers(-2, 3))
         overrides = {k: (lo, lo + float(rng.integers(-1, 3)))}  # may cross
-    return m, overrides
+    return m, overrides, x0
 
 
 def demo_models():
@@ -250,15 +258,15 @@ def demo_models():
     inst = demo.demo_instance()
     looped = bnc.assemble(inst, "cb")
     bnc.root_cut_loop(looped, inst, bnc.SolveParams(time_limit=60), CutPool())
-    children = bnc.branch(inst, solve_lp(looped).values)
+    children = bnc.branch(inst, looped, solve_lp(looped), {}, np.inf, {})
     cases = [(bnc.assemble(inst, "def"), None), (bnc.assemble(inst, "cb"), None), (looped, None)]
-    return cases + [(looped, child) for child in children]
+    return cases + [(looped, fixings) for _, fixings, _ in children]
 
 
 def regrown_model():
     """A model solved once, then given a "<=", a ">=" and an "=" row that
-    its first solution (x = (1, 0, 4)) breaks, so a solve on a stale HighsLp
-    would answer wrongly."""
+    its first solution (x = (1, 0, 4)) breaks, so a solve that missed the
+    new rows would answer wrongly."""
     m = LPModel()
     for k, c in enumerate((1.0, 2.0, -1.0)):
         m.add_var(f"v{k}", lb=0.0, ub=4.0, obj=c)
@@ -270,8 +278,69 @@ def regrown_model():
     return m
 
 
+def check_against_oracle(model, overrides=None, basis=None):
+    """Solve the model as it stands and compare with a fresh linprog: the
+    same status, the objective to 1e-9 relative, and an x within
+    lp._CHECK_TOL of its bounds and rows whose cost is that objective.
+    Returns (linprog status, solution or None)."""
+    want = oracle_solve(model, overrides)
+    if want.status not in (0, 2, 3):
+        with pytest.raises(RuntimeError):
+            solve_lp(model, overrides, basis)
+        return want.status, None
+    got = solve_lp(model, overrides, basis)
+    assert got.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[want.status]
+    if want.status == 0:
+        assert got.objective == pytest.approx(want.fun, rel=1e-9)
+        x = np.array(got.values)
+        lower, upper = np.array(model.lower), np.array(model.upper)
+        for k, (lo, hi) in (overrides or {}).items():
+            lower[k], upper[k] = lo, hi
+        activity = [sum(c * x[k] for k, c in coeffs.items()) for coeffs, _, _ in model.rows]
+        row_lower = [-np.inf if sense == "<=" else rhs for _, sense, rhs in model.rows]
+        row_upper = [np.inf if sense == ">=" else rhs for _, sense, rhs in model.rows]
+        assert lp._feasible(
+            np.concatenate([x, activity]),
+            np.concatenate([lower, row_lower]),
+            np.concatenate([upper, row_upper]),
+        )
+        assert float(np.dot(model.obj, x)) == pytest.approx(got.objective, rel=1e-9)
+    return want.status, got
+
+
 class TestAgainstLinprog:
-    def test_same_answers_as_scipy_linprog(self, monkeypatch):
+    def test_same_answers_as_scipy_linprog(self):
+        rng = np.random.default_rng(2024)
+        cases = [random_lp(rng)[:2] for _ in range(50)] + demo_models()
+        cases.append((regrown_model(), None))
+        seen = set()
+        for model, overrides in cases:
+            seen.add(check_against_oracle(model, overrides)[0])
+        assert {0, 2, 3} <= seen
+
+        # warm sequences on one model: a cut row, overrides set, cleared,
+        # and one more row solved from an older basis
+        seen = set()
+        for _ in range(40):
+            model, overrides, x0 = random_lp(rng)
+            nv = len(x0)
+            _, first = check_against_oracle(model, overrides)
+            model.add_constraint(*random_row(rng, nv, x0))
+            status, cut = check_against_oracle(model)
+            seen.add(status)
+            k = int(rng.integers(nv))
+            lo = float(rng.integers(-2, 3))
+            fixed = {k: (lo, lo + float(rng.integers(0, 3)))}
+            seen.add(check_against_oracle(model, fixed, cut and cut.basis)[0])
+            seen.add(check_against_oracle(model, None, first and first.basis)[0])
+            model.add_constraint(*random_row(rng, nv, x0))
+            seen.add(check_against_oracle(model, None, cut and cut.basis)[0])
+        assert {0, 2, 3} <= seen
+
+
+class TestWarmStart:
+    @staticmethod
+    def nits(monkeypatch):
         nits = []
         highs = lp.linprog
 
@@ -281,23 +350,40 @@ class TestAgainstLinprog:
             return res
 
         monkeypatch.setattr(lp, "linprog", recording)
-        rng = np.random.default_rng(2024)
-        cases = [random_lp(rng) for _ in range(50)] + demo_models() + [(regrown_model(), None)]
-        seen = set()
-        for model, overrides in cases:
-            want = oracle_solve(model, overrides)
-            seen.add(want.status)
-            if want.status not in (0, 2, 3):
-                with pytest.raises(RuntimeError):
-                    solve_lp(model, overrides)
-                continue
-            got = solve_lp(model, overrides)
-            assert got.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[want.status]
-            assert nits[-1] == want.nit
-            if want.status == 0:
-                assert got.objective == want.fun
-                assert np.array_equal(got.values, want.x)
-        assert {0, 2, 3} <= seen
+        return nits
+
+    def test_bound_change_resolves_warm(self, monkeypatch):
+        # fixing one fractional column of the n=20 def root: the warm
+        # re-solve from the root basis needs fewer simplex iterations than
+        # the same LP solved cold on a fresh model
+        nits = self.nits(monkeypatch)
+        inst = generate_small_world(20, 4, 0.1, 0.5, seed=3)
+        model = bnc.assemble(inst, "def")
+        root = solve_lp(model)
+        k = next(k for k in range(inst.n, inst.ncols) if 1e-6 < root.values[k] < 1 - 1e-6)
+        fixed = {k: (1.0, 1.0)}
+        warm = solve_lp(model, fixed, root.basis)
+        warm_nit = nits[-1]
+        cold = solve_lp(bnc.assemble(inst, "def"), fixed)
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+        assert warm_nit < nits[-1]
+        # the basis given, not the handle's last one, is where a solve starts
+        solve_lp(model, {k: (0.0, 0.0)}, root.basis)
+        again = solve_lp(model, fixed, warm.basis)
+        assert nits[-1] == 0
+        assert again.objective == pytest.approx(warm.objective, rel=1e-9)
+
+    def test_column_added_after_a_solve(self):
+        m = small_model()  # min x, x >= 3
+        first = solve_lp(m)
+        y = m.add_var("y", lb=0.0, ub=10.0, obj=0.5)
+        m.add_constraint({0: 1.0, y: 2.0}, ">=", 8.0)
+        _, sol = check_against_oracle(m)
+        assert sol.objective == pytest.approx(4.25)  # x = 3, y = 2.5
+        _, capped = check_against_oracle(m, {y: (0.0, 1.0)}, sol.basis)
+        assert capped.objective == pytest.approx(6.5)  # x = 6, y = 1
+        with pytest.raises(RuntimeError, match="rejected"):
+            solve_lp(m, basis=first.basis)  # a basis over fewer columns
 
 
 class TestAnswerCheck:
