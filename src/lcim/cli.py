@@ -4,7 +4,8 @@ Subcommands:
   generate   write Watts-Strogatz instances to disk
   solve      run branch-and-cut on instance files, report TSV or text
   verify     run the built-in fixture suites (tables, trace, oracle battery)
-  dp-cycle   solve a simple-cycle instance by dynamic programming
+  dp-cycle   solve a simple-cycle instance by dynamic programming and print
+             an optimal activation order
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 The environment variable LCIM_THREADS (default 1) sets how many instance
@@ -58,7 +59,11 @@ def build_parser():
 
     sub.add_parser("verify", help="run the fixture verification suites")
 
-    dpc = sub.add_parser("dp-cycle", help="solve a simple cycle by DP")
+    dpc = sub.add_parser(
+        "dp-cycle",
+        help="solve a simple cycle by DP; prints the first (fully paid) "
+        "node, the cost and an optimal activation order",
+    )
     dpc.add_argument("path")
     dpc.add_argument("--b", type=int, default=None)
 
@@ -191,11 +196,11 @@ def cmd_dp_cycle(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        plan = special.dp_cycle(inst, args.b)
+        cost, order = special.dp_cycle(inst, args.b)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"start {plan.start} direction {plan.direction} cost {plan.cost}")
+    print(f"start {order[0]} cost {cost} order {' '.join(map(str, order))}")
     return EXIT_OK
 
 

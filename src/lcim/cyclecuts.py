@@ -143,7 +143,10 @@ def find_violated_cycles_fractional(instance, point):
     rows, so a shortest-path search from each arc's head back to its tail
     closes the cheapest cycle through that arc.  Two-cycles are skipped
     (already covered by the edge-coupling rows); results are canonicalized
-    and deduplicated, up to CYCLE_CAP cycles.
+    and deduplicated, up to CYCLE_CAP cycles.  Among shortest paths the
+    search keeps a fixed one: equal distances pop by node id and a
+    predecessor changes only on a strictly shorter path, and this choice
+    decides which cycles, and so which cuts, come back.
     """
     arcs = {}
     adj = {}

@@ -113,7 +113,7 @@ class Instance:
     arcs: tuple  # (((i, j), d_ij), ...) sorted
     h: tuple  # h[i-1] is the threshold of node i
     b: int
-    _views: tuple = field(default=None, repr=False, compare=False)
+    _views: tuple = field(init=False, repr=False, compare=False)
     ycol: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

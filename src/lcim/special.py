@@ -1,14 +1,16 @@
 """Polynomial special cases.
 
-Two structures admit fast exact algorithms: LCIM on a simple cycle falls to
+Two structures admit fast exact algorithms.  LCIM on a simple cycle falls to
 an O(n*b) dynamic program over node activity and edge orientation states,
-and on trees with equal incoming influence per node (and full coverage
-b = n) the linear relaxation augmented with per-node hull rows has integral
-vertices, so a single LP solve is exact.
+one sweep per state of the closing edge, which answers with a cost and an
+optimal activation order.  On trees with equal incoming influence per node
+(and full coverage b = n) the linear relaxation augmented with per-node hull
+rows has integral vertices, so a single LP solve is exact.
 """
 
 from __future__ import annotations
 
+import graphlib
 import math
 from dataclasses import dataclass
 
@@ -17,7 +19,6 @@ from .knapcuts import Inequality, NodeCut
 from .lp import LPModel
 
 __all__ = [
-    "CyclePlan",
     "HullCoeffs",
     "dp_cycle",
     "cycle_order",
@@ -25,17 +26,6 @@ __all__ = [
     "build_tree_equal_model",
     "build_uc_equal_cut",
 ]
-
-
-@dataclass(frozen=True)
-class CyclePlan:
-    """An optimal activation on a cycle: a fully paid seed node, the
-    direction of propagation, coverage b, and total incentive cost."""
-
-    start: int
-    direction: str  # "forward" | "backward" | "mixed"
-    b: int
-    cost: int
 
 
 @dataclass(frozen=True)
@@ -91,132 +81,72 @@ def cycle_order(instance):
 def dp_cycle(instance, b=None):
     """Exact minimum-cost activation of b nodes on a simple cycle.
 
-    A solution picks an active node set and an acyclic orientation of the
-    edges among active nodes; each node pays its threshold minus incoming
-    influence.  The DP sweeps the cycle once per boundary condition (state
-    of the first node, first edge and closing edge), tracking the previous
-    edge's orientation, the running active count and whether every edge so
-    far shares the first edge's orientation (to exclude the two full
-    rotations, the only possible directed cycles).  O(n*b) with a
-    constant-size state.
+    Returns (cost, order) like `oracle.brute_force_optimum`: an optimal
+    activation order of at least b distinct nodes.  A solution picks the
+    active nodes and an acyclic orientation of the edges among them; each
+    active node pays its threshold minus the influence over its incoming
+    edges.  Edge e_k joins order[k] and order[k+1]; e_{n-1} closes the cycle.
+    One sweep per state of e_{n-1} (unused, forward, backward) carries,
+    after node k, the state of e_k, the active count capped at b and
+    whether every edge so far equals e_{n-1}; node k's activity is chosen in
+    its step.  The only directed cycles are the two full rotations, the
+    final states of a used e_{n-1} whose flag is still set.  O(n*b).
     """
     if b is None:
         b = instance.b
     order = cycle_order(instance)
     n = len(order)
-    if not (1 <= b <= instance.n):
+    if not (1 <= b <= n):
         raise ValueError(f"b={b} outside [1, n]")
+    if not instance.is_preprocessed():
+        raise ValueError(
+            "influence weight exceeds threshold; preprocess the instance first"
+        )
+
+    U, F, B = 0, 1, 2  # edge e_k: unused / order[k] -> order[k+1] / backward
     h = [instance.threshold(v) for v in order]
-    for k in range(n):
-        if h[k] - instance.weight(order[k - 1], order[k]) < 0:
-            raise ValueError(
-                "influence weight exceeds threshold; preprocess the instance first"
-            )
+    d_left = [instance.weight(order[k - 1], order[k]) for k in range(n)]
+    d_right = [instance.weight(order[(k + 1) % n], order[k]) for k in range(n)]
 
-    U, F, B = 0, 1, 2  # edge e_k between order[k], order[k+1]: unused / fwd / bwd
-    d = instance.weight
-
-    def node_cost(k, left, right, active):
-        """Cost of order[k] given the states of its adjacent edges."""
-        if not active:
-            return 0
-        incoming = 0
-        if left == F:
-            incoming += d(order[k - 1], order[k])
-        if right == B:
-            incoming += d(order[(k + 1) % n], order[k])
-        return max(0, h[k] - incoming)
-
-    best = None  # (cost, actives list, edge states list)
-    for a0 in (0, 1):
-        for s0 in (U, F, B):
-            if s0 != U and not a0:
-                continue
-            for s_last in (U, F, B):
-                if s_last != U and not a0:
-                    continue
-                # layers[k]: state after node k -> (cost, prev state, (a, s))
-                # state = (a_k, s_{e_k}, min(count, b), all edges so far == s0)
-                start = (a0, s0, min(a0, b), s0 != U)
-                layers = [{start: (0, None, None)}]
-                for k in range(n - 2):
-                    nxt = {}
-                    for (a, s, cnt, same), (cost, _, _) in layers[k].items():
-                        for a2 in (0, 1):
-                            if s != U and not a2:
-                                continue
-                            for s2 in (U, F, B):
-                                if s2 != U and not a2:
-                                    continue
-                                add = node_cost(k + 1, s, s2, a2)
-                                key = (a2, s2, min(cnt + a2, b), same and s2 == s0)
-                                cand = cost + add
-                                if key not in nxt or cand < nxt[key][0]:
-                                    nxt[key] = (cand, (a, s, cnt, same), (a2, s2))
-                    layers.append(nxt)
-                for state, (cost, _, _) in layers[-1].items():
-                    a, s, cnt, same = state
-                    for a_last in (0, 1):
-                        if (s != U or s_last != U) and not a_last:
+    best = None  # (cost, closing state, layers)
+    for last in (U, F, B):
+        # layers[k + 1]: state after node k -> (cost, previous state, active);
+        # the state before node 0 holds e_{n-1} as its left edge
+        layers = [{(last, 0, last != U): (0, None, None)}]
+        for k in range(n):
+            layer = {}
+            for state, (cost, _, _) in layers[k].items():
+                left, count, same = state
+                for right in (U, F, B) if k < n - 1 else (last,):
+                    for active in (0, 1):
+                        if not active and (left != U or right != U):
                             continue
-                        if same and s_last == s0 and s0 != U:
-                            continue  # full rotation: directed cycle
-                        if min(cnt + a_last, b) < b:
-                            continue
-                        total = cost
-                        total += node_cost(n - 1, s, s_last, a_last)
-                        total += node_cost(0, s_last, s0, a0)
-                        if best is None or total < best[0]:
-                            actives, edges = _unwind(layers, state)
-                            actives = [a0] + actives + [a_last]
-                            edges = [s0] + edges + [s_last]
-                            best = (total, actives, edges)
-    cost, actives, edges = best
-    return _plan_from_solution(instance, order, b, cost, actives, edges)
+                        pay = 0
+                        if active:
+                            pay = max(0, h[k] - (d_left[k] if left == F else 0)
+                                      - (d_right[k] if right == B else 0))
+                        key = (right, min(count + active, b), same and right == last)
+                        if key not in layer or cost + pay < layer[key][0]:
+                            layer[key] = (cost + pay, state, active)
+            layers.append(layer)
+        cost = layers[n][last, b, False][0]
+        if best is None or cost < best[0]:
+            best = (cost, last, layers)
 
-
-def _unwind(layers, state):
-    """Recover the (a_k, s_k) decisions for nodes 1..n-2 ending in `state`."""
-    decisions = []
-    for layer in reversed(layers[1:]):
-        cost, prev, dec = layer[state]
-        decisions.append(dec)
+    cost, last, layers = best
+    preds = {}  # active node -> nodes that influence it
+    state = (last, b, False)
+    for k in range(n - 1, -1, -1):
+        _, prev, active = layers[k + 1][state]
+        v, w = order[k], order[(k + 1) % n]
+        if active:
+            preds.setdefault(v, [])
+        if state[0] == F:
+            preds.setdefault(w, []).append(v)
+        elif state[0] == B:
+            preds[v].append(w)
         state = prev
-    decisions.reverse()
-    return [a for a, _ in decisions], [s for _, s in decisions]
-
-
-def _plan_from_solution(instance, order, b, cost, actives, edges):
-    """Summarize a DP solution: a fully paid seed node and the sweep shape.
-
-    Direction is "forward"/"backward" when every used edge shares one
-    rotational orientation (a one-way sweep) and "mixed" otherwise.
-    """
-    n = len(order)
-    U, F, B = 0, 1, 2
-    seed = None
-    for k in range(n):
-        if not actives[k]:
-            continue
-        fed = (edges[k - 1] == F) or (edges[k] == B)
-        if not fed:
-            seed = order[k]
-            break
-    used = {s for s in edges if s != U}
-    if used == {F}:
-        direction = "forward"
-    elif used == {B}:
-        direction = "backward"
-    elif not used:
-        direction = "forward"
-    else:
-        direction = "mixed"
-    return CyclePlan(
-        start=seed if seed is not None else order[0],
-        direction=direction,
-        b=b,
-        cost=cost,
-    )
+    return cost, tuple(graphlib.TopologicalSorter(preds).static_order())
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from hypothesis import settings
 
 from lcim.demo import random_instance  # noqa: F401  (shared with `lcim verify`)
 from lcim.instance import make_instance, preprocess
+from lcim.oracle import activation_cost, brute_force_optimum
 
 # every run draws the same examples, so a property's duration and verdict
 # do not change between runs; each test keeps its own max_examples
@@ -27,6 +28,19 @@ def random_cycle_instance(rng, n_min=3, n_max=8, b=None):
     if b is None:
         b = int(rng.integers(1, n + 1))
     return preprocess(make_instance(n, arcs, thresholds, b))
+
+
+def check_cycle_answer(instance, b, answer):
+    """Check a `dp_cycle` answer (cost, order) independently: distinct nodes
+    of 1..n, at least b of them, an activation cost equal to the reported
+    cost, and that cost equal to the oracle optimum.  Returns the cost."""
+    cost, order = answer
+    assert len(set(order)) == len(order) >= b, (instance, b, order)
+    assert all(1 <= v <= instance.n for v in order), (instance, order)
+    assert activation_cost(instance, order) == cost, (instance, b, order, cost)
+    opt, _ = brute_force_optimum(instance.with_b(b))
+    assert cost == opt, (instance, b, cost, opt)
+    return cost
 
 
 def random_equal_tree(rng, n_min=2, n_max=12):

@@ -28,6 +28,7 @@ from lcim.special import build_tree_equal_model, dp_cycle
 from test_knapcuts import brute_force_mis_violation
 
 from conftest import (
+    check_cycle_answer,
     random_cycle_instance,
     random_equal_tree,
     random_fractional_point,
@@ -209,9 +210,7 @@ class TestAcceptance:
         while cycles < 200:
             inst = random_cycle_instance(rng, n_min=3, n_max=8)
             for b in range(1, inst.n + 1):
-                plan = dp_cycle(inst, b=b)
-                opt, _ = oracle.brute_force_optimum(inst.with_b(b))
-                assert plan.cost == opt, (inst, b)
+                check_cycle_answer(inst, b, dp_cycle(inst, b=b))
             cycles += 1
         elapsed = time.monotonic() - t0
         assert elapsed < 60.0

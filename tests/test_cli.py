@@ -7,7 +7,8 @@ import pytest
 from lcim import demo
 from lcim.bnc import TSV_HEADER
 from lcim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from lcim.instance import make_instance, save
+from lcim.instance import load, make_instance, preprocess, save
+from lcim.oracle import activation_cost
 
 
 @pytest.fixture
@@ -180,6 +181,29 @@ class TestDpCycle:
         code = main(["dp-cycle", ring_path, "--b", "3"])
         assert code == EXIT_OK
         assert "cost" in capsys.readouterr().out
+
+    def test_order_on_five_node_ring(self, tmp_path, capsys):
+        arcs = {}
+        for i, (fwd, bwd) in enumerate([(3, 2), (1, 4), (5, 5), (2, 1), (4, 3)], 1):
+            j = i % 5 + 1
+            arcs[(i, j)], arcs[(j, i)] = fwd, bwd
+        inst = make_instance(5, arcs, {1: 4, 2: 6, 3: 3, 4: 5, 5: 4}, b=4)
+        path = tmp_path / "ring5.lcim"
+        save(inst, path)
+        code = main(["dp-cycle", str(path)])
+        assert code == EXIT_OK
+        fields = capsys.readouterr().out.split()
+        assert fields[0::2][:3] == ["start", "cost", "order"]
+        start, cost = int(fields[1]), int(fields[3])
+        order = [int(v) for v in fields[5:]]
+        assert start == order[0]
+        assert len(set(order)) == len(order) >= 4
+        assert activation_cost(preprocess(load(str(path))), order) == cost
+
+    def test_b_zero_is_usage_error(self, ring_path, capsys):
+        code = main(["dp-cycle", ring_path, "--b", "0"])
+        assert code == EXIT_USAGE
+        assert "outside" in capsys.readouterr().err
 
     def test_non_cycle(self, tree_path, capsys):
         code = main(["dp-cycle", tree_path])

@@ -70,6 +70,10 @@ class TestInstanceModel:
             with pytest.raises(KeyError):
                 inst.neighbors(i)
 
+    def test_views_not_an_init_argument(self):
+        with pytest.raises(TypeError):
+            Instance(n=2, arcs=tiny().arcs, h=(5, 2), b=1, _views=("junk",))
+
     def test_with_b(self):
         inst = tiny().with_b(2)
         assert inst.b == 2

@@ -15,7 +15,7 @@ from lcim.special import (
     hull_coefficients,
 )
 
-from conftest import random_cycle_instance, random_equal_tree
+from conftest import check_cycle_answer, random_cycle_instance, random_equal_tree
 
 
 def ring(h_list, d=3, b=None):
@@ -52,20 +52,17 @@ class TestDpCycle:
     def test_single_seed(self):
         # three nodes, h=5 each, d=3: activate one node, sweep both ways
         inst = ring([5, 5, 5], d=3, b=1)
-        plan = dp_cycle(inst)
-        assert plan.cost == 5
-        assert plan.b == 1
+        assert check_cycle_answer(inst, 1, dp_cycle(inst)) == 5
 
     def test_full_coverage(self):
         inst = ring([5, 5, 5], d=3, b=3)
-        plan = dp_cycle(inst)
-        opt, _ = brute_force_optimum(inst)
-        assert plan.cost == opt
+        check_cycle_answer(inst, 3, dp_cycle(inst))
 
     def test_b_override(self):
         inst = ring([5, 5, 5, 5], d=2, b=4)
-        assert dp_cycle(inst, b=1).cost == 5
-        assert dp_cycle(inst, b=4).cost == dp_cycle(inst).cost
+        assert check_cycle_answer(inst, 1, dp_cycle(inst, b=1)) == 5
+        assert dp_cycle(inst, b=4) == dp_cycle(inst)
+        check_cycle_answer(inst, 4, dp_cycle(inst))
 
     def test_rejects_unpreprocessed(self):
         inst = make_instance(
@@ -77,15 +74,21 @@ class TestDpCycle:
         with pytest.raises(ValueError, match="preprocess"):
             dp_cycle(inst)
 
+    def test_rejects_unpreprocessed_on_every_arc(self):
+        # unit weights, thresholds 5: one arc of weight 9 on either side of
+        # a node exceeds its threshold, wherever it lies on the walk
+        arcs = {(1, 2): 1, (2, 1): 1, (2, 3): 1, (3, 2): 1, (3, 1): 1, (1, 3): 1}
+        for arc in arcs:
+            inst = make_instance(3, {**arcs, arc: 9}, {1: 5, 2: 5, 3: 5}, b=3)
+            with pytest.raises(ValueError, match="preprocess"):
+                dp_cycle(inst)
+
     def test_matches_oracle(self):
         rng = np.random.default_rng(61)
         for _ in range(40):
             inst = random_cycle_instance(rng, n_max=7)
             for b in range(1, inst.n + 1):
-                plan = dp_cycle(inst, b=b)
-                opt, _ = brute_force_optimum(inst.with_b(b))
-                assert plan.cost == opt, (inst, b)
-                assert plan.direction in ("forward", "backward", "mixed")
+                check_cycle_answer(inst, b, dp_cycle(inst, b=b))
 
 
 class TestHullCoefficients:
