@@ -9,9 +9,9 @@ carries the required activation count b.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
@@ -226,6 +226,50 @@ def preprocess(instance):
     return Instance(n=instance.n, arcs=new_arcs, h=instance.h, b=instance.b)
 
 
+class _NumpyBits(random.Random):
+    """Python's `random` algorithms (choice and the rest) drawing their bits
+    from a numpy Generator, as networkx's PythonRandomViaNumpyBits does."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def random(self):
+        return self._rng.random()
+
+    def getrandbits(self, k):
+        nbytes = (k + 7) // 8
+        return int.from_bytes(self._rng.bytes(nbytes), "big") >> (nbytes * 8 - k)
+
+
+def _watts_strogatz_edges(n, k, p, rng):
+    """Sorted edges (u, w), u < w, of networkx's ``watts_strogatz_graph(n, k,
+    p, seed=rng)`` on nodes 0..n-1, with the same draws from rng: a ring
+    lattice joining each node to its k // 2 nearest neighbours on each side,
+    whose edges (u, u + j) are visited by j, then by u, and each rewired with
+    probability p to a uniform new end w that is neither u nor a neighbour
+    of u (kept when u already has n - 1 neighbours)."""
+    draw = _NumpyBits(rng)
+    nodes = list(range(n))
+    adj = [set() for _ in nodes]
+    lattice = [(u, (u + j) % n) for j in range(1, k // 2 + 1) for u in nodes]
+    for u, v in lattice:
+        adj[u].add(v)
+        adj[v].add(u)
+    for u, v in lattice:
+        if draw.random() < p:
+            w = draw.choice(nodes)
+            while w == u or w in adj[u]:
+                w = draw.choice(nodes)
+                if len(adj[u]) >= n - 1:
+                    break
+            else:
+                adj[u].remove(v)
+                adj[v].remove(u)
+                adj[u].add(w)
+                adj[w].add(u)
+    return sorted((u, w) for u in nodes for w in adj[u] if u < w)
+
+
 def generate_small_world(n, v, q, a, seed):
     """Generate a Watts-Strogatz LCIM instance.
 
@@ -235,6 +279,10 @@ def generate_small_world(n, v, q, a, seed):
     0.7 * (incoming weight sum) and variance (incoming weight sum)/degree.
     b = ceil(a * n).  The result is already preprocessed and is a pure
     function of the seed.
+
+    The graph is networkx's ``watts_strogatz_graph(n, v, q, seed=rng)`` bit
+    for bit, drawn from the same numpy Generator rng; a test checks the
+    edges and the Generator's next draw against networkx.
     """
     if n < 4:
         raise ValueError("n must be at least 4")
@@ -246,20 +294,21 @@ def generate_small_world(n, v, q, a, seed):
         raise ValueError("penetration rate a must lie in (0, 1]")
 
     rng = np.random.default_rng(seed)
-    g = nx.watts_strogatz_graph(n, v, q, seed=rng)
-
     arc_weights = {}
-    for u, w in sorted(g.edges()):
-        # networkx nodes are 0-based
+    for u, w in _watts_strogatz_edges(n, v, q, rng):
         i, j = u + 1, w + 1
         arc_weights[(i, j)] = int(rng.integers(1, 11))
         arc_weights[(j, i)] = int(rng.integers(1, 11))
 
+    degree = [0] * (n + 1)
+    weight_sum = [0] * (n + 1)
+    for (_, j), w in arc_weights.items():
+        degree[j] += 1
+        weight_sum[j] += w
+
     thresholds = {}
     for node in range(1, n + 1):
-        incoming = [w for (i, j), w in arc_weights.items() if j == node]
-        vi = len(incoming)
-        delta = sum(incoming)
+        vi, delta = degree[node], weight_sum[node]
         if vi == 0:
             raise ValueError(f"generated graph left node {node} isolated")
         upsilon = rng.normal(0.7 * delta, math.sqrt(delta / vi))

@@ -4,7 +4,11 @@ All relaxations in this package (branch-and-bound nodes, branching probes,
 root cut loops, tree-hull integrality checks) go through
 `LPModel`/`solve_lp`.  Each model owns one HiGHS instance, reached through
 the bindings bundled with scipy (`scipy.optimize._highspy._core`, a private
-module shipped since scipy 1.15); this is the only module that touches it.
+extension module shipped since scipy 1.15); this is the only module that
+touches it.  The extension is loaded from its file and registered under its
+own name, without running the `scipy.optimize` package (linprog, linalg and
+the rest, which no solve uses, take most of scipy's start-up); a later
+``import scipy.optimize`` finds and shares the same module.
 The handle holds the model itself: a solve passes it only the columns and
 rows added since the last one, sets every column bound, and runs HiGHS's
 dual simplex, with the options of scipy's ``linprog(method="highs-ds")``,
@@ -17,18 +21,49 @@ tests/test_lp.py keeps ``linprog`` as the oracle.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import NamedTuple
 
 import numpy as np
 
-try:
-    import scipy.optimize._highspy._core as _h
-except ImportError as exc:
-    raise ImportError(
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """The module `_CORE`: the one in sys.modules if it is there, else
+    loaded from scipy's ``optimize/_highspy`` folder and registered.  A None
+    entry in sys.modules (an import blocked on purpose), or no scipy or no
+    extension file, raises ImportError naming the scipy requirement."""
+    if _CORE in sys.modules:
+        module = sys.modules[_CORE]
+        if module is None:
+            raise _needs_scipy(f"{_CORE} is None in sys.modules")
+        return module
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise _needs_scipy("scipy is not installed")
+    folder = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
+    spec = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(_CORE)
+    if spec is None or spec.loader is None:
+        raise _needs_scipy(f"no extension module _core in {folder}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_CORE] = module
+    return module
+
+
+def _needs_scipy(reason):
+    return ImportError(
         "lcim needs scipy >= 1.15: it solves LPs through the HiGHS bindings "
-        "that scipy bundles as scipy.optimize._highspy._core"
-    ) from exc
+        f"that scipy bundles as {_CORE} ({reason})"
+    )
+
+
+_h = _load_highs()
 
 __all__ = ["LPModel", "LPSolution", "solve_lp"]
 

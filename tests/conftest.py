@@ -1,8 +1,15 @@
-"""Shared helpers for the test suite: random instance factories."""
+"""Shared helpers for the test suite: random instance factories and a fresh
+interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import settings
 
+import lcim
 from lcim.demo import random_instance  # noqa: F401  (shared with `lcim verify`)
 from lcim.instance import make_instance, preprocess
 from lcim.oracle import activation_cost, brute_force_optimum
@@ -11,6 +18,16 @@ from lcim.oracle import activation_cost, brute_force_optimum
 # do not change between runs; each test keeps its own max_examples
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
+
+
+def run_python(code, *path):
+    """Run `code` in a fresh interpreter that finds lcim, after the folders
+    `path`; returns the finished process, its output captured as text."""
+    src = str(Path(lcim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*map(str, path), src]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def random_cycle_instance(rng, n_min=3, n_max=8, b=None):

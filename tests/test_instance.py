@@ -1,5 +1,6 @@
 """Instance model, preprocessing, generator, and file I/O."""
 
+import hashlib
 import os
 import tempfile
 import warnings
@@ -14,6 +15,7 @@ from lcim.instance import (
     Instance,
     NodeView,
     ParseError,
+    _watts_strogatz_edges,
     generate_small_world,
     load,
     loads,
@@ -172,6 +174,47 @@ class TestGenerator:
             generate_small_world(10, 4, 0.1, 0.0, seed=0)
         with pytest.raises(ValueError):
             generate_small_world(3, 2, 0.1, 0.5, seed=0)
+
+    # sha256 of the `save` output of the benchmark's instances, computed with
+    # networkx's generator: the desk-cb points (n=50, seed 42) and the
+    # small-oracle graphs (n=8, seeds 42 and 44)
+    FINGERPRINTS = {
+        (50, 0.1, 0.1, 42): "36e41e1514e7022424c1a553070d2c10031026d58a6671ab54416e734abc7399",
+        (50, 0.1, 0.25, 42): "f8979777a90d9e2ea93f27538a8f9afc4ad907fb7d7c3686a34aa0d72ae228dc",
+        (50, 0.3, 0.1, 42): "caa453adad6f0af36ad4baa11f275ba69d820060b296963f6aceb17a40a6bbef",
+        (8, 0.1, 0.5, 42): "9e68f85008ca002327c739bb5ebeabee28aff89e971fe3fbd081b7374349022d",
+        (8, 0.1, 1.0, 42): "64517c6217ab4d469cc04acf2beb2adedcf3b240e94fa79fc13a70b1b9442983",
+        (8, 0.3, 0.5, 42): "3836117606a26793354578aec466588d2cbf5179bb2b9d97d5e107ef5628c948",
+        (8, 0.3, 1.0, 42): "db3b9cb3c13eca532a1a9fafdbfdfde5057d8e4c643b18f708165a11884097ea",
+        (8, 0.1, 0.5, 44): "54d695e7fddb756f50808dc497ab8a1fed211e1dc4dfc34115de344583b0a3ff",
+        (8, 0.1, 1.0, 44): "c97a88a8286a4d4ab0bf726a08f5ceb8b9d9d5dad5ac96667e413a054ccd89f7",
+        (8, 0.3, 0.5, 44): "e2603625fbfb6fac39c3b762511ae6f58e0141b5f9da4d28be684c1d0cffb1f8",
+        (8, 0.3, 1.0, 44): "379f0493c37fdbe40ca093a815f1d79f36a46361fd6a64c9df1c23975227e2a1",
+    }
+
+    @pytest.mark.parametrize("n, q, a, seed", sorted(FINGERPRINTS))
+    def test_fingerprint(self, tmp_path, n, q, a, seed):
+        path = tmp_path / "inst.lcim"
+        save(generate_small_world(n, 4, q, a, seed=seed), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.FINGERPRINTS[n, q, a, seed]
+
+    def test_rewiring_matches_networkx(self):
+        """The in-house rewiring gives networkx's Watts-Strogatz edges and
+        leaves the Generator where networkx leaves it, on every (n, v, q,
+        seed) of a 520-point grid; v = n - 1 hits the skipped rewiring of a
+        node joined to all others."""
+        import networkx as nx
+
+        for n in (4, 5, 7, 10, 23):
+            for v in range(0, n, 2):
+                for q in (0.0, 0.1, 0.5, 0.9, 1.0):
+                    for seed in range(4):
+                        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                        edges = _watts_strogatz_edges(n, v, q, ours)
+                        g = nx.watts_strogatz_graph(n, v, q, seed=theirs)
+                        assert edges == sorted(tuple(sorted(e)) for e in g.edges()), (n, v, q, seed)
+                        assert ours.random() == theirs.random(), (n, v, q, seed)
 
 
 class TestIO:

@@ -15,6 +15,8 @@ from lcim.instance import generate_small_world
 from lcim.knapcuts import CutPool
 from lcim.lp import LPModel, solve_lp
 
+from conftest import run_python
+
 
 def small_model():
     m = LPModel()
@@ -439,6 +441,17 @@ class TestPrivateApi:
         spec = importlib.util.spec_from_file_location("lp_probe", lp.__file__)
         with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
             spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+    def test_missing_extension_file_names_the_folder(self, tmp_path):
+        """A scipy without the HiGHS extension file fails `import lcim` with
+        the same requirement, naming the folder that was searched."""
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        done = run_python("import lcim", tmp_path)
+        assert done.returncode != 0
+        error = done.stderr.strip().splitlines()[-1]
+        assert error.startswith("ImportError: lcim needs scipy >= 1.15"), done.stderr
+        assert str(tmp_path / "scipy" / "optimize" / "_highspy") in error
 
     def test_highs_reached_only_from_lp(self):
         for path in Path(lp.__file__).parent.glob("*.py"):
