@@ -2,10 +2,14 @@
 
 Three formulation modes are supported:
 
-* ``def`` — the arc formulation with lazily separated cycle elimination
-  constraints at integral candidates;
-* ``cb``  — the same, preceded by a root cutting loop adding MIS, cover,
-  packing and (U,C) cuts until no violated cut remains;
+* ``def`` — the arc formulation with lazily separated cycle cuts: an
+  integral candidate whose y support holds a directed cycle gets the
+  cycle's GCEC and, when ``cyclecuts.cycle_cut_allowed``, its U = {} cycle
+  cut, and is solved again;
+* ``cb``  — the same, plus a root cutting loop adding MIS, cover and
+  packing cuts and, per violated cycle, a (U,C) cut or else a GCEC, until
+  no violated cut remains; each tree node then separates MIS cuts for up
+  to ``TREE_SEP_ROUNDS`` rounds before it branches;
 * ``ln``  — the layered-network formulation (only for b = n), where layer
   variables make cyclic influence infeasible outright.
 
@@ -484,9 +488,7 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
                 gcec = cyclecuts.build_gcec(instance, cycle, min(cycle.nodes))
                 new = _add_cut(model, pool, gcec)
                 if cyclecuts.cycle_cut_allowed(instance, cycle):
-                    empty = cyclecuts.build_uc_cut(
-                        instance, cyclecuts.make_uc_data(cycle, (), {}), {}
-                    )
+                    empty = cyclecuts.build_uc_cut(instance, cycle, (), {})
                     if _add_cut(model, pool, empty):
                         new = True
                 if not new:

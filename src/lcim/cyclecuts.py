@@ -3,11 +3,13 @@ the (U,C) inequalities coupling per-node base cuts around a directed cycle.
 
 For a cycle C and a node subset U of eligible cycle nodes, the (U,C)
 inequality scales each node's base inequality x_i + sum alpha_ji y_ji >=
-beta_i z_i by gamma_i = delta(U)/omega_i, where omega_i is the node's
-residual slack and delta(U) = lcm of the omegas.  The U = {} case is the
-plain cycle cut sum_{(k,l) in C} (z_l - y_kl) >= 1, which dominates every
-GCEC of the cycle; both are only valid when every feasible solution must
-activate at least one cycle node (b > n - |V(C)|), so emission is guarded.
+beta_i z_i by gamma_i = delta(U)/omega_i, where omega_i is the base
+inequality's residual slack on C and delta(U) = lcm of the omegas.  Both
+follow from C and the base cuts, so a (U,C) cut is a function of C, U and
+the base cuts alone.  The U = {} case is the plain cycle cut
+sum_{(k,l) in C} (z_l - y_kl) >= 1, which dominates every GCEC of the
+cycle; both are only valid when every feasible solution must activate at
+least one cycle node (b > n - |V(C)|), so emission is guarded.
 
 Separation is exact: the violation factorizes as delta(U) * (K + sum c_i),
 so a dynamic program over achievable lcm values (with exact rational
@@ -17,9 +19,10 @@ DAG of the prefix heuristic is kept as a diagnostic (`uc_dag_values`).
 Every routine takes the instance first, for its column layout, and reads
 the LP point, a list of values indexed by column; the cycle searches walk
 `instance.ycol`, the arcs with their y columns in arc order.  The (U,C)
-routines take `(instance, cycle, base_map, point)`, where base_map maps
-each cycle node to a node cut (`knapcuts.NodeCut`, the node's base
-inequality in (alpha, beta) form, holding its node view).
+routines take `(instance, cycle, base_map, ...)`, where base_map maps each
+cycle node to a node cut (`knapcuts.NodeCut`, the node's base inequality
+in (alpha, beta) form, holding its node view); `build_uc_cut` and
+`uc_violation` also take U, and read the omegas off those node cuts.
 """
 
 from __future__ import annotations
@@ -33,11 +36,9 @@ from .knapcuts import VIOLATION_TOL, Inequality
 
 __all__ = [
     "Cycle",
-    "UCData",
     "build_gcec",
     "find_violated_cycle_integer",
     "find_violated_cycles_fractional",
-    "make_uc_data",
     "build_uc_cut",
     "separate_uc",
     "uc_violation",
@@ -199,50 +200,31 @@ def find_violated_cycles_fractional(instance, point):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UCData:
-    cycle: Cycle
-    U: tuple  # sorted node subset
-    omega: tuple  # ((i, omega_i), ...) for i in U
-    delta: int
-
-    def __post_init__(self):
-        for i, w in self.omega:
-            if w < 1:
-                raise ValueError(f"node {i} has omega {w} < 1")
-            if self.delta % w != 0:
-                raise ValueError("delta is not a common multiple of the omegas")
-
-    def gamma(self, i):
-        for k, w in self.omega:
-            if k == i:
-                return self.delta // w
-        raise KeyError(i)
+def _uc_scaling(cycle, U, base_map):
+    """delta(U) = lcm of the omegas of U's base cuts (1 for U = {}) and
+    gamma_i = delta(U) / omega_i per member, in sorted U order."""
+    nodes = set(cycle.nodes)
+    omegas = {i: base_map[i].omega(nodes) for i in sorted(U)}
+    for i, w in omegas.items():
+        if w < 1:
+            raise ValueError(f"node {i} has omega {w} < 1")
+    delta = math.lcm(*omegas.values()) if omegas else 1
+    return delta, {i: delta // w for i, w in omegas.items()}
 
 
-def make_uc_data(cycle, U, omegas):
-    """Assemble UCData; delta(U) = lcm of the member omegas, 1 for U = {}."""
-    U = tuple(sorted(U))
-    om = tuple((i, omegas[i]) for i in U)
-    delta = math.lcm(*(w for _, w in om)) if U else 1
-    return UCData(cycle=cycle, U=U, omega=om, delta=delta)
-
-
-def build_uc_cut(instance, ucdata, base_map):
+def build_uc_cut(instance, cycle, U, base_map):
     """The (U,C) inequality
 
     sum_{i in U} gamma_i (x_i + sum_j alpha_ji y_ji - beta_i z_i)
         >= delta(U) (1 - sum_{(k,l) in C, l not in U} (z_l - y_kl)).
     """
-    cycle, delta = ucdata.cycle, ucdata.delta
-    inU = set(ucdata.U)
+    delta, gamma = _uc_scaling(cycle, U, base_map)
     coeffs = {}
-    for i in ucdata.U:
-        g = ucdata.gamma(i)
+    for i, g in gamma.items():
         for key, c in base_map[i].coeffs.items():  # x, y in view.d order, z
             coeffs[key] = coeffs.get(key, 0) + g * c
     for k, l in cycle.arcs:
-        if l in inU:
+        if l in gamma:
             continue
         key = instance.zcol(l)
         coeffs[key] = coeffs.get(key, 0) + delta
@@ -250,20 +232,19 @@ def build_uc_cut(instance, ucdata, base_map):
         coeffs[key] = coeffs.get(key, 0) - delta
     coeffs = {k: v for k, v in coeffs.items() if v != 0}
     return Inequality(coeffs=coeffs, rhs=float(delta), tag="uc",
-                      provenance=(cycle.arcs, ucdata.U))
+                      provenance=(cycle.arcs, tuple(gamma)))
 
 
-def uc_violation(instance, cycle, base_map, omegas, U, point):
+def uc_violation(instance, cycle, base_map, U, point):
     """Violation of the (U,C) inequality at a point, straight from Eq-form."""
-    U = set(U)
-    delta = math.lcm(*(omegas[i] for i in U)) if U else 1
+    delta, gamma = _uc_scaling(cycle, U, base_map)
     outside = 0.0
     for k, l in cycle.arcs:
-        if l not in U:
+        if l not in gamma:
             outside += point[instance.zcol(l)] - point[instance.ycol[k, l]]
     val = delta * (1.0 - outside)
-    for i in U:
-        val -= (delta // omegas[i]) * base_map[i].theta(point)
+    for i, g in gamma.items():
+        val -= g * base_map[i].theta(point)
     return val
 
 
@@ -327,8 +308,7 @@ def separate_uc(instance, cycle, base_map, point):
     violation = float(best_viol)
     if violation <= VIOLATION_TOL:
         return None
-    ucdata = make_uc_data(cycle, best_U, omegas)
-    return best_U, build_uc_cut(instance, ucdata, base_map), violation
+    return best_U, build_uc_cut(instance, cycle, best_U, base_map), violation
 
 
 def uc_dag_values(instance, cycle, base_map, point):

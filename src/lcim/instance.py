@@ -286,8 +286,8 @@ def generate_small_world(n, v, q, a, seed):
     """
     if n < 4:
         raise ValueError("n must be at least 4")
-    if v % 2 != 0 or v >= n:
-        raise ValueError("mean degree v must be even and smaller than n")
+    if v % 2 != 0 or not 2 <= v < n:
+        raise ValueError("mean degree v must be even, at least 2 and smaller than n")
     if not (0.0 <= q <= 1.0):
         raise ValueError("rewiring probability q must lie in [0, 1]")
     if not (0.0 < a <= 1.0):

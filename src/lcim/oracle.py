@@ -273,10 +273,10 @@ def enumerate_uc_subsets(instance, cycle, base_map, point):
         raise ValueError("exhaustive scan limited to 12 cycle nodes")
     omegas = {i: base_map[i].omega(set(nodes)) for i in nodes}
     eligible = [i for i in nodes if omegas[i] >= 1]
-    best_U, best_viol = (), uc_violation(instance, cycle, base_map, omegas, (), point)
+    best_U, best_viol = (), uc_violation(instance, cycle, base_map, (), point)
     for mask in range(1, 1 << len(eligible)):
         U = tuple(i for k, i in enumerate(eligible) if mask >> k & 1)
-        viol = uc_violation(instance, cycle, base_map, omegas, U, point)
+        viol = uc_violation(instance, cycle, base_map, U, point)
         if viol > best_viol:
             best_U, best_viol = U, viol
     return best_U, best_viol

@@ -226,7 +226,7 @@ def build_tree_equal_model(instance, include_hull=True):
     return model
 
 
-def build_uc_equal_cut(ucdata, hull_map, instance):
+def build_uc_equal_cut(instance, cycle, U, hull_map):
     """(U,C) inequality specialized to equal influence and z == 1:
 
     sum_{i in U} gamma_i (x_i + alpha_i sum_j y_ji - beta_i)
@@ -237,13 +237,13 @@ def build_uc_equal_cut(ucdata, hull_map, instance):
     the right-hand side.
     """
     base_map = {}
-    for i in ucdata.U:
+    for i in U:
         view, hc = instance.node_view(i), hull_map[i]
         alpha = tuple((j, hc.alpha) for j in view.neighbors)
         base_map[i] = NodeCut(view, alpha, hc.beta, "base")
-    cut = build_uc_cut(instance, ucdata, base_map)
-    z = {instance.zcol(i) for i in ucdata.cycle.nodes}
+    cut = build_uc_cut(instance, cycle, U, base_map)
+    z = {instance.zcol(i) for i in cycle.nodes}
     coeffs = {k: c for k, c in cut.coeffs.items() if k not in z}
-    rhs = ucdata.delta - sum(c for k, c in cut.coeffs.items() if k in z)
-    return Inequality(coeffs=coeffs, rhs=float(rhs), tag="hull-eq",
+    rhs = cut.rhs - sum(c for k, c in cut.coeffs.items() if k in z)
+    return Inequality(coeffs=coeffs, rhs=rhs, tag="hull-eq",
                       provenance=cut.provenance)

@@ -87,6 +87,14 @@ class TestGenerate:
         ])
         assert code == EXIT_USAGE
 
+    def test_zero_degree(self, tmp_path, capsys):
+        code = main([
+            "generate", "--n", "10", "--v", "0", "--q", "0.1", "--a", "0.5",
+            "--outdir", str(tmp_path),
+        ])
+        assert code == EXIT_USAGE
+        assert "mean degree" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_demo_tsv(self, demo_path, capsys):

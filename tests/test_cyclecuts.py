@@ -1,5 +1,7 @@
 """GCEC and (U,C) cycle cuts: construction, separation, dominance."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,14 @@ from lcim.cyclecuts import (
     cycle_cut_allowed,
     find_violated_cycle_integer,
     find_violated_cycles_fractional,
-    make_uc_data,
     separate_uc,
     uc_dag_values,
     uc_violation,
 )
 from lcim.instance import make_instance
-from lcim.knapcuts import propagation_row
+from lcim.knapcuts import build_cover_cut, build_packing_cut, propagation_row
+
+from conftest import random_instance
 
 DEMO = demo.demo_instance()
 
@@ -190,20 +193,32 @@ class TestBaseIneq:
             assert cut.theta(point) == pytest.approx(-cut.violation(point))
 
 
-class TestUcCut:
-    def test_uc_data(self):
-        uc = make_uc_data(demo.demo_cycle(), (1, 2), {1: 3, 2: 2, 3: 2})
-        assert uc.delta == 6
-        assert uc.gamma(1) == 2 and uc.gamma(2) == 3
-        with pytest.raises(KeyError):
-            uc.gamma(3)
+def node_cuts(view):
+    """The node's propagation row and every cover and packing cut built on a
+    minimal set of its neighbors."""
+    cuts = [propagation_row(view)]
+    for size in range(1, view.degree + 1):
+        for S in combinations(view.neighbors, size):
+            for build in (build_cover_cut, build_packing_cut):
+                try:
+                    cuts.append(build(view, S))
+                except ValueError:
+                    pass  # S is not a minimal cover/packing of this node
+    return cuts
 
-    def test_uc_data_guards(self):
+
+class TestUcCut:
+    def test_omega_guard(self):
+        # node 3's propagation row has omega 0 on the triangle
+        cycle = demo.demo_cycle()
+        base_map = {3: propagation_row(DEMO.node_view(3))}
         with pytest.raises(ValueError, match="omega"):
-            make_uc_data(demo.demo_cycle(), (1,), {1: 0})
+            build_uc_cut(DEMO, cycle, (3,), base_map)
+        with pytest.raises(ValueError, match="omega"):
+            uc_violation(DEMO, cycle, base_map, (3,), demo.demo_lp_point())
 
     def test_empty_u_cut(self):
-        cut = build_uc_cut(DEMO, make_uc_data(demo.demo_cycle(), (), {}), {})
+        cut = build_uc_cut(DEMO, demo.demo_cycle(), (), {})
         # sum over cycle arcs of (z_l - y_kl) >= 1
         y, z = DEMO.ycol, DEMO.zcol
         assert cut.rhs == 1.0
@@ -213,11 +228,11 @@ class TestUcCut:
 
     def test_demo_u13_cut(self):
         inst = demo.demo_instance()
-        uc = make_uc_data(demo.demo_cycle(), (1, 3), {1: 3, 2: 2, 3: 2})
-        assert uc.delta == 6
-        cut = build_uc_cut(inst, uc, demo.demo_base_cuts(inst))
-        # gamma_1 = 2 scales node 1's packing cut, gamma_3 = 3 node 3's;
-        # the remaining cycle arc (1,2) contributes 6(z_2 - y_12)
+        cut = build_uc_cut(inst, demo.demo_cycle(), (3, 1), demo.demo_base_cuts(inst))
+        # omegas 3 and 2 give delta 6: gamma_1 = 2 scales node 1's packing
+        # cut, gamma_3 = 3 node 3's; the remaining cycle arc (1,2)
+        # contributes 6(z_2 - y_12)
+        assert cut.provenance == (demo.demo_cycle().arcs, (1, 3))
         assert cut.coeffs[inst.xcol(1)] == 2 and cut.coeffs[inst.xcol(3)] == 3
         assert cut.coeffs[inst.zcol(2)] == 6 and cut.coeffs[inst.ycol[1, 2]] == -6
         assert cut.rhs == 6.0
@@ -227,13 +242,42 @@ class TestUcCut:
         rng = np.random.default_rng(47)
         inst = demo.demo_instance()
         base_map = demo.demo_base_cuts(inst)
-        omegas = {1: 3, 2: 2, 3: 2}
         for _ in range(50):
             point = random_cycle_point(rng, demo.demo_cycle(), inst)
             for U in ((), (1,), (2,), (1, 3), (1, 2, 3)):
-                cut = build_uc_cut(inst, make_uc_data(demo.demo_cycle(), U, omegas), base_map)
-                direct = uc_violation(inst, demo.demo_cycle(), base_map, omegas, U, point)
+                cut = build_uc_cut(inst, demo.demo_cycle(), U, base_map)
+                direct = uc_violation(inst, demo.demo_cycle(), base_map, U, point)
                 assert cut.violation(point) == pytest.approx(direct, abs=1e-9)
+        # random instances, cycles found at random points, base cuts drawn
+        # from each node's propagation row, covers and packings
+        checked = 0
+        for _ in range(40):
+            inst = random_instance(rng, n_min=4, n_max=6, extra_edge_prob=0.5)
+            cuts = {i: node_cuts(inst.node_view(i)) for i in range(1, inst.n + 1)}
+            for _ in range(3):
+                point = [0.0] * inst.ncols
+                for i in range(1, inst.n + 1):
+                    view = inst.node_view(i)
+                    z = float(rng.uniform(0.05, 1.0))
+                    point[view.zcol] = z
+                    point[view.xcol] = float(rng.uniform(0.0, view.h * z))
+                    for k in view.ycols:
+                        point[k] = float(rng.uniform(0.5 * z, z))
+                for cycle in find_violated_cycles_fractional(inst, point):
+                    nodes = set(cycle.nodes)
+                    base_map = {
+                        i: cuts[i][rng.integers(len(cuts[i]))] for i in cycle.nodes
+                    }
+                    eligible = [i for i in cycle.nodes if base_map[i].omega(nodes) >= 1]
+                    for size in range(len(eligible) + 1):
+                        for U in combinations(eligible, size):
+                            cut = build_uc_cut(inst, cycle, U, base_map)
+                            direct = uc_violation(inst, cycle, base_map, U, point)
+                            assert cut.violation(point) == pytest.approx(
+                                direct, rel=1e-9, abs=1e-9
+                            ), (inst, cycle, U)
+                            checked += bool(U)
+        assert checked >= 500
 
 
 class TestSeparation:

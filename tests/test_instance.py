@@ -168,6 +168,9 @@ class TestGenerator:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             generate_small_world(10, 3, 0.1, 0.5, seed=0)  # odd degree
+        for v in (0, -2):
+            with pytest.raises(ValueError, match="mean degree"):
+                generate_small_world(10, v, 0.1, 0.5, seed=0)
         with pytest.raises(ValueError):
             generate_small_world(10, 4, 1.5, 0.5, seed=0)
         with pytest.raises(ValueError):

@@ -177,37 +177,27 @@ class TestTreeEqualModel:
 class TestUcEqualCut:
     def test_cut_tightens_no_integer_points(self):
         # a uniform ring with b = n: hull (U,C) cuts stay valid
-        from lcim.cyclecuts import Cycle, make_uc_data
+        from lcim.cyclecuts import Cycle
+        from lcim.oracle import enumerate_feasible_points
 
         inst = ring([3, 3, 3], d=2, b=3)
         hull = hull_coefficients(inst)
         cycle = Cycle(arcs=((1, 2), (2, 3), (3, 1)))
-        omegas = {
-            i: inst.threshold(i) - hull[i].beta
-            + sum(
-                hull[i].alpha - w for j, w in inst.node_view(i).d if j not in (1, 2, 3)
-            )
-            for i in (1, 2, 3)
-        }
-        eligible = [i for i in (1, 2, 3) if omegas[i] >= 1]
-        for U in ([], eligible[:1], eligible):
-            uc = make_uc_data(cycle, U, omegas)
-            cut = build_uc_equal_cut(uc, hull, inst)
+        # omega_i = h_i - beta_i = 1: every node is eligible
+        for U in ([], [1], [1, 2, 3]):
+            cut = build_uc_equal_cut(inst, cycle, U, hull)
             # validate against every feasible point with z == 1
-            from lcim.oracle import enumerate_feasible_points
-
             for point in enumerate_feasible_points(inst):
                 if all(point[inst.zcol(i)] == 1 for i in (1, 2, 3)):
                     assert cut.violation(point) <= 1e-9, (U, point)
 
     def test_coefficients(self):
-        from lcim.cyclecuts import Cycle, make_uc_data
+        from lcim.cyclecuts import Cycle
 
         inst = ring([3, 3, 3], d=2, b=3)
         hull = hull_coefficients(inst)  # sigma=2, g=1: alpha=1, beta=2
         cycle = Cycle(arcs=((1, 2), (2, 3), (3, 1)))
-        omega = {i: inst.threshold(i) - hull[i].beta for i in (1, 2, 3)}  # 1 each
-        cut = build_uc_equal_cut(make_uc_data(cycle, (1,), omega), hull, inst)
+        cut = build_uc_equal_cut(inst, cycle, (1,), hull)  # omega_1 = 3 - 2 = 1
         y = inst.ycol
         assert cut.coeffs[inst.xcol(1)] == 1
         assert cut.coeffs[y[2, 1]] == 1 and cut.coeffs[y[3, 1]] == 1
