@@ -277,11 +277,11 @@ def root_cut_loop(model, instance, params, pool, deadline=math.inf):
                 continue
             cut, _ = res
             added += _add_cut(model, pool, cut)
-            cover = knapcuts.cover_from_mis(view, cut.members)
+            cover = knapcuts.cover_from_mis(cut)
             if cover is not None:
                 if cover.violation(point) > VIOLATION_TOL:
                     added += _add_cut(model, pool, cover)
-                packing = knapcuts.packing_from_cover(view, cover, point)
+                packing = knapcuts.packing_from_cover(cover, point)
                 if packing is not None:
                     added += _add_cut(model, pool, packing)
 

@@ -266,44 +266,42 @@ def _suite_facets(failures):
 
 
 def _suite_trace(failures):
+    checks = 0
+
+    def check(ok, message):
+        nonlocal checks
+        checks += 1
+        if not ok:
+            failures.append(message)
+
     inst = demo.demo_instance()
     model = bnc.assemble(inst, "def")
     sol = solve_lp(model)
-    if abs(sol.objective - demo.DEMO_LP_OBJ) > 1e-4:
-        failures.append(
-            f"root LP: expected {demo.DEMO_LP_OBJ}, got {sol.objective:.6f}"
-        )
+    check(abs(sol.objective - demo.DEMO_LP_OBJ) <= 1e-4,
+          f"root LP: expected {demo.DEMO_LP_OBJ}, got {sol.objective:.6f}")
     point = demo.demo_lp_point()
     base_map = demo.demo_base_cuts(inst)
     cycle = demo.demo_cycle()
     res = cyclecuts.separate_uc(inst, cycle, base_map, point)
-    if res is None:
-        failures.append("separate_uc found no cut at the recorded point")
-    else:
+    check(res is not None, "separate_uc found no cut at the recorded point")
+    if res is not None:
         U, cut, violation = res
-        if U != demo.DEMO_UC_U:
-            failures.append(f"separation subset: expected {demo.DEMO_UC_U}, got {U}")
-        if abs(violation - demo.DEMO_UC_VIOLATION) > 1e-6:
-            failures.append(
-                f"violation: expected {demo.DEMO_UC_VIOLATION}, got {violation}"
-            )
+        check(U == demo.DEMO_UC_U,
+              f"separation subset: expected {demo.DEMO_UC_U}, got {U}")
+        check(abs(violation - demo.DEMO_UC_VIOLATION) <= 1e-6,
+              f"violation: expected {demo.DEMO_UC_VIOLATION}, got {violation}")
         model.add_constraint(cut.coeffs, ">=", cut.rhs)
         sol2 = solve_lp(model)
-        if abs(sol2.objective - demo.DEMO_POSTCUT_OBJ) > 1e-4:
-            failures.append(
-                f"post-cut LP: expected {demo.DEMO_POSTCUT_OBJ}, "
-                f"got {sol2.objective:.6f}"
-            )
+        check(abs(sol2.objective - demo.DEMO_POSTCUT_OBJ) <= 1e-4,
+              f"post-cut LP: expected {demo.DEMO_POSTCUT_OBJ}, got {sol2.objective:.6f}")
     f_direct, exits = cyclecuts.uc_dag_values(inst, cycle, base_map, point)
     dag = (f_direct, *exits)
-    if any(abs(a - b) > 1e-6 for a, b in zip(dag, demo.DEMO_DAG_VALUES)):
-        failures.append(
-            f"DAG values: expected {demo.DEMO_DAG_VALUES}, got {dag}"
-        )
+    check(all(abs(a - b) <= 1e-6 for a, b in zip(dag, demo.DEMO_DAG_VALUES)),
+          f"DAG values: expected {demo.DEMO_DAG_VALUES}, got {dag}")
     report = bnc.solve(inst, "def", SolveParams(time_limit=60))
-    if report.ub != demo.DEMO_OPTIMUM:
-        failures.append(f"optimum: expected {demo.DEMO_OPTIMUM}, got {report.ub}")
-    return 4
+    check(report.ub == demo.DEMO_OPTIMUM,
+          f"optimum: expected {demo.DEMO_OPTIMUM}, got {report.ub}")
+    return checks
 
 
 def _suite_oracle(failures):

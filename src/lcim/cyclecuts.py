@@ -11,9 +11,11 @@ sum_{(k,l) in C} (z_l - y_kl) >= 1, which dominates every GCEC of the
 cycle; both are only valid when every feasible solution must activate at
 least one cycle node (b > n - |V(C)|), so emission is guarded.
 
-Separation is exact: the violation factorizes as delta(U) * (K + sum c_i),
-so a dynamic program over achievable lcm values (with exact rational
-accumulation of the c_i) finds the true maximum.  The sorted-theta chain
+Separation is exact among the subsets U with delta(U) <= DELTA_CAP: the
+violation factorizes as delta(U) * (K + sum c_i), so a dynamic program over
+achievable lcm values (with exact rational accumulation of the c_i) finds
+the true maximum over them.  Subsets whose lcm exceeds DELTA_CAP are pruned
+(the brute-force `oracle.enumerate_uc_subsets` has no such cap).  The sorted-theta chain
 DAG of the prefix heuristic is kept as a diagnostic (`uc_dag_values`).
 
 Every routine takes the instance first, for its column layout, and reads
@@ -261,7 +263,8 @@ def _cycle_terms(instance, cycle, base_map, point):
 
 
 def separate_uc(instance, cycle, base_map, point):
-    """Exact (U,C) separation over one violated cycle.
+    """(U,C) separation over one violated cycle, exact among the subsets U
+    with delta(U) <= DELTA_CAP.
 
     base_map maps each cycle node to a node cut, its base inequality; the
     omegas come from the node views those cuts hold.  With w_i = z_i -

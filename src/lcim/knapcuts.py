@@ -6,9 +6,12 @@ Every node of an LCIM instance carries the mixed 0-1 set
     P = { (x, y, z) : x + sum_j d_j y_j >= h z, x >= 0, y, z binary },
 
 and the three families below are valid (often facet-defining) inequalities
-for conv(P), lifted through the piecewise-linear functions Phi and Psi.
-Separation is exact: MIS separation solves a small knapsack DP per residual
-value rather than relying on a greedy prefix scan.
+for conv(P); cover and packing cuts are lifted through the piecewise-linear
+functions Phi and Psi of one `LiftingSet`.  Separation is exact: MIS
+separation solves a small knapsack DP per residual value rather than
+relying on a greedy prefix scan, and each MIS cut found is turned into a
+cover cut (`cover_from_mis`) and that into a packing cut
+(`packing_from_cover`).
 
 Every node cut is a `NodeCut` in (alpha, beta) form,
 x_i + sum_j alpha_ji y_ji >= beta_i z_i, holding the node view it was built
@@ -29,8 +32,7 @@ from .instance import xvar, yvar, zvar  # noqa: F401  (re-exported)
 __all__ = [
     "Inequality",
     "NodeCut",
-    "CoverSet",
-    "PackingSet",
+    "LiftingSet",
     "CutPool",
     "make_cover_set",
     "make_packing_set",
@@ -122,9 +124,9 @@ class NodeCut(Inequality):
     def omega(self, cycle_nodes):
         """Residual slack h_i - beta_i + sum_{j outside the cycle} (alpha_ji - d_ji)."""
         w = self.view.h - self.beta
-        for j, a in self.alpha:
+        for (j, a), (_, d) in zip(self.alpha, self.view.d):
             if j not in cycle_nodes:
-                w += a - self.view.weight_of(j)
+                w += a - d
         return w
 
 
@@ -165,69 +167,50 @@ class CutPool:
 
 
 @dataclass(frozen=True)
-class CoverSet:
-    """Minimal continuous cover S with residual pi = h - sum_{N\\S} d > 0."""
+class LiftingSet:
+    """A minimal cover S or minimal packing L of a node with its lifting
+    data: the residual (pi = h - sum_{N\\S} d for a cover, lam = sum_L d - h
+    for a packing; positive, and at most every member's weight) and the
+    prefix sums of the member weights above it, heaviest first."""
 
-    node: int
     members: frozenset
-    pi: int
-    prefix: tuple  # prefix sums of S-weights > pi, sorted descending
-
-    @property
-    def r(self):
-        return len(self.prefix)
-
-
-@dataclass(frozen=True)
-class PackingSet:
-    """Minimal continuous packing L with residual lam = sum_L d - h > 0."""
-
-    node: int
-    members: frozenset
-    lam: int
+    residual: int
     prefix: tuple
 
-    @property
-    def r(self):
-        return len(self.prefix)
+
+def _subset(view, members, what):
+    """members as a frozenset and its weight sum; rejects non-neighbors."""
+    members = frozenset(members)
+    unknown = members - set(view.neighbors)
+    if unknown:
+        raise ValueError(f"{what} references non-neighbors {sorted(unknown)}")
+    return members, sum(w for j, w in view.d if j in members)
+
+
+def _lifting_set(view, members, residual, what, symbol):
+    """Check that the residual is positive and that no member can be dropped
+    while keeping it so (d_j >= residual for every member)."""
+    if residual <= 0:
+        raise ValueError(f"not a {what}: {symbol} = {residual} <= 0")
+    for j, w in view.d:
+        if j in members and w < residual:
+            raise ValueError(f"{what} not minimal: element {j} (d={w}) removable")
+    heavy = sorted((w for j, w in view.d if j in members and w > residual), reverse=True)
+    return LiftingSet(members, residual, tuple(accumulate(heavy)))
 
 
 def make_cover_set(view, S):
-    """Validate S as a minimal cover of the node and build its lifting data.
-
-    Minimality means no element can be dropped while keeping pi > 0, which
-    is equivalent to d_j >= pi for every j in S.
-    """
-    S = frozenset(S)
-    unknown = S - set(view.neighbors)
-    if unknown:
-        raise ValueError(f"cover references non-neighbors {sorted(unknown)}")
-    total = sum(view.weights)
-    inside = sum(w for j, w in view.d if j in S)
-    pi = view.h + inside - total
-    if pi <= 0:
-        raise ValueError(f"not a cover: pi = {pi} <= 0")
-    for j, w in view.d:
-        if j in S and w < pi:
-            raise ValueError(f"cover not minimal: element {j} (d={w}) removable")
-    heavy = sorted((w for j, w in view.d if j in S and w > pi), reverse=True)
-    return CoverSet(node=view.node, members=S, pi=pi, prefix=tuple(accumulate(heavy)))
+    """Validate S as a minimal cover of the node (pi > 0) and build its
+    lifting data."""
+    S, inside = _subset(view, S, "cover")
+    return _lifting_set(view, S, view.h + inside - sum(view.weights), "cover", "pi")
 
 
 def make_packing_set(view, L):
-    """Validate L as a minimal packing (lam > 0, d_j >= lam for j in L)."""
-    L = frozenset(L)
-    unknown = L - set(view.neighbors)
-    if unknown:
-        raise ValueError(f"packing references non-neighbors {sorted(unknown)}")
-    lam = sum(w for j, w in view.d if j in L) - view.h
-    if lam <= 0:
-        raise ValueError(f"not a packing: lam = {lam} <= 0")
-    for j, w in view.d:
-        if j in L and w < lam:
-            raise ValueError(f"packing not minimal: element {j} (d={w}) removable")
-    heavy = sorted((w for j, w in view.d if j in L and w > lam), reverse=True)
-    return PackingSet(node=view.node, members=L, lam=lam, prefix=tuple(accumulate(heavy)))
+    """Validate L as a minimal packing of the node (lam > 0) and build its
+    lifting data."""
+    L, inside = _subset(view, L, "packing")
+    return _lifting_set(view, L, inside - view.h, "packing", "lam")
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +226,8 @@ def phi(d, cover):
     """
     if d < 0:
         raise ValueError("negative influence weight")
-    pi, D, r = cover.pi, cover.prefix, cover.r
+    pi, D = cover.residual, cover.prefix
+    r = len(D)
     if r == 0:
         return 0
     for j in range(r):
@@ -263,7 +247,8 @@ def psi(d, packing):
     """
     if d < 0:
         raise ValueError("negative influence weight")
-    lam, D, r = packing.lam, packing.prefix, packing.r
+    lam, D = packing.residual, packing.prefix
+    r = len(D)
     if r == 0:
         return 0
     if d >= D[r - 1] - lam:
@@ -282,7 +267,7 @@ def psi(d, packing):
 def build_cover_cut(view, S):
     """Continuous cover inequality for a minimal cover S."""
     cover = make_cover_set(view, S)
-    pi = cover.pi
+    pi = cover.residual
     alpha, beta = [], pi
     for j, w in view.d:
         if j in cover.members:
@@ -297,7 +282,7 @@ def build_cover_cut(view, S):
 def build_packing_cut(view, L):
     """Continuous packing inequality for a minimal packing L."""
     packing = make_packing_set(view, L)
-    lam = packing.lam
+    lam = packing.residual
     alpha, beta = [], 0
     for j, w in view.d:
         if j in packing.members:
@@ -311,11 +296,8 @@ def build_packing_cut(view, L):
 def build_mis_cut(view, M):
     """Minimal influencing subset inequality x + sum_{j not in M} min(d_j, p) y_j >= p z,
     for a subset M with residual incentive p = h - sum_M d > 0."""
-    M = frozenset(M)
-    unknown = M - set(view.neighbors)
-    if unknown:
-        raise ValueError(f"subset references non-neighbors {sorted(unknown)}")
-    p = view.h - sum(w for j, w in view.d if j in M)
+    M, inside = _subset(view, M, "subset")
+    p = view.h - inside
     if p <= 0:
         raise ValueError(f"residual incentive p = {p} <= 0")
     alpha = tuple((j, 0 if j in M else min(w, p)) for j, w in view.d)
@@ -412,15 +394,15 @@ def _mis_tables(items, ys, h, s):
     return tables, total
 
 
-def cover_from_mis(view, M):
-    """Turn a minimal influencing subset into a cover: S = N \\ M, pi = p.
+def cover_from_mis(mis):
+    """Turn an MIS cut into a cover cut of its node: S = N \\ M, pi = p.
 
     The raw complement need not be minimal; elements with d_j < pi are
     peeled off (each removal lowers pi by d_j but keeps it positive) so the
     returned set always satisfies the cover constructor's preconditions.
     Returns the cover cut, or None when nothing is left of S.
     """
-    mis = build_mis_cut(view, M)
+    view = mis.view
     members = set(view.neighbors) - mis.members
     _shrink(view, members, mis.beta)
     if not members:
@@ -440,13 +422,15 @@ def _shrink(view, members, residual):
         residual -= view.weight_of(j)
 
 
-def packing_from_cover(view, cover, point):
+def packing_from_cover(cover, point):
     """Derive the most violated packing cut reachable from a cover cut.
 
     Every k in S whose transfer to the complement pushes the weight sum past
-    h yields a candidate packing L = (N \\ S) + {k}; the candidate is shrunk
-    to minimality and the most violated resulting cut is returned.
+    h yields a candidate packing L = (N \\ S) + {k} of the cover's node; the
+    candidate is shrunk to minimality and the most violated resulting cut is
+    returned.
     """
+    view = cover.view
     outside = set(view.neighbors) - cover.members
     base = sum(w for j, w in view.d if j in outside)
     best = None

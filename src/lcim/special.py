@@ -5,51 +5,26 @@ an O(n*b) dynamic program over node activity and edge orientation states,
 one sweep per state of the closing edge, which answers with a cost and an
 optimal activation order.  On trees with equal incoming influence per node
 (and full coverage b = n) the linear relaxation augmented with per-node hull
-rows has integral vertices, so a single LP solve is exact.
+rows has integral vertices, so a single LP solve is exact.  Each hull row is
+a node cut (`knapcuts.NodeCut`) of the node's single-node set; the tree LP
+and the hull (U,C) cuts use the node cuts with every z column fixed to 1.
 """
 
 from __future__ import annotations
 
 import graphlib
-import math
-from dataclasses import dataclass
 
 from .cyclecuts import build_uc_cut
-from .knapcuts import Inequality, NodeCut
+from .knapcuts import Inequality, NodeCut, propagation_row
 from .lp import LPModel
 
 __all__ = [
-    "HullCoeffs",
     "dp_cycle",
     "cycle_order",
-    "hull_coefficients",
+    "hull_cuts",
     "build_tree_equal_model",
     "build_uc_equal_cut",
 ]
-
-
-@dataclass(frozen=True)
-class HullCoeffs:
-    """Per-node hull data for equal incoming influence d: sigma = ceil(h/d)
-    activations-worth of influence are needed, g = h - (sigma-1) d is the
-    residual of the last one."""
-
-    node: int
-    d: int
-    sigma: int
-    g: int
-
-    def __post_init__(self):
-        if not (1 <= self.g <= self.d):
-            raise ValueError("residual g outside [1, d]")
-
-    @property
-    def alpha(self):
-        return min(self.g, self.d)
-
-    @property
-    def beta(self):
-        return self.g * self.sigma
 
 
 def cycle_order(instance):
@@ -168,36 +143,50 @@ def _is_tree(instance):
     return len(seen) == instance.n
 
 
-def hull_coefficients(instance):
-    """sigma_i = ceil(h_i/d_i) and g_i = h_i - (sigma_i - 1) d_i per node,
-    where d_i is the node's common incoming weight."""
-    out = {}
+def hull_cuts(instance):
+    """Each node's hull row x_i + g_i sum_j y_ji >= g_i sigma_i z_i as a
+    node cut (tag "base"), keyed by node.  The node's incoming weights must
+    all equal one d_i; sigma_i = ceil(h_i/d_i) activations-worth of influence
+    are needed and g_i = h_i - (sigma_i - 1) d_i, in [1, d_i], is the
+    residual of the last one."""
+    cuts = {}
     for i in range(1, instance.n + 1):
-        weights = set(instance.node_view(i).weights)
+        view = instance.node_view(i)
+        weights = set(view.weights)
         if len(weights) != 1:
             raise ValueError("unequal incoming influence weights")
         d = weights.pop()
-        sigma = math.ceil(instance.threshold(i) / d)
-        g = instance.threshold(i) - (sigma - 1) * d
-        out[i] = HullCoeffs(node=i, d=d, sigma=sigma, g=g)
-    return out
+        sigma = -(-view.h // d)
+        g = view.h - (sigma - 1) * d
+        cuts[i] = NodeCut(view, tuple((j, g) for j in view.neighbors), g * sigma, "base")
+    return cuts
+
+
+def _fix_z(instance, ineq):
+    """The inequality with every z column fixed to 1: the z terms leave the
+    coefficients and move into the right-hand side.  Returns (coeffs, rhs)."""
+    z = range(instance.zcol(1), instance.zcol(instance.n) + 1)
+    coeffs = {k: c for k, c in ineq.coeffs.items() if k not in z}
+    rhs = ineq.rhs - sum(c for k, c in ineq.coeffs.items() if k in z)
+    return coeffs, rhs
 
 
 def build_tree_equal_model(instance, include_hull=True):
     """LP over x >= 0 and edge orientations whose optimum is integral.
 
-    Requires a tree, equal incoming influence per node, and b = n.  Rows:
-    propagation x_i + d_i sum y_ji >= h_i, orientation y_ij + y_ji = 1 per
-    edge, and hull rows x_i + min(g_i, d_i) sum y_ji >= g_i sigma_i (omitted
-    where they coincide with the propagation row).  `include_hull=False`
-    drops the hull rows, which can leave fractional vertices.  The columns
-    are the x and y columns of the instance's layout; there is no z.
+    Requires a tree, equal incoming influence per node, and b = n.  Rows,
+    with z fixed to 1: propagation x_i + d_i sum y_ji >= h_i, orientation
+    y_ij + y_ji = 1 per edge, and hull rows x_i + g_i sum y_ji >= g_i sigma_i
+    (`hull_cuts`; omitted where they coincide with the propagation row).
+    `include_hull=False` drops the hull rows, which can leave fractional
+    vertices.  The columns are the x and y columns of the instance's layout;
+    there is no z.
     """
     if not _is_tree(instance):
         raise ValueError("instance graph is not a tree")
     if instance.b != instance.n:
         raise ValueError("complete linear description requires b = n")
-    hull = hull_coefficients(instance)
+    hull = hull_cuts(instance)
 
     n = instance.n
     names = instance.var_names
@@ -208,42 +197,28 @@ def build_tree_equal_model(instance, include_hull=True):
         model.add_var(name, lb=0.0, ub=1.0)
 
     for i in range(1, n + 1):
-        view = instance.node_view(i)
-        row = {view.xcol: 1.0}
-        for k in view.ycols:
-            row[k] = float(hull[i].d)
-        model.add_constraint(row, ">=", float(view.h))
-        if include_hull:
-            alpha, beta = hull[i].alpha, hull[i].beta
-            if (alpha, beta) != (hull[i].d, view.h):
-                hrow = {view.xcol: 1.0}
-                for k in view.ycols:
-                    hrow[k] = float(alpha)
-                model.add_constraint(hrow, ">=", float(beta))
+        rows = [propagation_row(hull[i].view)]
+        if include_hull and hull[i].coeffs != rows[0].coeffs:
+            rows.append(hull[i])
+        for row in rows:
+            coeffs, rhs = _fix_z(instance, row)
+            model.add_constraint(coeffs, ">=", rhs)
     ycol = instance.ycol
     for i, j in instance.edges():
         model.add_constraint({ycol[i, j]: 1.0, ycol[j, i]: 1.0}, "=", 1.0)
     return model
 
 
-def build_uc_equal_cut(instance, cycle, U, hull_map):
+def build_uc_equal_cut(instance, cycle, U, hull):
     """(U,C) inequality specialized to equal influence and z == 1:
 
-    sum_{i in U} gamma_i (x_i + alpha_i sum_j y_ji - beta_i)
-        >= delta(U) (1 - |V(C)| + |U| + sum_{(k,l) in C, l not in U} y_kl),
+    sum_{i in U} gamma_i (x_i + g_i sum_j y_ji - g_i sigma_i)
+        >= delta(U) (1 - |V(C)| + |U| + sum_{(k,l) in C, l not in U} y_kl):
 
-    with alpha_i = min(g_i, d_i) and beta_i = g_i sigma_i: the general (U,C)
-    cut over the hull rows as base inequalities, with z == 1 folded into
-    the right-hand side.
+    the general (U,C) cut over the hull rows `hull` (as `hull_cuts` returns
+    them) as base inequalities, with z == 1 folded into the right-hand side.
     """
-    base_map = {}
-    for i in U:
-        view, hc = instance.node_view(i), hull_map[i]
-        alpha = tuple((j, hc.alpha) for j in view.neighbors)
-        base_map[i] = NodeCut(view, alpha, hc.beta, "base")
-    cut = build_uc_cut(instance, cycle, U, base_map)
-    z = {instance.zcol(i) for i in cycle.nodes}
-    coeffs = {k: c for k, c in cut.coeffs.items() if k not in z}
-    rhs = cut.rhs - sum(c for k, c in cut.coeffs.items() if k in z)
+    cut = build_uc_cut(instance, cycle, U, hull)
+    coeffs, rhs = _fix_z(instance, cut)
     return Inequality(coeffs=coeffs, rhs=rhs, tag="hull-eq",
                       provenance=cut.provenance)

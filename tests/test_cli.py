@@ -6,7 +6,7 @@ import pytest
 
 from lcim import demo
 from lcim.bnc import TSV_HEADER
-from lcim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from lcim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from lcim.instance import load, make_instance, preprocess, save
 from lcim.oracle import activation_cost
 
@@ -229,6 +229,23 @@ class TestVerify:
         assert code == EXIT_OK
         for suite in ("tables", "facets", "trace", "oracle"):
             assert f"{suite}: ok" in out
+
+    def test_trace_failures_counted(self, capsys, monkeypatch):
+        # every recorded demo figure perturbed: each trace check fails once
+        monkeypatch.setattr(demo, "DEMO_LP_OBJ", demo.DEMO_LP_OBJ + 1)
+        monkeypatch.setattr(demo, "DEMO_POSTCUT_OBJ", demo.DEMO_POSTCUT_OBJ + 1)
+        monkeypatch.setattr(demo, "DEMO_OPTIMUM", demo.DEMO_OPTIMUM + 1)
+        monkeypatch.setattr(demo, "DEMO_UC_U", (2,))
+        monkeypatch.setattr(demo, "DEMO_UC_VIOLATION", demo.DEMO_UC_VIOLATION + 1)
+        monkeypatch.setattr(demo, "DEMO_DAG_VALUES", (0.0, 0.0, 0.0, 0.0))
+        code = main(["verify"])
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY
+        line = next(x for x in out.splitlines() if x.startswith("trace: FAIL "))
+        passed, checks = map(int, line.split()[2].split("/"))
+        assert 0 <= passed <= checks
+        assert checks - passed == 6
+        assert "tables: ok" in out and "oracle: ok" in out
 
 
 class TestUsage:

@@ -76,7 +76,7 @@ class TestInequality:
 class TestDefiningSets:
     def test_cover_set(self):
         cover = make_cover_set(VIEW, (2, 3, 4))
-        assert cover.pi == 1  # 8 + (6+5+4) - 22
+        assert cover.residual == 1  # pi = 8 + (6+5+4) - 22
         assert cover.prefix == (6, 11, 15)
 
     def test_cover_rejections(self):
@@ -89,7 +89,7 @@ class TestDefiningSets:
 
     def test_packing_set(self):
         packing = make_packing_set(VIEW, (1, 3))
-        assert packing.lam == 4
+        assert packing.residual == 4  # lam
         assert packing.prefix == (7, 12)
 
     def test_packing_rejections(self):
@@ -147,7 +147,8 @@ class TestLifting:
                         continue
                     vals = [psi(d, packing) for d in range(0, 40)]
                     assert all(a <= b for a, b in zip(vals, vals[1:]))
-                    cap = packing.prefix[-1] - packing.r * packing.lam if packing.r else 0
+                    D, lam = packing.prefix, packing.residual
+                    cap = D[-1] - len(D) * lam if D else 0
                     assert vals[-1] == cap
 
     def test_negative_argument_rejected(self):
@@ -227,9 +228,10 @@ class TestSeparation:
         assert separate_mis(VIEW, view_point(float(VIEW.h), 1.0)) is None
 
     def test_cover_from_mis(self):
-        cover = cover_from_mis(VIEW, (4,))
+        cover = cover_from_mis(build_mis_cut(VIEW, (4,)))
         assert cover.members == frozenset({1, 2, 3})
-        assert make_cover_set(VIEW, cover.members).pi == 4
+        assert cover.view is VIEW
+        assert make_cover_set(VIEW, cover.members).residual == 4
         assert cover.coeffs == demo.TABLE_COVER_PACKING[3]["coeffs"]
 
     def test_cover_from_mis_shrinks(self):
@@ -239,10 +241,10 @@ class TestSeparation:
             for size in range(0, view.degree):
                 for M in combinations(view.neighbors, size):
                     try:
-                        build_mis_cut(view, M)
+                        mis = build_mis_cut(view, M)
                     except ValueError:
                         continue
-                    cover = cover_from_mis(view, M)
+                    cover = cover_from_mis(mis)
                     if cover is not None:
                         # constructor acceptance is the minimality certificate
                         make_cover_set(view, cover.members)
@@ -250,7 +252,7 @@ class TestSeparation:
     def test_packing_from_cover(self):
         cover = build_cover_cut(VIEW, (2, 3, 4))
         # at z=1 with no influence bought, packing cuts are violated
-        cut = packing_from_cover(VIEW, cover, view_point(0.0, 1.0))
+        cut = packing_from_cover(cover, view_point(0.0, 1.0))
         if cut is not None:
             make_packing_set(VIEW, cut.members)
             assert cut.tag == "packing"

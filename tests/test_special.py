@@ -1,5 +1,7 @@
 """Polynomial special cases: cycle DP and the equal-influence tree hull."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from lcim.special import (
     build_uc_equal_cut,
     cycle_order,
     dp_cycle,
-    hull_coefficients,
+    hull_cuts,
 )
 
 from conftest import check_cycle_answer, random_cycle_instance, random_equal_tree
@@ -92,22 +94,27 @@ class TestDpCycle:
 
 
 class TestHullCoefficients:
+    """The hull row of node i is x_i + g_i sum_j y_ji >= g_i sigma_i z_i:
+    alpha_ji = g_i on every neighbor and beta_i = g_i sigma_i."""
+
     def test_values(self):
         # h=3, d=2: sigma=2, g=1
         inst = make_instance(
             2, {(1, 2): 2, (2, 1): 2}, {1: 3, 2: 3}, b=2
         )
-        hull = hull_coefficients(inst)
-        assert hull[1].sigma == 2 and hull[1].g == 1
-        assert hull[1].alpha == 1 and hull[1].beta == 2
+        hull = hull_cuts(inst)
+        assert hull[1].alpha == ((2, 1),) and hull[1].beta == 2
+        assert hull[1].tag == "base" and hull[1].view == inst.node_view(1)
+        assert hull[1].render(inst.var_names) == "x[1] + y[2,1] >= 2 z[1]"
 
     def test_exact_multiple(self):
+        # node 1: h=4, d=2, sigma=2, g=2; node 2: h=2, d=2, sigma=1, g=2
         inst = make_instance(
             2, {(1, 2): 2, (2, 1): 2}, {1: 4, 2: 2}, b=2
         )
-        hull = hull_coefficients(inst)
-        assert hull[1].sigma == 2 and hull[1].g == 2
-        assert hull[2].sigma == 1 and hull[2].g == 2
+        hull = hull_cuts(inst)
+        assert hull[1].alpha == ((2, 2),) and hull[1].beta == 4
+        assert hull[2].alpha == ((1, 2),) and hull[2].beta == 2
 
     def test_unequal_weights_rejected(self):
         inst = make_instance(
@@ -117,7 +124,7 @@ class TestHullCoefficients:
             b=3,
         )
         with pytest.raises(ValueError, match="unequal"):
-            hull_coefficients(inst)
+            hull_cuts(inst)
 
 
 class TestTreeEqualModel:
@@ -181,7 +188,7 @@ class TestUcEqualCut:
         from lcim.oracle import enumerate_feasible_points
 
         inst = ring([3, 3, 3], d=2, b=3)
-        hull = hull_coefficients(inst)
+        hull = hull_cuts(inst)
         cycle = Cycle(arcs=((1, 2), (2, 3), (3, 1)))
         # omega_i = h_i - beta_i = 1: every node is eligible
         for U in ([], [1], [1, 2, 3]):
@@ -195,7 +202,7 @@ class TestUcEqualCut:
         from lcim.cyclecuts import Cycle
 
         inst = ring([3, 3, 3], d=2, b=3)
-        hull = hull_coefficients(inst)  # sigma=2, g=1: alpha=1, beta=2
+        hull = hull_cuts(inst)  # sigma=2, g=1: alpha=1, beta=2
         cycle = Cycle(arcs=((1, 2), (2, 3), (3, 1)))
         cut = build_uc_equal_cut(inst, cycle, (1,), hull)  # omega_1 = 3 - 2 = 1
         y = inst.ycol
@@ -205,3 +212,82 @@ class TestUcEqualCut:
         assert not any(inst.zcol(i) in cut.coeffs for i in (1, 2, 3))
         # rhs = delta (1 - 3 + 1) + gamma * beta = -1 + 2 = 1
         assert cut.rhs == 1.0
+
+
+def random_equal_ring(rng, n_min=3, n_max=7):
+    """Random ring where every node has one common incoming weight."""
+    n = int(rng.integers(n_min, n_max + 1))
+    d = {i: int(rng.integers(1, 6)) for i in range(1, n + 1)}
+    arcs = {}
+    for i in range(1, n + 1):
+        j = i % n + 1
+        arcs[(i, j)] = d[j]
+        arcs[(j, i)] = d[i]
+    thresholds = {i: int(rng.integers(1, 2 * d[i] + 1)) for i in range(1, n + 1)}
+    return make_instance(n, arcs, thresholds, b=n)
+
+
+class TestZFixedHullRows:
+    """The equal-influence rows are the general node and (U,C) rows with
+    every z column fixed to 1."""
+
+    def test_uc_equal_cut_is_z_fixed_uc_cut(self):
+        from lcim.cyclecuts import Cycle, build_uc_cut
+
+        rng = np.random.default_rng(83)
+        checked = 0
+        for trial in range(40):
+            if trial % 2:
+                inst = random_equal_tree(rng, n_min=3, n_max=8)
+                cycles = [Cycle(arcs=((i, j), (j, i))) for i, j in inst.edges()]
+            else:
+                inst = random_equal_ring(rng)
+                ring_arcs = tuple((i, i % inst.n + 1) for i in range(1, inst.n + 1))
+                cycles = [Cycle(arcs=ring_arcs),
+                          Cycle(arcs=tuple((j, i) for i, j in reversed(ring_arcs)))]
+            hull = hull_cuts(inst)
+            z = {inst.zcol(i) for i in range(1, inst.n + 1)}
+            for cycle in cycles:
+                nodes = cycle.nodes
+                for size in range(len(nodes) + 1):
+                    for U in combinations(nodes, size):
+                        try:
+                            cut = build_uc_cut(inst, cycle, U, hull)
+                        except ValueError:
+                            with pytest.raises(ValueError, match="omega"):
+                                build_uc_equal_cut(inst, cycle, U, hull)
+                            continue
+                        eq = build_uc_equal_cut(inst, cycle, U, hull)
+                        assert eq.tag == "hull-eq" and eq.provenance == cut.provenance
+                        assert list(eq.coeffs.items()) == [
+                            (k, c) for k, c in cut.coeffs.items() if k not in z
+                        ]
+                        # equal violations wherever z == 1 fixes the rhs
+                        point = rng.random(inst.ncols).tolist()
+                        for k in z:
+                            point[k] = 1.0
+                        assert eq.violation(point) == pytest.approx(cut.violation(point))
+                        checked += 1
+        assert checked > 200
+
+    def test_tree_model_rows(self):
+        rng = np.random.default_rng(89)
+        for _ in range(40):
+            inst = random_equal_tree(rng, n_max=10)
+            hull = hull_cuts(inst)
+            for include_hull in (True, False):
+                expect = []
+                for i in range(1, inst.n + 1):
+                    view = inst.node_view(i)
+                    prop = ({view.xcol: 1, **{k: d for k, d in zip(view.ycols, view.weights)}},
+                            float(view.h))
+                    rows = [prop]
+                    row = ({view.xcol: 1, **{k: a for k, (_, a) in zip(view.ycols, hull[i].alpha)}},
+                           float(hull[i].beta))
+                    if include_hull and row != prop:
+                        rows.append(row)
+                    expect += [(list(c.items()), ">=", rhs) for c, rhs in rows]
+                for i, j in inst.edges():
+                    expect.append(([(inst.ycol[i, j], 1.0), (inst.ycol[j, i], 1.0)], "=", 1.0))
+                model = build_tree_equal_model(inst, include_hull=include_hull)
+                assert [(list(c.items()), s, r) for c, s, r in model.rows] == expect
