@@ -168,24 +168,20 @@ def assemble(instance, mode):
         raise ValueError("layered-network formulation requires b = n")
 
     n, m = instance.n, instance.m
-    names = instance.var_names
     model = LPModel()
     for i in range(1, n + 1):
-        model.add_var(names[i - 1], lb=0.0, ub=float(instance.threshold(i)), obj=1.0)
-    for name in names[n:n + m]:
-        model.add_var(name, lb=0.0, ub=1.0)
+        model.add_var(lb=0.0, ub=float(instance.threshold(i)), obj=1.0)
+    for _ in range(m):
+        model.add_var(lb=0.0, ub=1.0)
     zfix = 1.0 if mode == "ln" else 0.0
-    for name in names[n + m:]:
-        model.add_var(name, lb=zfix, ub=1.0)
+    for _ in range(n):
+        model.add_var(lb=zfix, ub=1.0)
     if mode == "ln":
-        lcol = [model.add_var(f"l[{i}]", lb=1.0, ub=float(n)) for i in range(1, n + 1)]
+        lcol = [model.add_var(lb=1.0, ub=float(n)) for _ in range(n)]
 
     for i in range(1, n + 1):
-        view = instance.node_view(i)
-        row = {view.xcol: 1.0, view.zcol: -float(view.h)}
-        for (_, w), k in zip(view.d, view.ycols):
-            row[k] = float(w)
-        model.add_constraint(row, ">=", 0.0)
+        row = knapcuts.propagation_row(instance.node_view(i))
+        model.add_constraint(row.coeffs, ">=", 0.0)
 
     ycol = instance.ycol
     for i, j in instance.edges():

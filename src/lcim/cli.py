@@ -76,6 +76,9 @@ def build_parser():
 
 
 def cmd_generate(args):
+    if args.count < 0:
+        print(f"error: --count must be >= 0, got {args.count}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         os.makedirs(args.outdir, exist_ok=True)
     except OSError as exc:

@@ -364,6 +364,8 @@ def loads(text, source="<string>"):
         n, m, b = (int(p) for p in parts)
     except ValueError:
         raise ParseError(lineno, "header fields must be integers") from None
+    if n < 1 or m < 0:
+        raise ParseError(lineno, f"header needs n >= 1 and m >= 0, got n={n} m={m}")
 
     thresholds = {}
     for _ in range(n):

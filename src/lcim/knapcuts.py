@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .instance import xvar, yvar, zvar  # noqa: F401  (re-exported)
+from .instance import yvar, zvar  # noqa: F401  (re-exported)
 
 __all__ = [
     "Inequality",

@@ -2,7 +2,9 @@
 
 All relaxations in this package (branch-and-bound nodes, branching probes,
 root cut loops, tree-hull integrality checks) go through
-`LPModel`/`solve_lp`.  Each model owns one HiGHS instance, reached through
+`LPModel`/`solve_lp`.  A model knows its variables as columns 0, 1, ...
+only; their names, for printing, are the instance's (`Instance.var_names`).
+Each model owns one HiGHS instance, reached through
 the bindings bundled with scipy (`scipy.optimize._highspy._core`, a private
 extension module shipped since scipy 1.15); this is the only module that
 touches it.  The extension is loaded from its file and registered under its
@@ -113,12 +115,10 @@ class LPSolution:
 
 class LPModel:
     """A minimization LP over columns 0, 1, ... with explicit bounds and
-    sparse rows; the column names serve only `dump`.  The model owns the
-    HiGHS handle its solves run on, so one model is solved by one thread at
-    a time."""
+    sparse rows.  The model owns the HiGHS handle its solves run on, so one
+    model is solved by one thread at a time."""
 
     def __init__(self):
-        self.var_names = []
         self.lower = []
         self.upper = []
         self.obj = []
@@ -135,21 +135,19 @@ class LPModel:
 
     # -- construction ------------------------------------------------------
 
-    def add_var(self, name, lb=0.0, ub=None, obj=0.0):
-        """Append a variable; returns its column.  ub=None means +inf."""
-        if name in self.var_names:
-            raise ValueError(f"duplicate variable {name!r}")
+    def add_var(self, lb=0.0, ub=None, obj=0.0):
+        """Append a column; returns it.  ub=None means +inf."""
+        col = len(self.obj)
         lb = float(lb)
         ub = np.inf if ub is None else float(ub)
         if not lb <= ub or lb == np.inf or ub == -np.inf:
-            raise ValueError(f"variable {name!r} has no value in bounds [{lb}, {ub}]")
+            raise ValueError(f"column {col} has no value in bounds [{lb}, {ub}]")
         if not np.isfinite(obj):
-            raise ValueError(f"non-finite objective coefficient on variable {name!r}")
-        self.var_names.append(name)
+            raise ValueError(f"non-finite objective coefficient on column {col}")
         self.lower.append(lb)
         self.upper.append(ub)
         self.obj.append(float(obj))
-        return len(self.var_names) - 1
+        return col
 
     def add_constraint(self, coeffs, sense, rhs):
         """Append the row sum(coeffs[k] * x_k) `sense` rhs.  A row without
@@ -158,7 +156,7 @@ class LPModel:
             raise ValueError(f"unknown sense {sense!r}")
         if not np.isfinite(rhs):
             raise ValueError(f"non-finite right-hand side {rhs}")
-        columns = range(len(self.var_names))
+        columns = range(len(self.obj))
         for k, c in coeffs.items():
             if k not in columns:
                 raise ValueError(f"constraint references unknown column {k!r}")
@@ -168,18 +166,6 @@ class LPModel:
             self.rows.append((dict(coeffs), sense, float(rhs)))
         elif not {"<=": 0.0 <= rhs, ">=": 0.0 >= rhs, "=": 0.0 == rhs}[sense]:
             raise ValueError(f"empty row 0 {sense} {rhs} cannot hold")
-
-    # -- debugging dump ----------------------------------------------------
-
-    def dump(self):
-        """Row-oriented sparse text form, for debugging only."""
-        out = ["min " + " + ".join(f"{c:g}*{v}" for v, c in zip(self.var_names, self.obj) if c)]
-        for coeffs, sense, rhs in self.rows:
-            lhs = " + ".join(f"{c:g}*{self.var_names[k]}" for k, c in sorted(coeffs.items()))
-            out.append(f"{lhs} {sense} {rhs:g}")
-        for v, lo, hi in zip(self.var_names, self.lower, self.upper):
-            out.append(f"{lo:g} <= {v} <= {hi:g}")
-        return "\n".join(out)
 
     # -- the HiGHS form ----------------------------------------------------
 

@@ -189,12 +189,11 @@ def build_tree_equal_model(instance, include_hull=True):
     hull = hull_cuts(instance)
 
     n = instance.n
-    names = instance.var_names
     model = LPModel()
     for i in range(1, n + 1):
-        model.add_var(names[i - 1], lb=0.0, ub=float(instance.threshold(i)), obj=1.0)
-    for name in names[n:n + instance.m]:
-        model.add_var(name, lb=0.0, ub=1.0)
+        model.add_var(lb=0.0, ub=float(instance.threshold(i)), obj=1.0)
+    for _ in range(instance.m):
+        model.add_var(lb=0.0, ub=1.0)
 
     for i in range(1, n + 1):
         rows = [propagation_row(hull[i].view)]

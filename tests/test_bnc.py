@@ -20,8 +20,8 @@ from lcim.bnc import (
     root_cut_loop,
     solve,
 )
-from lcim.instance import generate_small_world, make_instance, preprocess, xvar, yvar, zvar
-from lcim.knapcuts import CutPool
+from lcim.instance import generate_small_world, make_instance, preprocess
+from lcim.knapcuts import CutPool, propagation_row
 from lcim.lp import LPSolution, solve_lp
 
 from conftest import random_instance
@@ -78,23 +78,29 @@ class TestAssemble:
         assert bounds[inst.zcol(1)] == (1.0, 1.0)
 
     def test_columns_follow_instance_layout(self):
-        # the LP's name of every column is the name of the variable the
-        # instance's layout puts there
+        # every column has the bounds and objective of the variable the
+        # instance's layout puts there, and node i's row is its propagation row
         rng = np.random.default_rng(131)
         for inst in (demo.demo_instance(), random_instance(rng, n_min=5, n_max=8)):
             inst = inst.with_b(inst.n)
-            expect = {}
-            for i in range(1, inst.n + 1):
-                expect[inst.xcol(i)] = xvar(i)
-                expect[inst.zcol(i)] = zvar(i)
-            for (i, j), k in inst.ycol.items():
-                expect[k] = yvar(i, j)
-            assert sorted(expect) == list(range(inst.ncols))
-            assert inst.var_names == [expect[k] for k in range(inst.ncols)]
+            n = inst.n
             for mode in ("def", "cb", "ln"):
-                names = assemble(inst, mode).var_names
-                tail = [f"l[{i}]" for i in range(1, inst.n + 1)] if mode == "ln" else []
-                assert names == [expect[k] for k in range(inst.ncols)] + tail, mode
+                zlb = 1.0 if mode == "ln" else 0.0
+                expect = {}
+                for i in range(1, n + 1):
+                    expect[inst.xcol(i)] = (0.0, inst.threshold(i), 1.0)
+                    expect[inst.zcol(i)] = (zlb, 1.0, 0.0)
+                    if mode == "ln":
+                        expect[inst.ncols + i - 1] = (1.0, n, 0.0)  # l_i
+                for k in inst.ycol.values():
+                    expect[k] = (0.0, 1.0, 0.0)
+                model = assemble(inst, mode)
+                assert sorted(expect) == list(range(len(model.obj))), mode
+                columns = list(zip(model.lower, model.upper, model.obj))
+                assert columns == [expect[k] for k in sorted(expect)], mode
+                for i in range(1, n + 1):
+                    row = propagation_row(inst.node_view(i)).coeffs
+                    assert model.rows[i - 1] == (row, ">=", 0.0), (mode, i)
 
     def test_ln_relaxation_not_weaker_than_def(self):
         rng = np.random.default_rng(101)

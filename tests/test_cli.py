@@ -69,6 +69,16 @@ class TestGenerate:
         assert code == EXIT_OK
         assert os.listdir(out) == []
 
+    def test_negative_count(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        code = main([
+            "generate", "--n", "10", "--v", "4", "--q", "0.1", "--a", "0.5",
+            "--count", "-2", "--outdir", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert "count" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_bytes(self, tmp_path):
         outs = []
         for sub in ("a", "b"):

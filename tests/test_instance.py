@@ -260,6 +260,12 @@ class TestIO:
         with pytest.raises(ParseError, match="asymmetric"):
             loads(text)
 
+    def test_negative_header_counts(self):
+        for header in ("1 -5 1", "0 0 1", "-1 0 1"):
+            with pytest.raises(ParseError, match="n >= 1 and m >= 0") as exc:
+                loads(f"# header on line 3\nlcim 1\n{header}\n1 1\n")
+            assert exc.value.lineno == 3
+
     def test_non_integer_field(self):
         text = "lcim 1\n2 2 1\n1 5.5\n2 2\n1 2 3\n2 1 4\n"
         with pytest.raises(ParseError, match="integers") as exc:

@@ -43,7 +43,7 @@ def test_scipy_optimize_after_lcim_solves_and_shares():
         "           integrality=[1, 1], bounds=Bounds(0, 2))\n"
         "assert res.status == 0 and np.allclose(res.x, [1, 2]), res\n"
         "m = lcim.LPModel()\n"
-        "x = m.add_var('x', obj=1.0)\n"
+        "x = m.add_var(obj=1.0)\n"
         "m.add_constraint({x: 1.0}, '>=', 3.0)\n"
         "assert lcim.solve_lp(m).objective == 3.0\n"
     )
