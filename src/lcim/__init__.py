@@ -13,7 +13,6 @@ from .instance import (
     load,
     loads,
     make_instance,
-    preprocess,
     save,
 )
 from .knapcuts import (
@@ -49,7 +48,6 @@ __all__ = [
     "load",
     "loads",
     "make_instance",
-    "preprocess",
     "save",
     "separate_mis",
     "solve",

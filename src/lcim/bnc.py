@@ -162,8 +162,6 @@ def assemble(instance, mode):
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if not instance.is_preprocessed():
-        raise ValueError("instance must be preprocessed before solving")
     if mode == "ln" and instance.b != instance.n:
         raise ValueError("layered-network formulation requires b = n")
 
@@ -522,8 +520,7 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
     if status == "optimal":
         lb_report = float(ub)
     else:
-        open_lbs = [entry[0] for entry in heap]
-        lb_report = max(lb_report, min(open_lbs)) if open_lbs else float(ub)
+        lb_report = max(lb_report, heap[0][0])  # the least open bound
     lb_report = min(lb_report, float(ub))
 
     return SolveReport(

@@ -110,7 +110,7 @@ def cmd_generate(args):
 
 
 def _solve_one(path, args):
-    inst = inst_mod.preprocess(inst_mod.load(path))
+    inst = inst_mod.load(path)
     params = SolveParams(time_limit=args.time_limit, max_rounds=args.rounds)
     return bnc.solve(inst, args.mode, params, instance_id=os.path.basename(path))
 
@@ -118,9 +118,11 @@ def _solve_one(path, args):
 def cmd_solve(args):
     raw = os.environ.get("LCIM_THREADS", "1")
     try:
-        threads = max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        print(f"error: LCIM_THREADS must be an integer, not {raw!r}", file=sys.stderr)
+        threads = 0
+    if threads < 1:
+        print(f"error: LCIM_THREADS must be a positive integer, not {raw!r}", file=sys.stderr)
         return EXIT_USAGE
     reports = []
     errors = []
@@ -194,7 +196,7 @@ def _mean_line(reports):
 
 def cmd_dp_cycle(args):
     try:
-        inst = inst_mod.preprocess(inst_mod.load(args.path))
+        inst = inst_mod.load(args.path)
     except (OSError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

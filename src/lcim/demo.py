@@ -13,7 +13,7 @@ from importlib import resources
 import numpy as np
 
 from .cyclecuts import Cycle
-from .instance import NodeView, loads, make_instance, preprocess
+from .instance import NodeView, loads, make_instance
 from .knapcuts import build_packing_cut
 
 __all__ = [
@@ -160,7 +160,7 @@ def hull_gap_instance():
 def random_instance(rng, n_min=3, n_max=6, extra_edge_prob=0.35, b=None):
     """Random connected bidirectional instance: a random spanning tree plus
     extra edges, weights on {1,...,10}, random thresholds and, unless given,
-    a random b.  The result is preprocessed."""
+    a random b."""
     n = int(rng.integers(n_min, n_max + 1))
     arcs = {}
     order = list(rng.permutation(np.arange(1, n + 1)))
@@ -179,4 +179,4 @@ def random_instance(rng, n_min=3, n_max=6, extra_edge_prob=0.35, b=None):
         thresholds[i] = int(rng.integers(1, delta + 2))
     if b is None:
         b = int(rng.integers(1, n + 1))
-    return preprocess(make_instance(n, arcs, thresholds, b))
+    return make_instance(n, arcs, thresholds, b)

@@ -1,9 +1,10 @@
-"""LCIM instance data model, small-world generator, preprocessing and file I/O.
+"""LCIM instance data model, small-world generator and file I/O.
 
 An instance is a bidirectional social graph: whenever the arc (i, j) exists,
 so does (j, i), though the two influence weights may differ.  Node ids are
 1..n.  Each node carries an integer activation threshold h_i and the instance
-carries the required activation count b.
+carries the required activation count b.  Every weight is clamped to its
+receiver's threshold when the instance is built.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 __all__ = [
     "Instance",
     "NodeView",
-    "preprocess",
     "generate_small_world",
     "save",
     "load",
@@ -100,8 +100,10 @@ class Instance:
     """Immutable LCIM instance.
 
     arcs maps directed arc (i, j) to the positive integer influence weight
-    d_ij exerted by i on j.  The arc set is symmetric as a relation.  The
-    node views are built once, while the arcs are validated.
+    d_ij exerted by i on j.  The arc set is symmetric as a relation.  While
+    the arcs are validated, each weight is clamped to min(d_ij, h_j), which
+    loses nothing (a larger weight can never change an activation), and the
+    node views are built once.  `arcs` holds the clamped weights.
 
     Every LP over the instance numbers its variables the same way: x_i at
     column i - 1, the y of the k-th arc of `arcs` (k from 0) at n + k,
@@ -126,6 +128,7 @@ class Instance:
         ycol = {arc: self.n + k for k, (arc, _) in enumerate(self.arcs)}
         if len(ycol) != len(self.arcs):
             raise ValueError("duplicate arcs")
+        clamped = []
         incoming = [[] for _ in range(self.n)]
         for (i, j), w in self.arcs:
             if i == j:
@@ -136,10 +139,13 @@ class Instance:
                 raise ValueError(f"arc ({i},{j}) has nonpositive or fractional weight {w}")
             if (j, i) not in ycol:
                 raise ValueError(f"asymmetric arc set: ({i},{j}) present without ({j},{i})")
+            w = min(w, self.h[j - 1])
+            clamped.append(((i, j), w))
             incoming[j - 1].append((i, w, ycol[i, j]))
         for i, hi in enumerate(self.h, start=1):
             if hi < 1 or int(hi) != hi:
                 raise ValueError(f"node {i} has nonpositive or fractional threshold {hi}")
+        object.__setattr__(self, "arcs", tuple(clamped))
         object.__setattr__(self, "ycol", ycol)
         views = []
         for i, (hi, arcs) in enumerate(zip(self.h, incoming), start=1):
@@ -203,27 +209,12 @@ class Instance:
     def with_b(self, b):
         return Instance(n=self.n, arcs=self.arcs, h=self.h, b=b)
 
-    def is_preprocessed(self):
-        return all(w <= self.threshold(j) for (_, j), w in self.arcs)
-
 
 def make_instance(n, arc_weights, thresholds, b):
     """Build an Instance from a dict {(i, j): d_ij} and {i: h_i}."""
     arcs = tuple(sorted(arc_weights.items()))
     h = tuple(thresholds[i] for i in range(1, n + 1))
     return Instance(n=n, arcs=arcs, h=h, b=b)
-
-
-def preprocess(instance):
-    """Clamp every incoming weight to the receiver's threshold.
-
-    Any d_ji > h_i is replaced by h_i; idempotent and otherwise lossless
-    (weights above the threshold can never matter for activation).
-    """
-    new_arcs = tuple(
-        ((i, j), min(w, instance.threshold(j))) for (i, j), w in instance.arcs
-    )
-    return Instance(n=instance.n, arcs=new_arcs, h=instance.h, b=instance.b)
 
 
 class _NumpyBits(random.Random):
@@ -277,8 +268,8 @@ def generate_small_world(n, v, q, a, seed):
     q per edge; each undirected edge becomes two directed arcs with i.i.d.
     weights uniform on {1,...,10}.  Thresholds follow a normal law with mean
     0.7 * (incoming weight sum) and variance (incoming weight sum)/degree.
-    b = ceil(a * n).  The result is already preprocessed and is a pure
-    function of the seed.
+    b = ceil(a * n).  Like every instance, the result holds each weight
+    clamped to its receiver's threshold; it is a pure function of the seed.
 
     The graph is networkx's ``watts_strogatz_graph(n, v, q, seed=rng)`` bit
     for bit, drawn from the same numpy Generator rng; a test checks the
@@ -318,9 +309,7 @@ def generate_small_world(n, v, q, a, seed):
             hi = min(hi, delta - 1)
         thresholds[node] = max(1, hi)
 
-    b = math.ceil(a * n)
-    inst = make_instance(n, arc_weights, thresholds, b)
-    return preprocess(inst)
+    return make_instance(n, arc_weights, thresholds, math.ceil(a * n))
 
 
 def save(instance, path):
@@ -366,6 +355,8 @@ def loads(text, source="<string>"):
         raise ParseError(lineno, "header fields must be integers") from None
     if n < 1 or m < 0:
         raise ParseError(lineno, f"header needs n >= 1 and m >= 0, got n={n} m={m}")
+    if not 1 <= b <= n:
+        raise ParseError(lineno, f"b={b} outside [1, n={n}]")
 
     thresholds = {}
     for _ in range(n):
@@ -380,6 +371,8 @@ def loads(text, source="<string>"):
             i, hi = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(lineno, "threshold fields must be integers") from None
+        if not 1 <= i <= n:
+            raise ParseError(lineno, f"threshold for node {i} outside [1, n={n}]")
         if i in thresholds:
             raise ParseError(lineno, f"duplicate threshold for node {i}")
         thresholds[i] = hi
@@ -404,8 +397,6 @@ def loads(text, source="<string>"):
     leftover = list(it)
     if leftover:
         raise ParseError(leftover[0][0], "trailing content after arc block")
-    if sorted(thresholds) != list(range(1, n + 1)):
-        raise ParseError(0, "threshold block does not cover nodes 1..n exactly")
 
     try:
         inst = make_instance(n, arc_weights, thresholds, b)

@@ -73,10 +73,6 @@ def dp_cycle(instance, b=None):
     n = len(order)
     if not (1 <= b <= n):
         raise ValueError(f"b={b} outside [1, n]")
-    if not instance.is_preprocessed():
-        raise ValueError(
-            "influence weight exceeds threshold; preprocess the instance first"
-        )
 
     U, F, B = 0, 1, 2  # edge e_k: unused / order[k] -> order[k+1] / backward
     h = [instance.threshold(v) for v in order]
@@ -148,14 +144,15 @@ def hull_cuts(instance):
     node cut (tag "base"), keyed by node.  The node's incoming weights must
     all equal one d_i; sigma_i = ceil(h_i/d_i) activations-worth of influence
     are needed and g_i = h_i - (sigma_i - 1) d_i, in [1, d_i], is the
-    residual of the last one."""
+    residual of the last one.  A node without neighbours takes d_i = h_i,
+    which makes its hull row its propagation row x_i >= h_i z_i."""
     cuts = {}
     for i in range(1, instance.n + 1):
         view = instance.node_view(i)
         weights = set(view.weights)
-        if len(weights) != 1:
+        if len(weights) > 1:
             raise ValueError("unequal incoming influence weights")
-        d = weights.pop()
+        d = weights.pop() if weights else view.h
         sigma = -(-view.h // d)
         g = view.h - (sigma - 1) * d
         cuts[i] = NodeCut(view, tuple((j, g) for j in view.neighbors), g * sigma, "base")

@@ -11,7 +11,7 @@ from hypothesis import settings
 
 import lcim
 from lcim.demo import random_instance  # noqa: F401  (shared with `lcim verify`)
-from lcim.instance import make_instance, preprocess
+from lcim.instance import make_instance
 from lcim.oracle import activation_cost, brute_force_optimum
 
 # every run draws the same examples, so a property's duration and verdict
@@ -44,7 +44,7 @@ def random_cycle_instance(rng, n_min=3, n_max=8, b=None):
     }
     if b is None:
         b = int(rng.integers(1, n + 1))
-    return preprocess(make_instance(n, arcs, thresholds, b))
+    return make_instance(n, arcs, thresholds, b)
 
 
 def check_cycle_answer(instance, b, answer):

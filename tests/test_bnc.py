@@ -20,7 +20,7 @@ from lcim.bnc import (
     root_cut_loop,
     solve,
 )
-from lcim.instance import generate_small_world, make_instance, preprocess
+from lcim.instance import generate_small_world, make_instance
 from lcim.knapcuts import CutPool, propagation_row
 from lcim.lp import LPSolution, solve_lp
 
@@ -54,13 +54,6 @@ class TestAssemble:
     def test_demo_lp_value(self):
         sol = solve_lp(assemble(demo.demo_instance(), "def"))
         assert sol.objective == pytest.approx(demo.DEMO_LP_OBJ, abs=1e-6)
-
-    def test_rejects_unpreprocessed(self):
-        inst = make_instance(
-            2, {(1, 2): 9, (2, 1): 1}, {1: 7, 2: 5}, b=2
-        )
-        with pytest.raises(ValueError, match="preprocess"):
-            assemble(inst, "def")
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):

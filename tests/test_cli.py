@@ -7,7 +7,7 @@ import pytest
 from lcim import demo
 from lcim.bnc import TSV_HEADER
 from lcim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from lcim.instance import load, make_instance, preprocess, save
+from lcim.instance import load, make_instance, save
 from lcim.oracle import activation_cost
 
 
@@ -165,12 +165,14 @@ class TestSolve:
         assert len(lines) == 4
 
     def test_threads_env_not_an_integer(self, demo_path, capsys, monkeypatch):
-        monkeypatch.setenv("LCIM_THREADS", "abc")
-        code = main(["solve", demo_path])
-        assert code == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert "LCIM_THREADS" in captured.err
-        assert captured.out == ""
+        # a non-integer and an integer below 1 are the same usage error
+        for raw in ("abc", "0", "-3"):
+            monkeypatch.setenv("LCIM_THREADS", raw)
+            code = main(["solve", demo_path])
+            assert code == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert f"LCIM_THREADS must be a positive integer, not {raw!r}" in captured.err
+            assert captured.out == ""
 
     def test_seed_flag_removed(self, demo_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -216,7 +218,7 @@ class TestDpCycle:
         order = [int(v) for v in fields[5:]]
         assert start == order[0]
         assert len(set(order)) == len(order) >= 4
-        assert activation_cost(preprocess(load(str(path))), order) == cost
+        assert activation_cost(load(str(path)), order) == cost
 
     def test_b_zero_is_usage_error(self, ring_path, capsys):
         code = main(["dp-cycle", ring_path, "--b", "0"])

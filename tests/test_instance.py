@@ -1,4 +1,4 @@
-"""Instance model, preprocessing, generator, and file I/O."""
+"""Instance model, weight clamping, generator, and file I/O."""
 
 import hashlib
 import os
@@ -20,7 +20,6 @@ from lcim.instance import (
     load,
     loads,
     make_instance,
-    preprocess,
     save,
 )
 
@@ -38,7 +37,7 @@ class TestInstanceModel:
         inst = tiny()
         assert inst.n == 2
         assert inst.m == 2
-        assert inst.weight(1, 2) == 3
+        assert inst.weight(1, 2) == 2  # 3, clamped to h_2 = 2
         assert inst.weight(2, 1) == 4
         assert inst.threshold(1) == 5
         assert inst.neighbors(1) == (2,)
@@ -103,42 +102,50 @@ class TestInstanceModel:
             make_instance(2, {(1, 2): 3, (2, 1): 1}, {1: 0, 2: 2}, b=1)
 
 
-class TestPreprocess:
+class TestClamping:
+    """Every weight is clamped to its receiver's threshold on construction."""
+
     def test_clamps_to_threshold(self):
         inst = make_instance(
             2, {(1, 2): 9, (2, 1): 1}, {1: 7, 2: 5}, b=2
         )
-        pre = preprocess(inst)
-        assert pre.weight(1, 2) == 5
-        assert pre.weight(2, 1) == 1
-        assert pre.is_preprocessed()
+        assert inst.weight(1, 2) == 5
+        assert inst.weight(2, 1) == 1
+        assert inst.arcs == (((1, 2), 5), ((2, 1), 1))
+        assert inst.node_view(2).d == ((1, 5),)
 
-    def test_idempotent(self):
-        inst = preprocess(tiny())
-        assert preprocess(inst) == inst
+    def test_rebuild_is_equal(self):
+        inst = make_instance(
+            2, {(1, 2): 9, (2, 1): 1}, {1: 7, 2: 5}, b=2
+        )
+        assert Instance(inst.n, inst.arcs, inst.h, inst.b) == inst
+        assert inst == make_instance(2, {(1, 2): 5, (2, 1): 1}, {1: 7, 2: 5}, b=2)
 
     def test_pair_clamped_independently(self):
         inst = make_instance(
             2, {(1, 2): 10, (2, 1): 2}, {1: 6, 2: 3}, b=1
         )
-        pre = preprocess(inst)
-        assert pre.weight(1, 2) == 3
-        assert pre.weight(2, 1) == 2
+        assert inst.weight(1, 2) == 3
+        assert inst.weight(2, 1) == 2
 
-    def test_optimum_preserved(self):
-        # clamping never changes the exact optimum
-        from lcim.oracle import brute_force_optimum
+    def test_activation_cost_matches_raw_weights(self):
+        # clamping never changes what an activation order costs
+        from lcim.oracle import activation_cost
 
         rng = np.random.default_rng(11)
         for _ in range(20):
             inst = random_instance(rng)
-            raw = make_instance(
-                inst.n,
-                {arc: w + int(rng.integers(0, 8)) for arc, w in inst.arcs},
-                {i: inst.threshold(i) for i in range(1, inst.n + 1)},
-                inst.b,
-            )
-            assert brute_force_optimum(preprocess(raw))[0] == brute_force_optimum(raw)[0]
+            raw = {arc: w + int(rng.integers(0, 8)) for arc, w in inst.arcs}
+            h = {i: inst.threshold(i) for i in range(1, inst.n + 1)}
+            clamped = make_instance(inst.n, raw, h, inst.b)
+            for _ in range(5):
+                order = [int(v) for v in rng.permutation(np.arange(1, inst.n + 1))]
+                order = order[: int(rng.integers(1, inst.n + 1))]
+                cost = sum(
+                    max(0, h[v] - sum(raw.get((u, v), 0) for u in order[:k]))
+                    for k, v in enumerate(order)
+                )
+                assert activation_cost(clamped, order) == cost
 
 
 class TestGenerator:
@@ -155,9 +162,9 @@ class TestGenerator:
         c = generate_small_world(30, 4, 0.2, 0.5, seed=4)
         assert a != c
 
-    def test_preprocessed_and_b(self):
+    def test_clamped_and_b(self):
         inst = generate_small_world(40, 4, 0.1, 0.25, seed=1)
-        assert inst.is_preprocessed()
+        assert all(w <= inst.threshold(j) for (_, j), w in inst.arcs)
         assert inst.b == 10  # ceil(0.25 * 40)
 
     def test_weights_in_range(self):
@@ -266,6 +273,16 @@ class TestIO:
                 loads(f"# header on line 3\nlcim 1\n{header}\n1 1\n")
             assert exc.value.lineno == 3
 
+    def test_b_outside_range_at_header_line(self):
+        with pytest.raises(ParseError, match=r"b=5 outside \[1, n=1\]") as exc:
+            loads("lcim 1\n1 0 5\n1 1\n")
+        assert exc.value.lineno == 2
+
+    def test_threshold_node_outside_range_at_its_line(self):
+        with pytest.raises(ParseError, match="node 7 outside") as exc:
+            loads("lcim 1\n2 0 1\n1 1\n7 3\n")
+        assert exc.value.lineno == 4
+
     def test_non_integer_field(self):
         text = "lcim 1\n2 2 1\n1 5.5\n2 2\n1 2 3\n2 1 4\n"
         with pytest.raises(ParseError, match="integers") as exc:
@@ -313,17 +330,16 @@ class TestProperties:
 
     @settings(max_examples=50, deadline=None)
     @given(instances())
-    def test_preprocess_idempotent(self, inst):
-        once = preprocess(inst)
-        assert once.is_preprocessed()
-        assert preprocess(once) == once
+    def test_clamped_on_construction(self, inst):
+        assert all(w <= inst.threshold(j) for (_, j), w in inst.arcs)
+        assert Instance(inst.n, inst.arcs, inst.h, inst.b) == inst
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_node_views_match_arc_scan(self, seed):
         rng = np.random.default_rng(seed)
         inst = random_instance(rng, n_max=8)
-        # unsorted arcs, and halved thresholds that make preprocess clamp
+        # unsorted arcs, and halved thresholds that clamp some weights
         lowered = Instance(
             n=inst.n,
             arcs=inst.arcs[::-1],
@@ -331,13 +347,17 @@ class TestProperties:
             b=inst.b,
         )
         b = int(rng.integers(1, inst.n + 1))
-        for case in (inst, inst.with_b(b), lowered, preprocess(lowered)):
+        for case, given in ((inst, inst.arcs), (inst.with_b(b), inst.arcs),
+                            (lowered, inst.arcs[::-1])):
+            # the given arcs, in the given order, each weight clamped to h_l
+            arcs = tuple(((j, l), min(w, case.threshold(l))) for (j, l), w in given)
+            assert case.arcs == arcs
             # columns: x_i at i - 1, the k-th arc's y at n + k, z_i at n + m + i - 1
-            n, m = case.n, len(case.arcs)
-            assert case.ycol == {arc: n + k for k, (arc, _) in enumerate(case.arcs)}
+            n, m = case.n, len(arcs)
+            assert case.ycol == {arc: n + k for k, (arc, _) in enumerate(arcs)}
             for i in range(1, n + 1):
                 ins = sorted(
-                    (j, w, n + k) for k, ((j, l), w) in enumerate(case.arcs) if l == i
+                    (j, w, n + k) for k, ((j, l), w) in enumerate(arcs) if l == i
                 )
                 expect = NodeView(
                     node=i,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lcim import demo, oracle
-from lcim.instance import make_instance, preprocess
+from lcim.instance import make_instance
 from lcim.knapcuts import Inequality, build_mis_cut
 from lcim.oracle import (
     activation_cost,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lcim import demo
-from lcim.instance import make_instance, preprocess
+from lcim.instance import make_instance
 from lcim.lp import solve_lp
 from lcim.oracle import brute_force_optimum
 from lcim.special import (
@@ -29,7 +29,7 @@ def ring(h_list, d=3, b=None):
         arcs[(i, j)] = d
         arcs[(j, i)] = d
     thresholds = {i: h for i, h in enumerate(h_list, start=1)}
-    return preprocess(make_instance(n, arcs, thresholds, b or n))
+    return make_instance(n, arcs, thresholds, b or n)
 
 
 class TestCycleOrder:
@@ -66,25 +66,6 @@ class TestDpCycle:
         assert dp_cycle(inst, b=4) == dp_cycle(inst)
         check_cycle_answer(inst, 4, dp_cycle(inst))
 
-    def test_rejects_unpreprocessed(self):
-        inst = make_instance(
-            3,
-            {(1, 2): 9, (2, 1): 9, (2, 3): 9, (3, 2): 9, (3, 1): 9, (1, 3): 9},
-            {1: 5, 2: 2, 3: 9},
-            b=3,
-        )
-        with pytest.raises(ValueError, match="preprocess"):
-            dp_cycle(inst)
-
-    def test_rejects_unpreprocessed_on_every_arc(self):
-        # unit weights, thresholds 5: one arc of weight 9 on either side of
-        # a node exceeds its threshold, wherever it lies on the walk
-        arcs = {(1, 2): 1, (2, 1): 1, (2, 3): 1, (3, 2): 1, (3, 1): 1, (1, 3): 1}
-        for arc in arcs:
-            inst = make_instance(3, {**arcs, arc: 9}, {1: 5, 2: 5, 3: 5}, b=3)
-            with pytest.raises(ValueError, match="preprocess"):
-                dp_cycle(inst)
-
     def test_matches_oracle(self):
         rng = np.random.default_rng(61)
         for _ in range(40):
@@ -117,10 +98,11 @@ class TestHullCoefficients:
         assert hull[2].alpha == ((1, 2),) and hull[2].beta == 2
 
     def test_unequal_weights_rejected(self):
+        # node 1 receives 3 and 2, both within its threshold 3
         inst = make_instance(
             3,
             {(1, 2): 2, (2, 1): 3, (1, 3): 2, (3, 1): 2},
-            {1: 2, 2: 2, 3: 2},
+            {1: 3, 2: 2, 3: 2},
             b=3,
         )
         with pytest.raises(ValueError, match="unequal"):
@@ -147,6 +129,13 @@ class TestTreeEqualModel:
         )
         sol = solve_lp(build_tree_equal_model(inst))
         assert sol.objective == pytest.approx(4)  # min(h1, h2)
+
+    def test_one_node_tree(self):
+        # no neighbours: the hull row is the propagation row x_1 >= 3
+        inst = make_instance(1, {}, {1: 3}, 1)
+        sol = solve_lp(build_tree_equal_model(inst))
+        assert sol.optimal
+        assert sol.objective == pytest.approx(brute_force_optimum(inst)[0])
 
     def test_rejects_non_tree(self):
         inst = ring([5, 5, 5])
