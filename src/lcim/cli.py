@@ -214,116 +214,75 @@ def cmd_dp_cycle(args):
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_cover_packing_rows(view):
-    """Every distinct cover/packing cut over all admissible minimal sets."""
-    from itertools import combinations
-
-    rows = {}
-    nbrs = view.neighbors
-    for size in range(1, len(nbrs) + 1):
-        for S in combinations(nbrs, size):
-            for builder in (knapcuts.build_cover_cut, knapcuts.build_packing_cut):
-                try:
-                    cut = builder(view, S)
-                except ValueError:
-                    continue
-                key = tuple(sorted(cut.coeffs.items()))
-                rows[key] = cut
-    return rows
+# Each suite yields an (ok, message) pair per check; the message is printed
+# when the check fails.
 
 
-def _suite_tables(failures):
+def _suite_tables():
     view = demo.example_view()
-    rows = _enumerate_cover_packing_rows(view)
-    actual = {k for k in rows}
+    actual = {tuple(sorted(cut.coeffs.items())) for cut in oracle.cover_packing_cuts(view)}
     expected = {
         tuple(sorted(r["coeffs"].items())) for r in demo.TABLE_COVER_PACKING
     }
-    checks = 0
-    if actual != expected:
-        failures.append(
-            "cover/packing table mismatch:\n"
-            f"  missing: {sorted(expected - actual)}\n"
-            f"  extra:   {sorted(actual - expected)}"
-        )
-    checks += 1
+    yield actual == expected, (
+        "cover/packing table mismatch:\n"
+        f"  missing: {sorted(expected - actual)}\n"
+        f"  extra:   {sorted(actual - expected)}"
+    )
     for r in demo.TABLE_MIS:
         cut = knapcuts.build_mis_cut(view, r["mis"])
-        if cut.coeffs != r["coeffs"]:
-            failures.append(
-                f"MIS row M={r['mis']}: expected {r['coeffs']}, got {cut.coeffs}"
-            )
-        checks += 1
-    return checks
+        yield cut.coeffs == r["coeffs"], (
+            f"MIS row M={r['mis']}: expected {r['coeffs']}, got {cut.coeffs}"
+        )
 
 
-def _suite_facets(failures):
+def _suite_facets():
     view = demo.example_view()
-    checks = 0
     all_rows = [r["coeffs"] for r in demo.TABLE_COVER_PACKING + demo.TABLE_MIS]
     all_rows.append(demo.EXTRA_FACET_ROW)
     for coeffs in all_rows:
         ineq = knapcuts.Inequality(coeffs=coeffs, rhs=0.0, tag="base")
-        if not oracle.check_facet(ineq, view):
-            failures.append(f"not a facet: {ineq.render(view.var_names)}")
-        checks += 1
-    return checks
+        yield oracle.check_facet(ineq, view), f"not a facet: {ineq.render(view.var_names)}"
 
 
-def _suite_trace(failures):
-    checks = 0
-
-    def check(ok, message):
-        nonlocal checks
-        checks += 1
-        if not ok:
-            failures.append(message)
-
+def _suite_trace():
     inst = demo.demo_instance()
     model = bnc.assemble(inst, "def")
     sol = solve_lp(model)
-    check(abs(sol.objective - demo.DEMO_LP_OBJ) <= 1e-4,
-          f"root LP: expected {demo.DEMO_LP_OBJ}, got {sol.objective:.6f}")
+    yield (abs(sol.objective - demo.DEMO_LP_OBJ) <= 1e-4,
+           f"root LP: expected {demo.DEMO_LP_OBJ}, got {sol.objective:.6f}")
     point = demo.demo_lp_point()
     base_map = demo.demo_base_cuts(inst)
     cycle = demo.demo_cycle()
     res = cyclecuts.separate_uc(inst, cycle, base_map, point)
-    check(res is not None, "separate_uc found no cut at the recorded point")
+    yield res is not None, "separate_uc found no cut at the recorded point"
     if res is not None:
         U, cut, violation = res
-        check(U == demo.DEMO_UC_U,
-              f"separation subset: expected {demo.DEMO_UC_U}, got {U}")
-        check(abs(violation - demo.DEMO_UC_VIOLATION) <= 1e-6,
-              f"violation: expected {demo.DEMO_UC_VIOLATION}, got {violation}")
+        yield U == demo.DEMO_UC_U, f"separation subset: expected {demo.DEMO_UC_U}, got {U}"
+        yield (abs(violation - demo.DEMO_UC_VIOLATION) <= 1e-6,
+               f"violation: expected {demo.DEMO_UC_VIOLATION}, got {violation}")
         model.add_constraint(cut.coeffs, ">=", cut.rhs)
         sol2 = solve_lp(model)
-        check(abs(sol2.objective - demo.DEMO_POSTCUT_OBJ) <= 1e-4,
-              f"post-cut LP: expected {demo.DEMO_POSTCUT_OBJ}, got {sol2.objective:.6f}")
+        yield (abs(sol2.objective - demo.DEMO_POSTCUT_OBJ) <= 1e-4,
+               f"post-cut LP: expected {demo.DEMO_POSTCUT_OBJ}, got {sol2.objective:.6f}")
     f_direct, exits = cyclecuts.uc_dag_values(inst, cycle, base_map, point)
     dag = (f_direct, *exits)
-    check(all(abs(a - b) <= 1e-6 for a, b in zip(dag, demo.DEMO_DAG_VALUES)),
-          f"DAG values: expected {demo.DEMO_DAG_VALUES}, got {dag}")
+    yield (all(abs(a - b) <= 1e-6 for a, b in zip(dag, demo.DEMO_DAG_VALUES)),
+           f"DAG values: expected {demo.DEMO_DAG_VALUES}, got {dag}")
     report = bnc.solve(inst, "def", SolveParams(time_limit=60))
-    check(report.ub == demo.DEMO_OPTIMUM,
-          f"optimum: expected {demo.DEMO_OPTIMUM}, got {report.ub}")
-    return checks
+    yield report.ub == demo.DEMO_OPTIMUM, f"optimum: expected {demo.DEMO_OPTIMUM}, got {report.ub}"
 
 
-def _suite_oracle(failures):
+def _suite_oracle():
     rng = np.random.default_rng(20240817)
-    checks = 0
     for _ in range(6):
         inst = demo.random_instance(rng)
         expect, _ = oracle.brute_force_optimum(inst)
         for mode in ("def", "cb"):
             report = bnc.solve(inst, mode, SolveParams(time_limit=60))
-            if report.ub != expect:
-                failures.append(
-                    f"{mode} solve: expected {expect}, got {report.ub} "
-                    f"(n={inst.n}, b={inst.b})"
-                )
-            checks += 1
-    return checks
+            yield report.ub == expect, (
+                f"{mode} solve: expected {expect}, got {report.ub} (n={inst.n}, b={inst.b})"
+            )
 
 
 def cmd_verify(_args):
@@ -334,21 +293,22 @@ def cmd_verify(_args):
         ("oracle", _suite_oracle),
     ]
     exit_code = EXIT_OK
-    for name, fn in suites:
-        failures = []
+    for name, suite in suites:
         try:
-            checks = fn(failures)
+            results = list(suite())
         except FileNotFoundError as exc:
             print(f"{name}: FAIL fixture not found: {exc}")
             exit_code = EXIT_VERIFY
             continue
+        failures = [message for ok, message in results if not ok]
+        passed = len(results) - len(failures)
         if failures:
-            print(f"{name}: FAIL {checks - len(failures)}/{checks} passed")
+            print(f"{name}: FAIL {passed}/{len(results)} passed")
             for msg in failures:
                 print(f"  {msg}")
             exit_code = EXIT_VERIFY
         else:
-            print(f"{name}: ok {checks}/{checks} passed")
+            print(f"{name}: ok {passed}/{passed} passed")
     return exit_code
 
 

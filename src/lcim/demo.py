@@ -89,7 +89,7 @@ DEMO_DAG_VALUES = (3.0, 3.72, 6.72, 1.44)
 def demo_instance():
     """Five nodes, ten arcs, b = 3; carries the influence triangle 1-2-3."""
     text = resources.files("lcim.data").joinpath("demo5.lcim").read_text()
-    return loads(text, source="demo5.lcim")
+    return loads(text)
 
 
 def demo_lp_point():

@@ -25,6 +25,32 @@ __all__ = [
 ]
 
 
+# The rules an instance obeys, each written once: `Instance` checks them on
+# its fields and `loads` on each line it reads.
+
+def _check_threshold(i, hi):
+    if hi < 1 or int(hi) != hi:
+        raise ValueError(f"node {i} has nonpositive or fractional threshold {hi}")
+    # h_i is the coefficient of z_i in node i's propagation row, and HiGHS
+    # takes no coefficient of magnitude 10^15 or more
+    if hi >= 10**15:
+        raise ValueError(f"node {i} has threshold {hi}, not below 10^15")
+
+
+def _check_arc(n, i, j, w):
+    if i == j:
+        raise ValueError(f"self-loop at node {i}")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"arc ({i},{j}) references unknown node")
+    if w < 1 or int(w) != w:
+        raise ValueError(f"arc ({i},{j}) has nonpositive or fractional weight {w}")
+
+
+def _check_reverse(i, j, arcs):
+    if (j, i) not in arcs:
+        raise ValueError(f"asymmetric arc set: ({i},{j}) present without ({j},{i})")
+
+
 class ParseError(ValueError):
     """Raised when an instance file is malformed; carries the line number."""
 
@@ -100,7 +126,9 @@ class Instance:
     """Immutable LCIM instance.
 
     arcs maps directed arc (i, j) to the positive integer influence weight
-    d_ij exerted by i on j.  The arc set is symmetric as a relation.  While
+    d_ij exerted by i on j.  The arc set is symmetric as a relation.  Each
+    threshold h_i is a positive integer below 10^15, the bound HiGHS puts
+    on an LP coefficient.  While
     the arcs are validated, each weight is clamped to min(d_ij, h_j), which
     loses nothing (a larger weight can never change an activation), and the
     node views are built once.  `arcs` holds the clamped weights.
@@ -125,26 +153,19 @@ class Instance:
             raise ValueError(f"b={self.b} outside [1, n={self.n}]")
         if len(self.h) != self.n:
             raise ValueError("threshold list length != n")
+        for i, hi in enumerate(self.h, start=1):
+            _check_threshold(i, hi)
         ycol = {arc: self.n + k for k, (arc, _) in enumerate(self.arcs)}
         if len(ycol) != len(self.arcs):
             raise ValueError("duplicate arcs")
         clamped = []
         incoming = [[] for _ in range(self.n)]
         for (i, j), w in self.arcs:
-            if i == j:
-                raise ValueError(f"self-loop at node {i}")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"arc ({i},{j}) references unknown node")
-            if w < 1 or int(w) != w:
-                raise ValueError(f"arc ({i},{j}) has nonpositive or fractional weight {w}")
-            if (j, i) not in ycol:
-                raise ValueError(f"asymmetric arc set: ({i},{j}) present without ({j},{i})")
+            _check_arc(self.n, i, j, w)
+            _check_reverse(i, j, ycol)
             w = min(w, self.h[j - 1])
             clamped.append(((i, j), w))
             incoming[j - 1].append((i, w, ycol[i, j]))
-        for i, hi in enumerate(self.h, start=1):
-            if hi < 1 or int(hi) != hi:
-                raise ValueError(f"node {i} has nonpositive or fractional threshold {hi}")
         object.__setattr__(self, "arcs", tuple(clamped))
         object.__setattr__(self, "ycol", ycol)
         views = []
@@ -323,11 +344,14 @@ def save(instance, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def loads(text, source="<string>"):
+def loads(text):
     """Parse an instance from text.
 
     Format: `lcim 1` magic, then `n m b`, then n threshold lines `i h_i`,
-    then m arc lines `i j d_ij`.  `#` starts a comment line.
+    then m arc lines `i j d_ij`.  `#` starts a comment line.  Every rule
+    `Instance` checks is checked here first, so a ParseError names the line
+    that breaks it; a missing reverse arc is reported at the arc that has
+    none.
     """
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -375,9 +399,10 @@ def loads(text, source="<string>"):
             raise ParseError(lineno, f"threshold for node {i} outside [1, n={n}]")
         if i in thresholds:
             raise ParseError(lineno, f"duplicate threshold for node {i}")
+        _at_line(lineno, _check_threshold, i, hi)
         thresholds[i] = hi
 
-    arc_weights = {}
+    arc_weights, arc_lines = {}, {}
     for _ in range(m):
         try:
             lineno, row = next(it)
@@ -392,17 +417,17 @@ def loads(text, source="<string>"):
             raise ParseError(lineno, "arc fields must be integers") from None
         if (i, j) in arc_weights:
             raise ParseError(lineno, f"duplicate arc ({i},{j})")
+        _at_line(lineno, _check_arc, n, i, j, w)
         arc_weights[(i, j)] = w
+        arc_lines[i, j] = lineno
 
     leftover = list(it)
     if leftover:
         raise ParseError(leftover[0][0], "trailing content after arc block")
+    for (i, j), lineno in arc_lines.items():
+        _at_line(lineno, _check_reverse, i, j, arc_weights)
 
-    try:
-        inst = make_instance(n, arc_weights, thresholds, b)
-    except ValueError as exc:
-        raise ParseError(0, f"{source}: {exc}") from None
-
+    inst = make_instance(n, arc_weights, thresholds, b)
     for i in range(1, n + 1):
         view = inst.node_view(i)
         if view.degree >= 2 and sum(view.weights) <= view.h:
@@ -416,6 +441,15 @@ def loads(text, source="<string>"):
     return inst
 
 
+def _at_line(lineno, check, *args):
+    """Run an `Instance` rule, raising what it rejects as a ParseError at
+    lineno."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
+
+
 def load(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read(), source=str(path))
+        return loads(fh.read())

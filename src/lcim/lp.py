@@ -4,20 +4,22 @@ All relaxations in this package (branch-and-bound nodes, branching probes,
 root cut loops, tree-hull integrality checks) go through
 `LPModel`/`solve_lp`.  A model knows its variables as columns 0, 1, ...
 only; their names, for printing, are the instance's (`Instance.var_names`).
-Each model owns one HiGHS instance, reached through
-the bindings bundled with scipy (`scipy.optimize._highspy._core`, a private
-extension module shipped since scipy 1.15); this is the only module that
-touches it.  The extension is loaded from its file and registered under its
-own name, without running the `scipy.optimize` package (linprog, linalg and
-the rest, which no solve uses, take most of scipy's start-up); a later
+Each model owns one HiGHS instance, reached through the bindings bundled
+with scipy (`scipy.optimize._highspy._core`, a private extension module
+shipped since scipy 1.15); this is the only module that touches it.  The
+extension is loaded from its file and registered under its own name,
+without running the `scipy.optimize` package (linprog, linalg and the
+rest, which no solve uses, take most of scipy's start-up); a later
 ``import scipy.optimize`` finds and shares the same module.
-The handle holds the model itself: a solve passes it only the columns and
-rows added since the last one, sets every column bound, and runs HiGHS's
-dual simplex, with the options of scipy's ``linprog(method="highs-ds")``,
-warm from a given basis or from the handle's last one.  Only the first
-solve of a model starts cold (with presolve); HiGHS skips presolve when it
-holds a valid basis.  A solve reads back the status, iteration count,
-column and row values, objective and optimal basis only.
+The handle holds the model itself: each column and row goes to it when it
+is added, so the handle and the model's Python lists never disagree, and
+one thread builds and solves a model.  A solve sets every column bound and
+runs HiGHS's dual simplex, with the options of scipy's
+``linprog(method="highs-ds")``, warm from a given basis or from the
+handle's last one.  Only the first solve of a model starts cold (with
+presolve); HiGHS skips presolve when it holds a valid basis.  A solve
+reads back the status, iteration count, column and row values, objective
+and optimal basis only.
 tests/test_lp.py keeps ``linprog`` as the oracle.
 """
 
@@ -88,6 +90,7 @@ _OPTIMAL = _h.HighsModelStatus.kOptimal
 _INFEASIBLE = _h.HighsModelStatus.kInfeasible
 _UNBOUNDED = _h.HighsModelStatus.kUnbounded
 _BASIC = _h.HighsBasisStatus.kBasic
+_ERROR = _h.HighsStatus.kError
 
 
 class Basis(NamedTuple):
@@ -115,8 +118,9 @@ class LPSolution:
 
 class LPModel:
     """A minimization LP over columns 0, 1, ... with explicit bounds and
-    sparse rows.  The model owns the HiGHS handle its solves run on, so one
-    model is solved by one thread at a time."""
+    sparse rows.  The model owns a HiGHS handle that holds every column and
+    row from the moment it is added, so one thread builds and solves a
+    model."""
 
     def __init__(self):
         self.lower = []
@@ -124,19 +128,17 @@ class LPModel:
         self.obj = []
         self.rows = []  # (coeffs dict column -> coefficient, sense, rhs)
         self.solves = 0  # LPs solved on this model
-        self._sent = (0, 0)  # columns and rows the handle holds
-        # bounds of the rows the handle holds, for the answer check
-        self._row_lower = np.empty(0)
-        self._row_upper = np.empty(0)
+        # row bounds, for the answer check
+        self._row_lower = []
+        self._row_upper = []
         self._highs = _h._Highs()
         for option, value in _OPTIONS:
             if self._highs.setOptionValue(option, value) != _h.HighsStatus.kOk:
                 raise RuntimeError(f"HiGHS rejected option {option}={value!r}")
 
-    # -- construction ------------------------------------------------------
-
     def add_var(self, lb=0.0, ub=None, obj=0.0):
-        """Append a column; returns it.  ub=None means +inf."""
+        """Append a column and give it to the handle; returns it.  ub=None
+        means +inf."""
         col = len(self.obj)
         lb = float(lb)
         ub = np.inf if ub is None else float(ub)
@@ -144,14 +146,18 @@ class LPModel:
             raise ValueError(f"column {col} has no value in bounds [{lb}, {ub}]")
         if not np.isfinite(obj):
             raise ValueError(f"non-finite objective coefficient on column {col}")
+        if self._highs.addCol(float(obj), lb, ub, 0, [], []) == _ERROR:
+            raise ValueError(f"HiGHS rejected column {col} with bounds [{lb}, {ub}]")
         self.lower.append(lb)
         self.upper.append(ub)
         self.obj.append(float(obj))
         return col
 
     def add_constraint(self, coeffs, sense, rhs):
-        """Append the row sum(coeffs[k] * x_k) `sense` rhs.  A row without
-        coefficients is dropped when 0 satisfies it and rejected otherwise."""
+        """Append the row sum(coeffs[k] * x_k) `sense` rhs and give it to the
+        handle.  A row without coefficients is dropped when 0 satisfies it
+        and rejected otherwise.  A row's bounds follow its sense: ">=" is
+        [rhs, inf], "<=" is [-inf, rhs], "=" is [rhs, rhs]."""
         if sense not in _SENSES:
             raise ValueError(f"unknown sense {sense!r}")
         if not np.isfinite(rhs):
@@ -162,38 +168,20 @@ class LPModel:
                 raise ValueError(f"constraint references unknown column {k!r}")
             if not np.isfinite(c):
                 raise ValueError(f"non-finite coefficient on column {k}")
-        if coeffs:
-            self.rows.append((dict(coeffs), sense, float(rhs)))
-        elif not {"<=": 0.0 <= rhs, ">=": 0.0 >= rhs, "=": 0.0 == rhs}[sense]:
-            raise ValueError(f"empty row 0 {sense} {rhs} cannot hold")
-
-    # -- the HiGHS form ----------------------------------------------------
-
-    def _unsent(self):
-        """The columns and rows added since the last solve, in the form
-        HiGHS's addCols and addRows take them, and None where there are
-        none; from here on the handle holds them.  A row's bounds follow
-        its sense: ">=" is [rhs, inf], "<=" is [-inf, rhs], "=" is
-        [rhs, rhs]."""
-        ncols, nrows = self._sent
-        cols = rows = None
-        if ncols < len(self.obj):
-            cols = (np.array(self.obj[ncols:]), np.array(self.lower[ncols:]),
-                    np.array(self.upper[ncols:]))
-        if nrows < len(self.rows):
-            starts, index, value, lower, upper = [], [], [], [], []
-            for coeffs, sense, rhs in self.rows[nrows:]:
-                starts.append(len(index))
-                index += coeffs
-                value += coeffs.values()
-                lower.append(-np.inf if sense == "<=" else rhs)
-                upper.append(np.inf if sense == ">=" else rhs)
-            rows = (np.array(lower), np.array(upper), np.array(starts, dtype=np.int32),
-                    np.array(index, dtype=np.int32), np.array(value, dtype=float))
-            self._row_lower = np.concatenate([self._row_lower, rows[0]])
-            self._row_upper = np.concatenate([self._row_upper, rows[1]])
-        self._sent = (len(self.obj), len(self.rows))
-        return cols, rows
+        rhs = float(rhs)
+        if not coeffs:
+            if not {"<=": 0.0 <= rhs, ">=": 0.0 >= rhs, "=": 0.0 == rhs}[sense]:
+                raise ValueError(f"empty row 0 {sense} {rhs} cannot hold")
+            return
+        lower = -np.inf if sense == "<=" else rhs
+        upper = np.inf if sense == ">=" else rhs
+        if self._highs.addRow(lower, upper, len(coeffs), list(coeffs),
+                              list(coeffs.values())) == _ERROR:
+            raise ValueError(f"HiGHS rejected row {len(self.rows)}: it takes coefficients "
+                             "below 1e15 and a right-hand side below 1e20 in magnitude")
+        self.rows.append((dict(coeffs), sense, rhs))
+        self._row_lower.append(lower)
+        self._row_upper.append(upper)
 
 
 class HighsResult(NamedTuple):
@@ -207,32 +195,23 @@ class HighsResult(NamedTuple):
     basis: object = None  # HighsBasis
 
 
-def linprog(highs, cols, rows, lower, upper, basis):
-    """Bring the handle `highs` up to date, solve and read the outcome.
+def linprog(highs, lower, upper, basis):
+    """Solve on the handle `highs` and read the outcome.
 
-    cols and rows are the new columns and rows as `LPModel._unsent` gives
-    them, lower and upper every column's bounds for this solve, and basis
-    a HighsBasis over every column and row to start from, or None to start
+    lower and upper are every column's bounds for this solve, and basis a
+    HighsBasis over every column and row to start from, or None to start
     from the handle's own.
 
     The name is kept from scipy's `linprog`, which this replaces: the
     benchmark's tracer wraps `lcim.lp.linprog` as its HiGHS layer and sums
     the `nit` of its results, so every HiGHS call of a solve sits in here.
     """
-    empty = np.empty(0, dtype=np.int32)
-    calls = []
-    if cols is not None:
-        cost, lo, hi = cols
-        calls.append(highs.addCols(len(cost), cost, lo, hi, 0, empty, empty, np.empty(0)))
-    if rows is not None:
-        lo, hi, starts, index, value = rows
-        calls.append(highs.addRows(len(lo), lo, hi, len(index), starts, index, value))
     n = len(lower)
-    calls.append(highs.changeColsBounds(n, np.arange(n, dtype=np.int32), lower, upper))
+    calls = [highs.changeColsBounds(n, np.arange(n, dtype=np.int32), lower, upper)]
     if basis is not None:
         calls.append(highs.setBasis(basis))
-    if _h.HighsStatus.kError in calls:
-        raise RuntimeError("LP solver failed: HiGHS rejected the model, bounds or basis")
+    if _ERROR in calls:
+        raise RuntimeError("LP solver failed: HiGHS rejected the bounds or basis")
     highs.run()
     status = highs.getModelStatus()
     info = highs.getInfo()
@@ -263,14 +242,13 @@ def solve_lp(model, bound_overrides=None, basis=None):
         for k, (lo, hi) in bound_overrides.items():
             lower[k] = lo
             upper[k] = hi
-    cols, rows = model._unsent()
     nrows = len(model.rows)
     start = None
     if basis is not None:
         start = basis.highs if basis.rows == nrows else _extended(basis, nrows)
 
     model.solves += 1
-    res = linprog(model._highs, cols, rows, lower, upper, start)
+    res = linprog(model._highs, lower, upper, start)
 
     if res.status == _INFEASIBLE:
         return LPSolution(status="infeasible", values=[], objective=np.inf)

@@ -2,19 +2,20 @@
 
 Everything here trades time for certainty: exhaustive activation-order
 optima, brute-force validity checks of inequalities against all feasible
-integral points, facet verification by affine rank of tight points, and an
-exhaustive (U,C) subset scan.  These are the reference implementations the
-fast code is tested against.
+integral points, every cover and packing cut of a node, facet verification
+by affine rank of tight points, and an exhaustive (U,C) subset scan.
+These are the reference implementations the fast code is tested against.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import numpy as np
 
 from .cyclecuts import uc_violation
+from .knapcuts import build_cover_cut, build_packing_cut
 
 __all__ = [
     "brute_force_optimum",
@@ -23,6 +24,7 @@ __all__ = [
     "check_validity",
     "check_validity_instance",
     "check_facet",
+    "cover_packing_cuts",
     "enumerate_uc_subsets",
     "enumerate_feasible_points",
 ]
@@ -148,6 +150,23 @@ def check_validity(ineq, view):
         if ineq.violation(point) > VALIDITY_TOL:
             return False
     return True
+
+
+def cover_packing_cuts(view, max_size=None):
+    """Every cut that `build_cover_cut` or `build_packing_cut` accepts for a
+    set of the view's neighbours of at most max_size nodes (any size when
+    None), in (size, set, builder) order; a cut two sets give appears
+    twice."""
+    sizes = range(1, (view.degree if max_size is None else max_size) + 1)
+    cuts = []
+    for size in sizes:
+        for S in combinations(view.neighbors, size):
+            for builder in (build_cover_cut, build_packing_cut):
+                try:
+                    cuts.append(builder(view, S))
+                except ValueError:
+                    continue
+    return cuts
 
 
 def check_facet(ineq, view):

@@ -6,7 +6,6 @@ offending check otherwise.
 """
 
 import time
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -45,19 +44,11 @@ class TestAcceptance:
     def test_01_cover_packing_table(self):
         t0 = time.monotonic()
         view = demo.example_view()
-        rows = {}
-        for size in range(1, view.degree + 1):
-            for S in combinations(view.neighbors, size):
-                for builder in (build_cover_cut, build_packing_cut):
-                    try:
-                        cut = builder(view, S)
-                    except ValueError:
-                        continue
-                    rows[tuple(sorted(cut.coeffs.items()))] = cut
+        rows = {tuple(sorted(cut.coeffs.items())) for cut in oracle.cover_packing_cuts(view)}
         expected = {
             tuple(sorted(r["coeffs"].items())) for r in demo.TABLE_COVER_PACKING
         }
-        assert set(rows) == expected
+        assert rows == expected
         # each annotated generating set reproduces its row exactly
         for r in demo.TABLE_COVER_PACKING:
             if r["cover"] is not None:
@@ -169,14 +160,7 @@ class TestAcceptance:
             base_map = {}
             for i in cycle.nodes:
                 view = inst.node_view(i)
-                cands = [propagation_row(view)]
-                for size in (1, 2):
-                    for S in combinations(view.neighbors, size):
-                        for builder in (build_cover_cut, build_packing_cut):
-                            try:
-                                cands.append(builder(view, S))
-                            except ValueError:
-                                continue
+                cands = [propagation_row(view), *oracle.cover_packing_cuts(view, max_size=2)]
                 base_map[i] = cands[int(rng.integers(0, len(cands)))]
             point = [0.0] * inst.ncols
             for i in cycle.nodes:

@@ -283,6 +283,31 @@ class TestIO:
             loads("lcim 1\n2 0 1\n1 1\n7 3\n")
         assert exc.value.lineno == 4
 
+    @pytest.mark.parametrize("text, reason, lineno", [
+        ("lcim 1\n2 2 1\n1 5\n2 0\n1 2 3\n2 1 4\n",
+         "node 2 has nonpositive or fractional threshold 0", 4),
+        ("lcim 1\n2 2 1\n1 5\n2 2\n1 9 3\n9 1 4\n", "arc (1,9) references unknown node", 5),
+        ("lcim 1\n2 3 1\n1 5\n2 2\n1 2 3\n1 1 2\n2 1 4\n", "self-loop at node 1", 6),
+        ("lcim 1\n2 2 1\n1 5\n2 2\n1 2 0\n2 1 4\n",
+         "arc (1,2) has nonpositive or fractional weight 0", 5),
+        ("lcim 1\n3 3 1\n1 5\n2 2\n3 2\n1 2 3\n2 3 1\n2 1 4\n",
+         "asymmetric arc set: (2,3) present without (3,2)", 7),
+    ], ids=("threshold", "unknown-node", "self-loop", "weight", "no-reverse"))
+    def test_instance_rule_at_its_line(self, text, reason, lineno):
+        with pytest.raises(ParseError) as exc:
+            loads(text)
+        assert (exc.value.lineno, exc.value.reason) == (lineno, reason)
+
+    def test_threshold_of_1e15_or_more_rejected(self):
+        # h_i is an LP coefficient, and HiGHS takes none of 10^15 or more
+        for h in (2 * 10**15, 10**20):
+            with pytest.raises(ParseError, match=f"node 2 has threshold {h}, not below") as exc:
+                loads(f"lcim 1\n2 2 1\n1 5\n2 {h}\n1 2 3\n2 1 4\n")
+            assert exc.value.lineno == 4
+            with pytest.raises(ValueError, match="not below 10\\^15"):
+                make_instance(2, {(1, 2): 3, (2, 1): 4}, {1: 5, 2: h}, b=1)
+        assert make_instance(1, {}, {1: 10**15 - 1}, b=1).h == (10**15 - 1,)
+
     def test_non_integer_field(self):
         text = "lcim 1\n2 2 1\n1 5.5\n2 2\n1 2 3\n2 1 4\n"
         with pytest.raises(ParseError, match="integers") as exc:

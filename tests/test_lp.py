@@ -87,6 +87,19 @@ class TestModel:
                 m.add_constraint({}, sense, rhs)
         assert len(m.rows) == 1
 
+    def test_row_rejected_by_highs_is_not_kept(self):
+        # HiGHS takes no coefficient of magnitude 1e15 or more; the row is
+        # refused when it is added and the model solves on without it
+        m = small_model()
+        assert solve_lp(m).objective == pytest.approx(3.0)
+        with pytest.raises(ValueError, match="HiGHS rejected row 1"):
+            m.add_constraint({0: 1e15}, ">=", 1.0)
+        assert m.rows == [({0: 1.0}, ">=", 3.0)]
+        m.add_constraint({0: 1.0}, ">=", 5.0)
+        assert m._highs.getNumRow() == len(m.rows) == 2
+        for _ in range(3):
+            assert solve_lp(m).objective == pytest.approx(5.0)
+
 
 class TestSolve:
     def test_trivial(self):
@@ -301,7 +314,19 @@ def check_against_oracle(model, overrides=None, basis=None):
 
 
 class TestAgainstLinprog:
-    def test_same_answers_as_scipy_linprog(self):
+    def test_same_answers_as_scipy_linprog(self, monkeypatch):
+        # after every add the HiGHS handle holds exactly the model's columns
+        # and rows
+        for name in ("add_var", "add_constraint"):
+            add = getattr(LPModel, name)
+
+            def checked(model, *args, add=add, **kwargs):
+                out = add(model, *args, **kwargs)
+                assert model._highs.getNumCol() == len(model.obj)
+                assert model._highs.getNumRow() == len(model.rows)
+                return out
+
+            monkeypatch.setattr(LPModel, name, checked)
         rng = np.random.default_rng(2024)
         cases = [random_lp(rng)[:2] for _ in range(50)] + demo_models()
         cases.append((regrown_model(), None))
