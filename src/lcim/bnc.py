@@ -90,7 +90,7 @@ class SolveReport:
     cuts: dict
     seconds: float
     incumbent: dict = field(default=None, repr=False)  # {"order", "objective"}
-    root_bound: float = None
+    root_bound: float = None  # cb: after the root cut loop; def/ln: tree node 1's LP
     lp_solves: int = 0  # LPs solved, branching probes included
 
     def tsv_line(self):
@@ -266,7 +266,7 @@ def root_cut_loop(model, instance, params, pool, deadline=math.inf):
             if added >= ROUND_CUT_CAP:
                 break
             view = instance.node_view(i)
-            res = knapcuts.separate_mis(view, point)
+            res = knapcuts.separate_mis(view, point, deadline)
             if res is None:
                 continue
             cut, _ = res
@@ -334,30 +334,26 @@ def _best_gcec(instance, cycle, point):
 # ---------------------------------------------------------------------------
 
 
-def branch(instance, model, sol, overrides, ub, pseudocosts, deadline=math.inf):
-    """Choose a fractional y or z column of `sol`, the LP answer of a node
-    whose bound fixings are `overrides`, and return the children worth
-    keeping as (bound, overrides, basis) triples; None when every y and z
-    is integral.
+def branch(model, sol, candidates, overrides, ub, pseudocosts, deadline=math.inf):
+    """Choose one of `candidates`, the fractional y and z columns of `sol`
+    as `_fractional` ranks them, and return the children worth keeping as
+    (bound, overrides, basis) triples; `sol` is the LP answer of a node
+    whose bound fixings are `overrides`, and `candidates` is not empty.
 
-    Candidates are ranked as `_fractional` ranks them.  A candidate with
-    fewer than RELIABILITY probes in either direction is probed: both
-    children are solved on `model`, warm from the node's basis, and each
-    optimal probe adds its gain per unit of bound change to `pseudocosts`,
-    a dict (column, up) -> [summed unit gain, probes] kept for one solve.
-    Other candidates' gains are estimated from their pseudocosts.  The
-    score is the product of the two gains, each at least SCORE_EPS, and an
-    infeasible child counts as an infinite gain.  The choice ends when
-    LOOKAHEAD candidates in a row do not beat the best score, when a score
-    is infinite, or when the monotonic clock has passed `deadline`; with no
-    candidate scored by then, the first is taken unprobed.  A probed child
-    is kept with the bound max(probe objective, node bound), unless its
-    probe was infeasible or that bound prunes it against `ub`; an
-    estimated child carries the node's bound.
+    A candidate with fewer than RELIABILITY probes in either direction is
+    probed: both children are solved on `model`, warm from the node's
+    basis, and each optimal probe adds its gain per unit of bound change to
+    `pseudocosts`, a dict (column, up) -> [summed unit gain, probes] kept
+    for one solve.  Other candidates' gains are estimated from their
+    pseudocosts.  The score is the product of the two gains, each at least
+    SCORE_EPS, and an infeasible child counts as an infinite gain.  The
+    choice ends when LOOKAHEAD candidates in a row do not beat the best
+    score, when a score is infinite, or when the monotonic clock has passed
+    `deadline`; with no candidate scored by then, the first is taken
+    unprobed.  A probed child is kept with the bound max(probe objective,
+    node bound), unless its probe was infeasible or that bound prunes it
+    against `ub`; an estimated child carries the node's bound.
     """
-    candidates = _fractional(instance, sol.values)
-    if not candidates:
-        return None
     best_score, best = -1.0, None
     stale = 0
     for k in candidates:
@@ -442,15 +438,11 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
     pool = CutPool()
     model = assemble(instance, mode)
 
+    root_bound = None  # def/ln: the LP bound of tree node 1
     if mode == "cb":
         root_bound = root_cut_loop(model, instance, params, pool, deadline)
-    else:
-        root_sol = solve_lp(model)
-        root_bound = root_sol.objective if root_sol.optimal else None
 
-    ub, greedy_order = greedy_incumbent(instance)
-    incumbent = {"order": greedy_order, "objective": ub}
-    lb_report = 0.0
+    ub, order = greedy_incumbent(instance)
     nodes = 0
     status = "optimal"
 
@@ -462,19 +454,21 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
             status = "time_limit"
             break
         node_lb, _, overrides, seps, basis = heapq.heappop(heap)
-        lb_report = max(lb_report, node_lb)
         if _prunable(node_lb, ub):
             continue
         sol = solve_lp(model, bound_overrides=overrides, basis=basis)
         nodes += 1
         if not sol.optimal:
             continue
+        if nodes == 1 and mode != "cb":
+            root_bound = sol.objective
         lb_node = sol.objective
         if _prunable(lb_node, ub):
             continue
         point = sol.values
+        candidates = _fractional(instance, point)
 
-        if not _fractional(instance, point):
+        if not candidates:
             cycle = None
             if mode != "ln":
                 cycle = cyclecuts.find_violated_cycle_integer(instance, point)
@@ -492,18 +486,17 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
                 counter += 1
                 heapq.heappush(heap, (lb_node, counter, overrides, seps, sol.basis))
                 continue
-            order = _activation_order(instance, point)
-            cost = activation_cost(instance, order)
+            found = _activation_order(instance, point)
+            cost = activation_cost(instance, found)
             if cost < ub:
-                ub = cost
-                incumbent = {"order": order, "objective": cost}
+                ub, order = cost, found
             continue
 
         if mode == "cb" and seps < TREE_SEP_ROUNDS:
             # tighten the node with fresh MIS cuts before spending a branch
             added = 0
             for i in range(1, instance.n + 1):
-                res = knapcuts.separate_mis(instance.node_view(i), point)
+                res = knapcuts.separate_mis(instance.node_view(i), point, deadline)
                 if res is not None:
                     added += _add_cut(model, pool, res[0])
             if added:
@@ -512,17 +505,12 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
                 continue
 
         for bound, fixings, start in branch(
-            instance, model, sol, overrides, ub, pseudocosts, deadline
+            model, sol, candidates, overrides, ub, pseudocosts, deadline
         ):
             counter += 1
             heapq.heappush(heap, (bound, counter, fixings, 0, start))
 
-    if status == "optimal":
-        lb_report = float(ub)
-    else:
-        lb_report = max(lb_report, heap[0][0])  # the least open bound
-    lb_report = min(lb_report, float(ub))
-
+    lb = ub if status == "optimal" else min(heap[0][0], ub)  # the least open bound
     return SolveReport(
         instance_id=instance_id,
         mode=mode,
@@ -531,12 +519,12 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
         b=instance.b,
         status=status,
         ub=float(ub),
-        lb=lb_report,
-        gap=gap_percent(float(ub), lb_report),
+        lb=float(lb),
+        gap=gap_percent(ub, lb),
         nodes=nodes,
         cuts=dict(pool.counts),
         seconds=time.monotonic() - t0,
-        incumbent=incumbent,
+        incumbent={"order": order, "objective": ub},
         root_bound=root_bound,
         lp_solves=model.solves,
     )

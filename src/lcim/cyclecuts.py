@@ -187,10 +187,7 @@ def find_violated_cycles_fractional(instance, point):
         if len(path) < 3:
             continue  # two-cycle
         cyc_arcs = [(i, j)] + [(path[t], path[t + 1]) for t in range(len(path) - 1)]
-        try:
-            cycle = Cycle(arcs=tuple(cyc_arcs)).canonical()
-        except ValueError:
-            continue  # shortest path touched the arc's endpoints twice
+        cycle = Cycle(arcs=tuple(cyc_arcs)).canonical()
         found.setdefault(cycle.arcs, cycle)
         if len(found) >= CYCLE_CAP:
             break

@@ -21,6 +21,8 @@ the (U,C) cuts in `cyclecuts`.
 
 from __future__ import annotations
 
+import math
+import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -48,7 +50,9 @@ __all__ = [
 ]
 
 VIOLATION_TOL = 1e-6  # a cut must be violated by more than this to be added
-MIS_DP_CELLS = 1 << 16  # cells per MIS DP table; bounds the memory for large h
+# rows of one MIS DP block: max(1, MIS_DP_CELLS // h) weight sums, so each of
+# its v + 1 tables holds up to max(MIS_DP_CELLS, h) cells
+MIS_DP_CELLS = 1 << 16
 
 
 @dataclass
@@ -316,7 +320,7 @@ def propagation_row(view):
 # ---------------------------------------------------------------------------
 
 
-def separate_mis(view, point):
+def separate_mis(view, point, deadline=math.inf):
     """Exact MIS separation of the node's cuts at an LP point.
 
     The violation of the MIS cut for a subset M with weight sum s is
@@ -333,7 +337,8 @@ def separate_mis(view, point):
     again on its own to read its subset back from the tables.
 
     Returns (cut, violation), with the MIS `NodeCut` whose members are the
-    subset M, or None when no cut is violated by more than VIOLATION_TOL.
+    subset M, or None when no cut is violated by more than VIOLATION_TOL or
+    when the monotonic clock passes `deadline` before a DP block.
     """
     h = view.h
     x_star, z_star = point[view.xcol], point[view.zcol]
@@ -345,6 +350,8 @@ def separate_mis(view, point):
     best = None  # (violation, s)
     block = max(1, MIS_DP_CELLS // h)
     for s0 in range(0, h, block):
+        if time.monotonic() > deadline:
+            return None
         s = np.arange(s0, min(h, s0 + block))
         tables, total = _mis_tables(items, ys, h, s)
         recovered = tables[-1][np.arange(len(s)), s]

@@ -13,6 +13,7 @@ from lcim.bnc import (
     CUT_FAMILIES,
     TSV_HEADER,
     SolveParams,
+    _fractional,
     assemble,
     branch,
     gap_percent,
@@ -134,7 +135,8 @@ class TestBranch:
         """branch on a hand-made point with the deadline already past, so
         no probe runs and the first ranked candidate is taken."""
         sol = LPSolution("optimal", point, 0.0)
-        return branch(inst, assemble(inst, "def"), sol, {}, math.inf, {}, time.monotonic() - 1.0)
+        candidates = _fractional(inst, point)
+        return branch(assemble(inst, "def"), sol, candidates, {}, math.inf, {}, time.monotonic() - 1.0)
 
     def test_fractional_z(self):
         # both probed children of the demo root, with their probe bounds;
@@ -143,7 +145,8 @@ class TestBranch:
         model = assemble(inst, "def")
         sol = solve_lp(model)
         pseudocosts = {}
-        children = branch(inst, model, sol, {}, math.inf, pseudocosts)
+        candidates = _fractional(inst, sol.values)
+        children = branch(model, sol, candidates, {}, math.inf, pseudocosts)
         assert len(children) == 2
         (col, lo), = children[0][1].items()
         assert inst.n <= col < inst.ncols  # a y or z column
@@ -155,7 +158,7 @@ class TestBranch:
             assert start is sol.basis
         assert {(col, 0), (col, 1)} <= set(pseudocosts)
         ub = math.ceil(max(bound for bound, _, _ in children) - 1e-6)
-        kept = branch(inst, model, sol, {}, ub, {})
+        kept = branch(model, sol, candidates, {}, ub, {})
         assert len(kept) == 1
         assert [c[1] for c in kept] == [c[1] for c in children if c[0] < ub - 1e-6]
 
@@ -170,14 +173,12 @@ class TestBranch:
         point[inst.zcol(2)] = 0.5  # equally fractional: the lower column first
         assert list(self.unprobed(inst, point)[0][1]) == [inst.zcol(2)]
 
-    def test_integral_point_returns_none(self):
+    def test_integral_point_has_no_candidates(self):
         inst = demo.demo_instance()
         point = [0.0] * inst.ncols
         point[inst.zcol(2)] = 1.0
         point[inst.xcol(3)] = 0.5  # x is continuous
-        assert self.unprobed(inst, point) is None
-        assert branch(inst, assemble(inst, "def"), LPSolution("optimal", point, 0.0),
-                      {}, math.inf, {}) is None
+        assert _fractional(inst, point) == []
 
     def test_infeasible_probe_child_dropped(self):
         # a row x_k >= x*_k on the first candidate k leaves the node's answer
@@ -185,10 +186,11 @@ class TestBranch:
         inst = demo.demo_instance()
         model = assemble(inst, "def")
         sol = solve_lp(model)
-        first = branch(inst, model, sol, {}, math.inf, {}, time.monotonic() - 1.0)
+        candidates = _fractional(inst, sol.values)
+        first = branch(model, sol, candidates, {}, math.inf, {}, time.monotonic() - 1.0)
         (k,) = first[0][1]
         model.add_constraint({k: 1.0}, ">=", sol.values[k])
-        children = branch(inst, model, sol, {}, math.inf, {})
+        children = branch(model, sol, candidates, {}, math.inf, {})
         assert [fixings for _, fixings, _ in children] == [{k: (1.0, 1.0)}]
 
 
@@ -283,6 +285,24 @@ class TestSolve:
         assert report.lb <= report.ub
         assert report.gap >= 0.0
 
+    def test_time_limit_before_root_runs_no_lp(self, monkeypatch):
+        calls = count_solve_lp(monkeypatch)
+        report = solve(demo.demo_instance(), "def", SolveParams(time_limit=1e-9))
+        assert calls == [] and report.lp_solves == 0
+        assert report.status == "time_limit"
+        assert report.root_bound is None
+
+    def test_deadline_holds_in_mis_separation(self):
+        # a triangle with thresholds near 100,000: one exact MIS separation
+        # of a node runs far past the time limit unless it stops itself
+        h = 100_000
+        weights = {(i, j): 3 * h // 5 for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
+        inst = make_instance(3, weights, {1: h, 2: h + 1, 3: h + 2}, b=3)
+        t0 = time.monotonic()
+        report = solve(inst, "cb", SolveParams(time_limit=1))
+        assert report.status == "time_limit"
+        assert time.monotonic() - t0 < 5
+
     def test_deadline_holds_in_root_loop(self, monkeypatch):
         calls = count_solve_lp(monkeypatch)
         inst = demo.demo_instance()
@@ -302,7 +322,8 @@ class TestSolve:
         sol = solve_lp(model)
         calls = count_solve_lp(monkeypatch)
         pseudocosts = {}
-        children = branch(inst, model, sol, {}, math.inf, pseudocosts, time.monotonic() - 1.0)
+        candidates = _fractional(inst, sol.values)
+        children = branch(model, sol, candidates, {}, math.inf, pseudocosts, time.monotonic() - 1.0)
         assert calls == [] and pseudocosts == {}
         assert len(children) == 2
         (k,) = children[0][1]

@@ -1,5 +1,6 @@
 """Cover, packing and MIS cuts: construction, lifting, and separation."""
 
+import time
 from itertools import combinations
 
 import numpy as np
@@ -223,6 +224,11 @@ class TestSeparation:
         cut, violation = res
         assert cut.members == frozenset() and cut.tag == "mis"
         assert violation == pytest.approx(8.0)
+
+    def test_mis_separation_stops_at_deadline(self):
+        point = view_point(0.0, 1.0)
+        assert separate_mis(VIEW, point) is not None
+        assert separate_mis(VIEW, point, deadline=time.monotonic() - 1) is None
 
     def test_mis_separation_satisfied_point(self):
         assert separate_mis(VIEW, view_point(float(VIEW.h), 1.0)) is None

@@ -263,7 +263,8 @@ def demo_models():
     inst = demo.demo_instance()
     looped = bnc.assemble(inst, "cb")
     bnc.root_cut_loop(looped, inst, bnc.SolveParams(time_limit=60), CutPool())
-    children = bnc.branch(inst, looped, solve_lp(looped), {}, np.inf, {})
+    sol = solve_lp(looped)
+    children = bnc.branch(looped, sol, bnc._fractional(inst, sol.values), {}, np.inf, {})
     cases = [(bnc.assemble(inst, "def"), None), (bnc.assemble(inst, "cb"), None), (looped, None)]
     return cases + [(looped, fixings) for _, fixings, _ in children]
 
