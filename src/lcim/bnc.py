@@ -241,15 +241,17 @@ def greedy_incumbent(instance):
 # ---------------------------------------------------------------------------
 
 
-def root_cut_loop(model, instance, params, pool, deadline=math.inf):
+def root_cut_loop(model, instance, params, pool, table, deadline=math.inf):
     """Separate MIS/cover/packing and cycle cuts at the root until none are
     violated; returns the final root LP bound.
 
-    Per round: the LP is solved, each node runs exact MIS separation (with
-    the companion cover and packing cuts derived from the same subset), and
-    each violated cycle yields a (U,C) cut — or a GCEC when the coverage
-    requirement cannot certify the cycle cuts' validity.  No round starts
-    separating once the monotonic clock has passed `deadline`.
+    Per round: the LP is solved, each node that the instance's
+    `knapcuts.MisTable` `table` lists as a candidate runs exact MIS
+    separation (with the companion cover and packing cuts derived from the
+    same subset), and each violated cycle yields a (U,C) cut — or a GCEC
+    when the coverage requirement cannot certify the cycle cuts' validity.
+    No round starts separating once the monotonic clock has passed
+    `deadline`.
     """
     bound = None
     for _ in range(params.max_rounds):
@@ -262,7 +264,7 @@ def root_cut_loop(model, instance, params, pool, deadline=math.inf):
         point = sol.values
         added = 0
 
-        for i in range(1, instance.n + 1):
+        for i in table.candidates(point):
             if added >= ROUND_CUT_CAP:
                 break
             view = instance.node_view(i)
@@ -440,7 +442,8 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
 
     root_bound = None  # def/ln: the LP bound of tree node 1
     if mode == "cb":
-        root_bound = root_cut_loop(model, instance, params, pool, deadline)
+        table = knapcuts.MisTable(instance)
+        root_bound = root_cut_loop(model, instance, params, pool, table, deadline)
 
     ub, order = greedy_incumbent(instance)
     nodes = 0
@@ -495,7 +498,7 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
         if mode == "cb" and seps < TREE_SEP_ROUNDS:
             # tighten the node with fresh MIS cuts before spending a branch
             added = 0
-            for i in range(1, instance.n + 1):
+            for i in table.candidates(point):
                 res = knapcuts.separate_mis(instance.node_view(i), point, deadline)
                 if res is not None:
                     added += _add_cut(model, pool, res[0])

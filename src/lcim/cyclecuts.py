@@ -143,41 +143,34 @@ def find_violated_cycles_fractional(instance, point):
     """Cycles whose weight sum_{(k,l) in C} (z_l - y_kl) falls below 1.
 
     Arc weights are nonnegative at any point satisfying the edge-coupling
-    rows, so a shortest-path search from each arc's head back to its tail
-    closes the cheapest cycle through that arc.  Two-cycles are skipped
-    (already covered by the edge-coupling rows); results are canonicalized
-    and deduplicated, up to CYCLE_CAP cycles.  Among shortest paths the
-    search keeps a fixed one: equal distances pop by node id and a
-    predecessor changes only on a strictly shorter path, and this choice
-    decides which cycles, and so which cuts, come back.
+    rows, so a shortest path from each arc's head back to its tail closes
+    the cheapest cycle through that arc.  Two-cycles are skipped (already
+    covered by the edge-coupling rows); results are canonicalized and
+    deduplicated, up to CYCLE_CAP cycles.  Among shortest paths the search
+    keeps a fixed one: equal distances pop by node id and a predecessor
+    changes only on a strictly shorter path, and this choice decides which
+    cycles, and so which cuts, come back.  All arcs into one head share one
+    search from it (`_shortest_path_tree`), which returns the paths that a
+    search stopped at each arc's tail would.
     """
     arcs = {}
     adj = {}
+    entering = {}  # head -> least weight of an arc into it that may close a cycle
     for (i, j), k in instance.ycol.items():
         w = max(point[instance.zcol(j)] - point[k], 0.0)
         arcs[(i, j)] = w
         adj.setdefault(i, []).append((j, w))
+        if w < 1.0 - VIOLATION_TOL:
+            entering[j] = min(w, entering.get(j, math.inf))
 
+    trees = {}
     found = {}
     for (i, j), w0 in arcs.items():
         if w0 >= 1.0 - VIOLATION_TOL:
             continue
-        # Dijkstra from j back to i
-        dist = {j: 0.0}
-        prev = {}
-        heap = [(0.0, j)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, math.inf):
-                continue
-            if u == i:
-                break
-            for v, w in adj.get(u, ()):
-                nd = d + w
-                if nd < dist.get(v, math.inf) - 1e-15:
-                    dist[v] = nd
-                    prev[v] = u
-                    heapq.heappush(heap, (nd, v))
+        if j not in trees:
+            trees[j] = _shortest_path_tree(adj, j, entering[j])
+        dist, prev = trees[j]
         if i not in dist or w0 + dist[i] >= 1.0 - VIOLATION_TOL:
             continue
         path = [i]
@@ -192,6 +185,37 @@ def find_violated_cycles_fractional(instance, point):
         if len(found) >= CYCLE_CAP:
             break
     return list(found.values())
+
+
+def _shortest_path_tree(adj, source, entering):
+    """Dijkstra from `source` over the weighted successor lists `adj`;
+    returns the distances of the nodes it settled and their predecessors.
+
+    It stops once `entering` (the least weight of an arc into the source)
+    plus the distance reached is at least 1 - VIOLATION_TOL, as no later
+    node closes a violated cycle.  Nodes settle in the order a search
+    stopped at any one of them settles them, and a settled node's
+    predecessor never changes, so each settled node's path is the one
+    that search finds.
+    """
+    dist = {source: 0.0}
+    settled = {}
+    prev = {}
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        if entering + d >= 1.0 - VIOLATION_TOL:
+            break
+        settled[u] = d
+        for v, w in adj.get(u, ()):
+            nd = d + w
+            if nd < dist.get(v, math.inf) - 1e-15:
+                dist[v] = nd
+                prev[v] = u
+                heapq.heappush(heap, (nd, v))
+    return settled, prev
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ __all__ = [
     "build_mis_cut",
     "propagation_row",
     "separate_mis",
+    "MisTable",
     "cover_from_mis",
     "packing_from_cover",
 ]
@@ -53,6 +54,9 @@ VIOLATION_TOL = 1e-6  # a cut must be violated by more than this to be added
 # rows of one MIS DP block: max(1, MIS_DP_CELLS // h) weight sums, so each of
 # its v + 1 tables holds up to max(MIS_DP_CELLS, h) cells
 MIS_DP_CELLS = 1 << 16
+# nodes of higher degree stay out of the MIS table (at most 2^8 rows a node)
+# and always run the DP
+MIS_TABLE_DEGREE = 8
 
 
 @dataclass
@@ -399,6 +403,60 @@ def _mis_tables(items, ys, h, s):
             dp[:, w:] = np.maximum(dp[:, w:], dp[:, :-w] + gain[:, None])
         tables.append(dp)
     return tables, total
+
+
+class MisTable:
+    """Every MIS row of an instance's nodes, to pick the nodes worth an
+    exact MIS separation at a point.
+
+    For each node i of degree at most MIS_TABLE_DEGREE it holds the row
+    x_i + sum_{j not in M} min(d_j, p) y_ji >= p z_i of every neighbour
+    subset M with p = h_i - d(M) > 0, grouped by node and padded to the
+    largest degree with zero coefficients.  A node of higher degree is left
+    out.  The table only filters: cuts still come from `separate_mis`.
+    """
+
+    def __init__(self, instance):
+        views = [instance.node_view(i) for i in range(1, instance.n + 1)]
+        tabled = [v for v in views if v.degree <= MIS_TABLE_DEGREE]
+        self.untabled = [v.node for v in views if v.degree > MIS_TABLE_DEGREE]
+        self.nodes = np.array([v.node for v in tabled], dtype=np.intp)
+        width = max((v.degree for v in tabled), default=0)
+        xcol, zcol, p = [], [], []
+        idx, coef = [np.empty((0, width), np.intp)], [np.empty((0, width))]
+        for view in tabled:
+            v = view.degree
+            inside = (np.arange(1 << v)[:, None] >> np.arange(v)) & 1  # row r: M = bits of r
+            residual = view.h - inside @ np.array(view.weights, dtype=np.int64)
+            keep = residual > 0  # M = {} (p = h) always stays, so every node has a row
+            inside, residual = inside[keep], residual[keep]
+            xcol += [view.xcol] * len(residual)
+            zcol += [view.zcol] * len(residual)
+            p += residual.tolist()
+            c = np.zeros((len(residual), width))
+            c[:, :v] = np.where(inside, 0, np.minimum(view.weights, residual[:, None]))
+            coef.append(c)
+            k = np.zeros((len(residual), width), dtype=np.intp)
+            k[:, :v] = view.ycols
+            idx.append(k)
+        self.starts = np.flatnonzero(np.diff(zcol, prepend=-1))  # each node's first row
+        self.xcol, self.zcol = np.array(xcol, np.intp), np.array(zcol, np.intp)
+        self.p = np.array(p, dtype=float)
+        self.idx, self.coef = np.concatenate(idx), np.concatenate(coef)
+
+    def maxima(self, point):
+        """The largest MIS row violation of each node in `nodes` at the point."""
+        pt = np.asarray(point, dtype=float)
+        viol = self.p * pt[self.zcol] - pt[self.xcol] - (self.coef * pt[self.idx]).sum(1)
+        return np.maximum.reduceat(viol, self.starts)
+
+    def candidates(self, point):
+        """The nodes, ascending, whose MIS rows may hold a cut violated by
+        more than VIOLATION_TOL: those of the table with a row violated by
+        more than VIOLATION_TOL - 1e-9 (the margin covers the DP's other
+        summation order), and every node left out."""
+        hit = self.nodes[self.maxima(point) > VIOLATION_TOL - 1e-9].tolist()
+        return sorted(hit + self.untabled)
 
 
 def cover_from_mis(mis):

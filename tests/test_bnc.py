@@ -22,7 +22,7 @@ from lcim.bnc import (
     solve,
 )
 from lcim.instance import generate_small_world, make_instance
-from lcim.knapcuts import CutPool, propagation_row
+from lcim.knapcuts import CutPool, MisTable, propagation_row
 from lcim.lp import LPSolution, solve_lp
 
 from conftest import random_instance
@@ -199,7 +199,7 @@ class TestRootCuts:
         inst = demo.demo_instance()
         model = assemble(inst, "cb")
         pool = CutPool()
-        bound = root_cut_loop(model, inst, SolveParams(time_limit=60), pool)
+        bound = root_cut_loop(model, inst, SolveParams(time_limit=60), pool, MisTable(inst))
         assert bound >= demo.DEMO_POSTCUT_OBJ - 1e-6
         assert len(pool) > 0
 
@@ -209,7 +209,7 @@ class TestRootCuts:
             inst = random_instance(rng, n_max=5)
             model = assemble(inst, "cb")
             pool = CutPool()
-            root_cut_loop(model, inst, SolveParams(time_limit=60), pool)
+            root_cut_loop(model, inst, SolveParams(time_limit=60), pool, MisTable(inst))
             assert oracle.check_validity_instance(pool, inst), (
                 _invalid_cuts(pool, inst),
                 inst,
@@ -223,7 +223,7 @@ class TestRootCuts:
             inst = random_instance(rng, n_min=4, n_max=6, extra_edge_prob=0.6, b=1)
             model = assemble(inst, "cb")
             pool = CutPool()
-            root_cut_loop(model, inst, SolveParams(time_limit=60), pool)
+            root_cut_loop(model, inst, SolveParams(time_limit=60), pool, MisTable(inst))
             for cut in pool:
                 if cut.tag == "uc":
                     arcs, _ = cut.provenance
@@ -308,7 +308,7 @@ class TestSolve:
         inst = demo.demo_instance()
         model = assemble(inst, "cb")
         pool = CutPool()
-        root_cut_loop(model, inst, SolveParams(), pool, time.monotonic() - 1.0)
+        root_cut_loop(model, inst, SolveParams(), pool, MisTable(inst), time.monotonic() - 1.0)
         assert len(calls) <= 1
         assert len(pool) == 0
 
@@ -371,7 +371,7 @@ class TestProperties:
     def test_root_cuts_valid(self, seed):
         inst = demo.random_instance(np.random.default_rng(seed), n_max=6)
         pool = CutPool()
-        root_cut_loop(assemble(inst, "cb"), inst, SolveParams(time_limit=60), pool)
+        root_cut_loop(assemble(inst, "cb"), inst, SolveParams(time_limit=60), pool, MisTable(inst))
         assert oracle.check_validity_instance(pool, inst), _invalid_cuts(pool, inst)
 
 

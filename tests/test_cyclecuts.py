@@ -1,11 +1,13 @@
 """GCEC and (U,C) cycle cuts: construction, separation, dominance."""
 
+import heapq
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from lcim import demo, oracle
+from lcim import bnc, cyclecuts, demo, oracle
 from lcim.cyclecuts import (
     Cycle,
     build_gcec,
@@ -17,8 +19,8 @@ from lcim.cyclecuts import (
     uc_dag_values,
     uc_violation,
 )
-from lcim.instance import make_instance
-from lcim.knapcuts import build_cover_cut, build_packing_cut, propagation_row
+from lcim.instance import generate_small_world, make_instance
+from lcim.knapcuts import VIOLATION_TOL, build_cover_cut, build_packing_cut, propagation_row
 
 from conftest import random_instance
 
@@ -50,6 +52,51 @@ def columns(instance, cycle_point):
     for i, v in cycle_point.get("z", {}).items():
         point[instance.zcol(i)] = v
     return point
+
+
+def per_arc_cycles(instance, point):
+    """Reference for `find_violated_cycles_fractional`: one Dijkstra search
+    per arc (i, j), from j until it pops i."""
+    arcs = {}
+    adj = {}
+    for (i, j), k in instance.ycol.items():
+        w = max(point[instance.zcol(j)] - point[k], 0.0)
+        arcs[(i, j)] = w
+        adj.setdefault(i, []).append((j, w))
+
+    found = {}
+    for (i, j), w0 in arcs.items():
+        if w0 >= 1.0 - VIOLATION_TOL:
+            continue
+        dist = {j: 0.0}
+        prev = {}
+        heap = [(0.0, j)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist.get(u, math.inf):
+                continue
+            if u == i:
+                break
+            for v, w in adj.get(u, ()):
+                nd = d + w
+                if nd < dist.get(v, math.inf) - 1e-15:
+                    dist[v] = nd
+                    prev[v] = u
+                    heapq.heappush(heap, (nd, v))
+        if i not in dist or w0 + dist[i] >= 1.0 - VIOLATION_TOL:
+            continue
+        path = [i]
+        while path[-1] != j:
+            path.append(prev[path[-1]])
+        path.reverse()
+        if len(path) < 3:
+            continue
+        cyc_arcs = [(i, j)] + [(path[t], path[t + 1]) for t in range(len(path) - 1)]
+        cycle = Cycle(arcs=tuple(cyc_arcs)).canonical()
+        found.setdefault(cycle.arcs, cycle)
+        if len(found) >= cyclecuts.CYCLE_CAP:
+            break
+    return list(found.values())
 
 
 class TestCycle:
@@ -154,6 +201,46 @@ class TestCycleSearch:
             {(1, 2): 0.9, (2, 1): 0.9},
         )
         assert find_violated_cycles_fractional(self.INST, point) == []
+
+
+    def test_matches_per_arc_search(self):
+        # same cycles in the same order as one search per arc, on points
+        # with values on a coarse grid, so that equal distances are common
+        rng = np.random.default_rng(59)
+        points = found = 0
+        for n in (8, 12, 20, 50):
+            for seed in range(8):
+                q, a = (0.1, 0.3)[seed % 2], 0.5
+                inst = generate_small_world(n, 4, q, a, seed=seed)
+                for _ in range(18):
+                    point = [0.0] * inst.ncols
+                    for i in range(1, inst.n + 1):
+                        point[inst.zcol(i)] = float(rng.integers(1, 21)) / 20
+                    for (i, j), k in inst.ycol.items():
+                        z = point[inst.zcol(j)]
+                        point[k] = z * float(rng.integers(10, 21)) / 20
+                    cycles = find_violated_cycles_fractional(inst, point)
+                    assert cycles == per_arc_cycles(inst, point), (n, seed)
+                    points += 1
+                    found += bool(cycles)
+        assert points >= 500 and found >= 400
+
+    def test_matches_per_arc_search_in_desk_solves(self, monkeypatch):
+        # every point the desk-cb solves separate cycles at
+        seen = []
+
+        def checked(instance, point):
+            cycles = find_violated_cycles_fractional(instance, point)
+            assert cycles == per_arc_cycles(instance, point)
+            seen.append(len(cycles))
+            return cycles
+
+        monkeypatch.setattr(cyclecuts, "find_violated_cycles_fractional", checked)
+        for q, a in ((0.1, 0.1), (0.1, 0.25), (0.3, 0.1)):
+            inst = generate_small_world(50, 4, q, a, seed=42)
+            report = bnc.solve(inst, "cb", bnc.SolveParams(time_limit=600))
+            assert report.status == "optimal"
+        assert len(seen) >= 30 and sum(seen) > 0
 
 
 class TestBaseIneq:

@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 
 from lcim import demo, oracle
+from lcim.instance import make_instance
 from lcim.knapcuts import (
+    MIS_TABLE_DEGREE,
+    VIOLATION_TOL,
     CutPool,
     Inequality,
+    MisTable,
     build_cover_cut,
     build_mis_cut,
     build_packing_cut,
@@ -22,7 +26,7 @@ from lcim.knapcuts import (
     separate_mis,
 )
 
-from conftest import random_fractional_point, random_node_view
+from conftest import random_fractional_point, random_instance, random_node_view
 
 VIEW = demo.example_view()  # h=8, d=(7,6,5,4)
 
@@ -31,6 +35,22 @@ def view_point(x, z):
     """The point of VIEW with the given x and z and every y = 0."""
     point = [0.0] * (VIEW.zcol + 1)
     point[VIEW.xcol], point[VIEW.zcol] = x, z
+    return point
+
+
+def random_instance_point(rng, instance):
+    """Random fractional point over every column: per node z in [0.05, 1],
+    its in-arc y in [0, z] and x in [0, h z], or x = h z (nothing violated)
+    for about a quarter of the nodes."""
+    point = [0.0] * instance.ncols
+    for i in range(1, instance.n + 1):
+        view = instance.node_view(i)
+        z = float(rng.uniform(0.05, 1.0))
+        point[view.zcol] = z
+        for k in view.ycols:
+            point[k] = float(rng.uniform(0.0, z))
+        full = rng.random() < 0.25
+        point[view.xcol] = view.h * z if full else float(rng.uniform(0.0, view.h * z))
     return point
 
 
@@ -285,3 +305,54 @@ class TestSeparation:
                                 view.weight_of(j) for j in members
                             ) - view.h
                             assert got == lam
+
+
+class TestMisTable:
+    def test_maxima_match_separation(self):
+        # per node, the table's largest row violation is the violation of
+        # the cut separate_mis finds, and a node it filters out gets no cut
+        rng = np.random.default_rng(43)
+        cuts = skipped = 0
+        for _ in range(60):
+            inst = random_instance(rng, n_min=3, n_max=10, extra_edge_prob=0.4)
+            table = MisTable(inst)
+            for _ in range(6):
+                point = random_instance_point(rng, inst)
+                keep = set(table.candidates(point))
+                for node, best in zip(table.nodes.tolist(), table.maxima(point).tolist()):
+                    res = separate_mis(inst.node_view(node), point)
+                    if res is None:
+                        assert best <= VIOLATION_TOL + 1e-9, (inst, node, best)
+                    else:
+                        cuts += 1
+                        assert abs(res[1] - best) <= 1e-9, (inst, node, best, res[1])
+                    if node not in keep:
+                        skipped += 1
+                        assert res is None, (inst, node)
+        assert cuts >= 200 and skipped >= 200
+
+    def test_rows_are_the_mis_rows(self):
+        view = demo.example_view()  # h=8, d=(7,6,5,4)
+        arcs = {(j, 5): w for j, w in view.d} | {(5, j): 1 for j in range(1, 5)}
+        inst = make_instance(5, arcs, {1: 1, 2: 1, 3: 1, 4: 1, 5: view.h}, b=1)
+        table = MisTable(inst)
+        rows = table.zcol == inst.zcol(5)
+        # the subsets of weight sum below h = 8: {}, and each single neighbour
+        assert sorted(table.p[rows].tolist()) == [1.0, 2.0, 3.0, 4.0, 8.0]
+
+    def test_high_degree_node_always_separated(self):
+        # a star whose centre has 10 > MIS_TABLE_DEGREE neighbours: the
+        # centre has no rows and is a candidate even where nothing is violated
+        leaves = range(2, 12)
+        arcs = {(1, j): 3 for j in leaves} | {(j, 1): 2 for j in leaves}
+        inst = make_instance(11, arcs, {1: 15} | dict.fromkeys(leaves, 3), b=11)
+        assert MIS_TABLE_DEGREE < 10
+        table = MisTable(inst)
+        assert table.untabled == [1] and 1 not in table.nodes.tolist()
+        assert table.candidates([0.0] * inst.ncols) == [1]
+        point = [1.0] * inst.ncols
+        for i in leaves:
+            point[inst.xcol(i)] = 3.0
+        point[inst.xcol(1)] = 15.0
+        assert table.candidates(point) == [1]
+        assert separate_mis(inst.node_view(1), point) is None

@@ -12,7 +12,7 @@ from scipy.sparse import csr_matrix
 
 from lcim import bnc, demo, lp
 from lcim.instance import generate_small_world
-from lcim.knapcuts import CutPool
+from lcim.knapcuts import CutPool, MisTable
 from lcim.lp import LPModel, solve_lp
 
 from conftest import run_python
@@ -262,7 +262,7 @@ def demo_models():
     loop, and that model's first branching children."""
     inst = demo.demo_instance()
     looped = bnc.assemble(inst, "cb")
-    bnc.root_cut_loop(looped, inst, bnc.SolveParams(time_limit=60), CutPool())
+    bnc.root_cut_loop(looped, inst, bnc.SolveParams(time_limit=60), CutPool(), MisTable(inst))
     sol = solve_lp(looped)
     children = bnc.branch(looped, sol, bnc._fractional(inst, sol.values), {}, np.inf, {})
     cases = [(bnc.assemble(inst, "def"), None), (bnc.assemble(inst, "cb"), None), (looped, None)]
