@@ -6,10 +6,10 @@ Three formulation modes are supported:
   integral candidate whose y support holds a directed cycle gets the
   cycle's GCEC and, when ``cyclecuts.cycle_cut_allowed``, its U = {} cycle
   cut, and is solved again;
-* ``cb``  — the same, plus a root cutting loop adding MIS, cover and
-  packing cuts and, per violated cycle, a (U,C) cut or else a GCEC, until
-  no violated cut remains; each tree node then separates MIS cuts for up
-  to ``TREE_SEP_ROUNDS`` rounds before it branches;
+* ``cb``  — the same, plus separation rounds adding MIS, cover and
+  packing cuts and, per violated cycle, a (U,C) cut or else a GCEC: the
+  root runs them until one adds no cut, and each tree node runs the same
+  round up to ``TREE_SEP_ROUNDS`` times before it branches;
 * ``ln``  — the layered-network formulation (only for b = n), where layer
   variables make cyclic influence infeasible outright.
 
@@ -57,8 +57,8 @@ TSV_HEADER = "\t".join(
 
 
 INT_TOL = 1e-6  # a y/z value this close to 0 or 1 counts as integral
-ROUND_CUT_CAP = 200  # cuts added per root round
-TREE_SEP_ROUNDS = 2  # MIS separation rounds per tree node before branching
+ROUND_CUT_CAP = 200  # a separation round stops separating at this many new cuts
+TREE_SEP_ROUNDS = 2  # separation rounds, the root's, per tree node before branching
 RELIABILITY = 1  # probes per column and direction before its pseudocost is trusted
 LOOKAHEAD = 4  # candidates in a row not beating the best score end the choice
 SCORE_EPS = 1e-6  # floor of each child's gain in the product score
@@ -242,16 +242,12 @@ def greedy_incumbent(instance):
 
 
 def root_cut_loop(model, instance, params, pool, table, deadline=math.inf):
-    """Separate MIS/cover/packing and cycle cuts at the root until none are
-    violated; returns the final root LP bound.
+    """Run separation rounds at the root until one adds no cut; returns the
+    final root LP bound.
 
-    Per round: the LP is solved, each node that the instance's
-    `knapcuts.MisTable` `table` lists as a candidate runs exact MIS
-    separation (with the companion cover and packing cuts derived from the
-    same subset), and each violated cycle yields a (U,C) cut — or a GCEC
-    when the coverage requirement cannot certify the cycle cuts' validity.
-    No round starts separating once the monotonic clock has passed
-    `deadline`.
+    Each round solves the LP and, unless the LP is infeasible or the
+    monotonic clock has passed `deadline`, runs `_separation_round` at its
+    point with the instance's `knapcuts.MisTable` `table`.
     """
     bound = None
     for _ in range(params.max_rounds):
@@ -261,42 +257,51 @@ def root_cut_loop(model, instance, params, pool, table, deadline=math.inf):
         bound = sol.objective
         if time.monotonic() > deadline:
             break
-        point = sol.values
-        added = 0
-
-        for i in table.candidates(point):
-            if added >= ROUND_CUT_CAP:
-                break
-            view = instance.node_view(i)
-            res = knapcuts.separate_mis(view, point, deadline)
-            if res is None:
-                continue
-            cut, _ = res
-            added += _add_cut(model, pool, cut)
-            cover = knapcuts.cover_from_mis(cut)
-            if cover is not None:
-                if cover.violation(point) > VIOLATION_TOL:
-                    added += _add_cut(model, pool, cover)
-                packing = knapcuts.packing_from_cover(cover, point)
-                if packing is not None:
-                    added += _add_cut(model, pool, packing)
-
-        for cycle in cyclecuts.find_violated_cycles_fractional(instance, point):
-            if added >= ROUND_CUT_CAP:
-                break
-            if cyclecuts.cycle_cut_allowed(instance, cycle):
-                base_map = _choose_bases(cycle, instance, pool, point)
-                res = cyclecuts.separate_uc(instance, cycle, base_map, point)
-                if res is not None and _add_cut(model, pool, res[1]):
-                    added += 1
-                    continue
-            gcec = _best_gcec(instance, cycle, point)
-            if gcec is not None:
-                added += _add_cut(model, pool, gcec)
-
-        if added == 0:
+        if _separation_round(model, instance, pool, sol.values, table, deadline) == 0:
             break
     return bound
+
+
+def _separation_round(model, instance, pool, point, table, deadline):
+    """Add the cuts that one separation round finds at an LP point; returns
+    how many were new.  The round stops separating once ROUND_CUT_CAP are.
+
+    Each node that `table` lists as a candidate runs exact MIS separation,
+    and each MIS cut found brings its companion cover and packing cuts,
+    derived from the same subset.  Then each violated cycle yields a (U,C)
+    cut, or a GCEC when no (U,C) cut is added, for instance because the
+    coverage requirement cannot certify the cycle cuts' validity.
+    """
+    added = 0
+    for i in table.candidates(point):
+        if added >= ROUND_CUT_CAP:
+            break
+        res = knapcuts.separate_mis(instance.node_view(i), point, deadline)
+        if res is None:
+            continue
+        cut, _ = res
+        added += _add_cut(model, pool, cut)
+        cover = knapcuts.cover_from_mis(cut)
+        if cover is not None:
+            if cover.violation(point) > VIOLATION_TOL:
+                added += _add_cut(model, pool, cover)
+            packing = knapcuts.packing_from_cover(cover, point)
+            if packing is not None:
+                added += _add_cut(model, pool, packing)
+
+    for cycle in cyclecuts.find_violated_cycles_fractional(instance, point):
+        if added >= ROUND_CUT_CAP:
+            break
+        if cyclecuts.cycle_cut_allowed(instance, cycle):
+            base_map = _choose_bases(cycle, instance, pool, point)
+            res = cyclecuts.separate_uc(instance, cycle, base_map, point)
+            if res is not None and _add_cut(model, pool, res[1]):
+                added += 1
+                continue
+        gcec = _best_gcec(instance, cycle, point)
+        if gcec is not None:
+            added += _add_cut(model, pool, gcec)
+    return added
 
 
 def _add_cut(model, pool, cut):
@@ -496,13 +501,8 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
             continue
 
         if mode == "cb" and seps < TREE_SEP_ROUNDS:
-            # tighten the node with fresh MIS cuts before spending a branch
-            added = 0
-            for i in table.candidates(point):
-                res = knapcuts.separate_mis(instance.node_view(i), point, deadline)
-                if res is not None:
-                    added += _add_cut(model, pool, res[0])
-            if added:
+            # tighten the node with the root's cuts before spending a branch
+            if _separation_round(model, instance, pool, point, table, deadline):
                 counter += 1
                 heapq.heappush(heap, (lb_node, counter, overrides, seps + 1, sol.basis))
                 continue

@@ -11,7 +11,11 @@ functions Phi and Psi of one `LiftingSet`.  Separation is exact: MIS
 separation solves a small knapsack DP per residual value rather than
 relying on a greedy prefix scan, and each MIS cut found is turned into a
 cover cut (`cover_from_mis`) and that into a packing cut
-(`packing_from_cover`).
+(`packing_from_cover`).  A `MisTable` holds every MIS row of an
+instance's nodes of degree at most MIS_TABLE_DEGREE and scores them all
+at a point in one numpy gather; only the nodes with a violated row, and
+every node of higher degree, need the DP.  The table filters and never
+makes a cut, so the cuts are those the DP finds on its own.
 
 Every node cut is a `NodeCut` in (alpha, beta) form,
 x_i + sum_j alpha_ji y_ji >= beta_i z_i, holding the node view it was built

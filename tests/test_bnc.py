@@ -230,6 +230,36 @@ class TestRootCuts:
                     assert inst.b > inst.n - len(arcs)
 
 
+class TestTreeCuts:
+    def test_all_pooled_cuts_valid(self, monkeypatch):
+        # the pool of whole cb solves: root cuts and those of tree rounds
+        pools, after_root = [], []
+
+        def recording_pool():
+            pools.append(CutPool())
+            return pools[-1]
+
+        def recording_root_loop(model, instance, params, pool, *rest):
+            bound = root_cut_loop(model, instance, params, pool, *rest)
+            after_root.append(len(pool))
+            return bound
+
+        monkeypatch.setattr(bnc, "CutPool", recording_pool)
+        monkeypatch.setattr(bnc, "root_cut_loop", recording_root_loop)
+        rng = np.random.default_rng(137)
+        tree_cuts = 0
+        for _ in range(40):
+            inst = random_instance(rng, n_min=5, n_max=6, extra_edge_prob=0.5)
+            if inst.m > 20:
+                continue  # enumerating its feasible points takes seconds
+            report = solve(inst, "cb", SolveParams(time_limit=60))
+            assert report.ub == oracle.brute_force_optimum(inst)[0]
+            pool = pools[-1]
+            tree_cuts += len(pool) - after_root[-1]
+            assert oracle.check_validity_instance(pool, inst), (_invalid_cuts(pool, inst), inst)
+        assert tree_cuts >= 50
+
+
 class TestSolve:
     def test_demo_all_modes(self):
         inst = demo.demo_instance()
@@ -344,8 +374,8 @@ class TestSolve:
         # node count and cuts per family of two cb solves; a change that
         # alters the search on purpose updates these figures
         cases = {
-            (0.1, 0.5): (20, (17, 14, 18, 34, 2)),
-            (0.3, 1.0): (28, (17, 16, 33, 1, 55)),
+            (0.1, 0.5): (38, (20, 16, 23, 52, 2)),
+            (0.3, 1.0): (20, (22, 18, 26, 2, 91)),
         }
         for (q, a), (nodes, cuts) in cases.items():
             inst = generate_small_world(20, 4, q, a, seed=3)
