@@ -7,9 +7,9 @@ Subcommands:
   dp-cycle   solve a simple-cycle instance by dynamic programming and print
              an optimal activation order
 
+`solve` works on its files one after another, in argument order.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
-The environment variable LCIM_THREADS (default 1) sets how many instance
-files `solve` works on at once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -116,40 +115,25 @@ def _solve_one(path, args):
 
 
 def cmd_solve(args):
-    raw = os.environ.get("LCIM_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        print(f"error: LCIM_THREADS must be a positive integer, not {raw!r}", file=sys.stderr)
-        return EXIT_USAGE
     reports = []
     errors = []
-
-    def run(path):
-        try:
-            return path, _solve_one(path, args), None
-        except (OSError, ParseError) as exc:
-            return path, None, (EXIT_IO, str(exc))
-        except ValueError as exc:
-            return path, None, (EXIT_USAGE, str(exc))
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run, args.paths))
-
     lines = []
     if args.format == "tsv":
         lines.append(TSV_HEADER)
-    for path, report, err in results:
-        if err is not None:
-            errors.append((path, err))
-            lines.append(f"# error\t{path}\t{err[1]}")
-            continue
-        reports.append(report)
-        lines.append(
-            report.tsv_line() if args.format == "tsv" else report.text_block() + "\n"
-        )
+    for path in args.paths:
+        try:
+            report = _solve_one(path, args)
+        except (OSError, ParseError) as exc:
+            errors.append(EXIT_IO)
+            lines.append(f"# error\t{path}\t{exc}")
+        except ValueError as exc:
+            errors.append(EXIT_USAGE)
+            lines.append(f"# error\t{path}\t{exc}")
+        else:
+            reports.append(report)
+            lines.append(
+                report.tsv_line() if args.format == "tsv" else report.text_block() + "\n"
+            )
     if args.format == "tsv" and len(reports) > 1:
         lines.append(_mean_line(reports))
 
@@ -164,9 +148,7 @@ def cmd_solve(args):
     else:
         sys.stdout.write(text)
 
-    if errors:
-        return max(code for _, (code, _) in errors)
-    return EXIT_OK
+    return max(errors, default=EXIT_OK)
 
 
 def _mean_line(reports):

@@ -157,22 +157,14 @@ class TestSolve:
         assert any(line.startswith("# error") for line in lines)
         assert any("\toptimal\t" in line for line in lines)
 
-    def test_threads_env(self, demo_path, tree_path, capsys, monkeypatch):
-        monkeypatch.setenv("LCIM_THREADS", "2")
-        code = main(["solve", demo_path, tree_path])
+    def test_files_solved_in_argument_order(self, demo_path, tree_path, capsys, monkeypatch):
+        # the environment sets no thread count: files run one after another
+        monkeypatch.setenv("LCIM_THREADS", "abc")
+        code = main(["solve", tree_path, demo_path])
         assert code == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 4
-
-    def test_threads_env_not_an_integer(self, demo_path, capsys, monkeypatch):
-        # a non-integer and an integer below 1 are the same usage error
-        for raw in ("abc", "0", "-3"):
-            monkeypatch.setenv("LCIM_THREADS", raw)
-            code = main(["solve", demo_path])
-            assert code == EXIT_USAGE
-            captured = capsys.readouterr()
-            assert f"LCIM_THREADS must be a positive integer, not {raw!r}" in captured.err
-            assert captured.out == ""
+        names = [line.split("\t")[0] for line in lines[1:3]]
+        assert names == [os.path.basename(tree_path), os.path.basename(demo_path)]
 
     def test_seed_flag_removed(self, demo_path, capsys):
         with pytest.raises(SystemExit) as exc:
