@@ -58,7 +58,7 @@ TSV_HEADER = "\t".join(
 
 INT_TOL = 1e-6  # a y/z value this close to 0 or 1 counts as integral
 ROUND_CUT_CAP = 200  # a separation round stops separating at this many new cuts
-TREE_SEP_ROUNDS = 2  # separation rounds, the root's, per tree node before branching
+TREE_SEP_ROUNDS = 2  # separation rounds (the root's round) per tree node before branching
 RELIABILITY = 1  # probes per column and direction before its pseudocost is trusted
 LOOKAHEAD = 4  # candidates in a row not beating the best score end the choice
 SCORE_EPS = 1e-6  # floor of each child's gain in the product score

@@ -155,13 +155,13 @@ def find_violated_cycles_fractional(instance, point):
     """
     arcs = {}
     adj = {}
-    entering = {}  # head -> least weight of an arc into it that may close a cycle
+    entering = {}  # head -> {tail: weight} of the arcs that may close a cycle
     for (i, j), k in instance.ycol.items():
         w = max(point[instance.zcol(j)] - point[k], 0.0)
         arcs[(i, j)] = w
         adj.setdefault(i, []).append((j, w))
         if w < 1.0 - VIOLATION_TOL:
-            entering[j] = min(w, entering.get(j, math.inf))
+            entering.setdefault(j, {})[i] = w
 
     trees = {}
     found = {}
@@ -187,17 +187,21 @@ def find_violated_cycles_fractional(instance, point):
     return list(found.values())
 
 
-def _shortest_path_tree(adj, source, entering):
+def _shortest_path_tree(adj, source, tails):
     """Dijkstra from `source` over the weighted successor lists `adj`;
     returns the distances of the nodes it settled and their predecessors.
 
-    It stops once `entering` (the least weight of an arc into the source)
-    plus the distance reached is at least 1 - VIOLATION_TOL, as no later
-    node closes a violated cycle.  Nodes settle in the order a search
+    `tails` maps the tail of each arc into the source that may close a
+    violated cycle to the arc's weight.  The search stops once every tail
+    is settled, or once the least weight of an unsettled tail's arc plus
+    the distance reached is at least 1 - VIOLATION_TOL, as no such tail
+    then closes a violated cycle.  Nodes settle in the order a search
     stopped at any one of them settles them, and a settled node's
     predecessor never changes, so each settled node's path is the one
     that search finds.
     """
+    tails = dict(tails)
+    least = min(tails.values())
     dist = {source: 0.0}
     settled = {}
     prev = {}
@@ -206,9 +210,14 @@ def _shortest_path_tree(adj, source, entering):
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        if entering + d >= 1.0 - VIOLATION_TOL:
+        if least + d >= 1.0 - VIOLATION_TOL:
             break
         settled[u] = d
+        if u in tails:
+            del tails[u]
+            if not tails:
+                break
+            least = min(tails.values())
         for v, w in adj.get(u, ()):
             nd = d + w
             if nd < dist.get(v, math.inf) - 1e-15:
