@@ -154,12 +154,12 @@ def find_violated_cycles_fractional(instance, point):
     search stopped at each arc's tail would.
     """
     arcs = {}
-    adj = {}
+    adj = [[] for _ in range(instance.n + 1)]  # node -> [(successor, weight)]
     entering = {}  # head -> {tail: weight} of the arcs that may close a cycle
     for (i, j), k in instance.ycol.items():
         w = max(point[instance.zcol(j)] - point[k], 0.0)
         arcs[(i, j)] = w
-        adj.setdefault(i, []).append((j, w))
+        adj[i].append((j, w))
         if w < 1.0 - VIOLATION_TOL:
             entering.setdefault(j, {})[i] = w
 
@@ -171,7 +171,7 @@ def find_violated_cycles_fractional(instance, point):
         if j not in trees:
             trees[j] = _shortest_path_tree(adj, j, entering[j])
         dist, prev = trees[j]
-        if i not in dist or w0 + dist[i] >= 1.0 - VIOLATION_TOL:
+        if dist[i] is None or w0 + dist[i] >= 1.0 - VIOLATION_TOL:
             continue
         path = [i]
         while path[-1] != j:
@@ -188,8 +188,9 @@ def find_violated_cycles_fractional(instance, point):
 
 
 def _shortest_path_tree(adj, source, tails):
-    """Dijkstra from `source` over the weighted successor lists `adj`;
-    returns the distances of the nodes it settled and their predecessors.
+    """Dijkstra from `source` over the weighted successor lists `adj`,
+    indexed by node; returns per node its distance if it was settled (else
+    None) and its predecessor.
 
     `tails` maps the tail of each arc into the source that may close a
     violated cycle to the arc's weight.  The search stops once every tail
@@ -202,9 +203,10 @@ def _shortest_path_tree(adj, source, tails):
     """
     tails = dict(tails)
     least = min(tails.values())
-    dist = {source: 0.0}
-    settled = {}
-    prev = {}
+    dist = [math.inf] * len(adj)
+    dist[source] = 0.0
+    settled = [None] * len(adj)
+    prev = [None] * len(adj)
     heap = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
@@ -218,9 +220,9 @@ def _shortest_path_tree(adj, source, tails):
             if not tails:
                 break
             least = min(tails.values())
-        for v, w in adj.get(u, ()):
+        for v, w in adj[u]:
             nd = d + w
-            if nd < dist.get(v, math.inf) - 1e-15:
+            if nd < dist[v] - 1e-15:
                 dist[v] = nd
                 prev[v] = u
                 heapq.heappush(heap, (nd, v))
