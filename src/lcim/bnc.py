@@ -3,9 +3,10 @@
 Three formulation modes are supported:
 
 * ``def`` — the arc formulation with lazily separated cycle cuts: an
-  integral candidate whose y support holds a directed cycle gets the
-  cycle's GCEC and, when ``cyclecuts.cycle_cut_allowed``, its U = {} cycle
-  cut, and is solved again;
+  integral candidate whose y support holds directed cycles has every one
+  of them cut at once, each by its GCEC and, when
+  ``cyclecuts.cycle_cut_allowed``, its U = {} cycle cut, and is solved
+  again;
 * ``cb``  — the same, plus separation rounds adding MIS, cover and
   packing cuts and, per violated cycle, a (U,C) cut or else a GCEC: the
   root runs them until one adds no cut, and each tree node runs the same
@@ -421,6 +422,24 @@ def _prunable(bound, ub):
     return math.ceil(bound - 1e-6) >= ub
 
 
+def _support_cycles(instance, point):
+    """Directed cycles of an integral candidate's influence support
+    {(i,j): y_ij > 0.5}, found one after another on a copy of the point:
+    each cycle found has its first arc, the one leaving its smallest node,
+    dropped from the copy before the next search.
+
+    Every cycle lies in the original support, so each of its cycle cuts
+    is violated, and no cycle is left once the searches come back empty.
+    Each search but the last drops one support arc.
+    """
+    point = list(point)
+    cycles = []
+    while (cycle := cyclecuts.find_violated_cycle_integer(instance, point)) is not None:
+        cycles.append(cycle)
+        point[instance.ycol[cycle.arcs[0]]] = 0.0
+    return cycles
+
+
 def _activation_order(instance, point):
     """The active nodes (z = 1) of an integral candidate, topologically
     sorted along its influence arcs (y = 1)."""
@@ -477,19 +496,18 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
         candidates = _fractional(instance, point)
 
         if not candidates:
-            cycle = None
-            if mode != "ln":
-                cycle = cyclecuts.find_violated_cycle_integer(instance, point)
-            if cycle is not None:
-                gcec = cyclecuts.build_gcec(instance, cycle, min(cycle.nodes))
-                new = _add_cut(model, pool, gcec)
-                if cyclecuts.cycle_cut_allowed(instance, cycle):
-                    empty = cyclecuts.build_uc_cut(instance, cycle, (), {})
-                    if _add_cut(model, pool, empty):
-                        new = True
+            cycles = [] if mode == "ln" else _support_cycles(instance, point)
+            if cycles:
+                new = False
+                for cycle in cycles:
+                    gcec = cyclecuts.build_gcec(instance, cycle, min(cycle.nodes))
+                    new |= _add_cut(model, pool, gcec)
+                    if cyclecuts.cycle_cut_allowed(instance, cycle):
+                        empty = cyclecuts.build_uc_cut(instance, cycle, (), {})
+                        new |= _add_cut(model, pool, empty)
                 if not new:
                     raise RuntimeError(
-                        "integral candidate violates a cycle cut already in the model"
+                        "integral candidate violates only cycle cuts already in the model"
                     )
                 counter += 1
                 heapq.heappush(heap, (lb_node, counter, overrides, seps, sol.basis))

@@ -1,5 +1,6 @@
 """Branch-and-cut engine: formulations, root cuts, search, reports."""
 
+import graphlib
 import math
 import time
 
@@ -383,6 +384,124 @@ class TestSolve:
             assert report.status == "optimal"
             assert report.nodes == nodes, (q, a)
             assert tuple(report.cuts.get(f, 0) for f in CUT_FAMILIES) == cuts, (q, a)
+
+    def test_def_search_path_pinned(self):
+        # nodes and LPs of two def solves at full coverage (b = n); a change
+        # that alters the search on purpose updates these figures
+        cases = {7: (47, 1768, 1888), 8: (61, 473, 581)}
+        for seed, (optimum, nodes, lps) in cases.items():
+            inst = generate_small_world(15, 4, 0.1, 1.0, seed=seed)
+            report = solve(inst, "def", SolveParams(time_limit=600))
+            assert report.status == "optimal" and report.ub == optimum, seed
+            assert (report.nodes, report.lp_solves) == (nodes, lps), seed
+
+
+def support_point(instance, arcs):
+    """An integral candidate: every z at 1, y at 1 on `arcs` and 0 on every
+    other arc, x at 0."""
+    point = [0.0] * instance.ncols
+    for i in range(1, instance.n + 1):
+        point[instance.zcol(i)] = 1.0
+    for arc in arcs:
+        point[instance.ycol[arc]] = 1.0
+    return point
+
+
+def acyclic(arcs):
+    """Whether the directed graph of `arcs` has no cycle."""
+    preds = {}
+    for i, j in arcs:
+        preds.setdefault(j, set()).add(i)
+    try:
+        tuple(graphlib.TopologicalSorter(preds).static_order())
+    except graphlib.CycleError:
+        return False
+    return True
+
+
+def both_ways(*edges):
+    return {arc: 1 for i, j in edges for arc in ((i, j), (j, i))}
+
+
+class TestSupportCycles:
+    # triangles 1-2-3 and 4-5-6 joined by the edge 3-4
+    TWO_TRIANGLES = make_instance(
+        6, both_ways((1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 6), (6, 4)),
+        dict.fromkeys(range(1, 7), 1), b=6,
+    )
+    K4 = make_instance(
+        4, both_ways((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)),
+        dict.fromkeys(range(1, 5), 1), b=4,
+    )
+
+    def test_disjoint_cycles_cut_in_one_resolve(self, monkeypatch):
+        inst = self.TWO_TRIANGLES
+        left, right = ((1, 2), (2, 3), (3, 1)), ((4, 5), (5, 6), (6, 4))
+        point = support_point(inst, left + right + ((3, 4),))
+        assert [c.arcs for c in bnc._support_cycles(inst, point)] == [left, right]
+
+        # the root LP answers the two-cycle point; the pool is read as each
+        # later LP starts
+        pools, keys = [], []
+
+        def recording_pool():
+            pools.append(CutPool())
+            return pools[-1]
+
+        def two_cycles_first(model, **kwargs):
+            keys.append({cut.key for cut in pools[0]})
+            if len(keys) == 1:
+                return LPSolution(status="optimal", values=point, objective=0.0)
+            return solve_lp(model, **kwargs)
+
+        monkeypatch.setattr(bnc, "CutPool", recording_pool)
+        monkeypatch.setattr(bnc, "solve_lp", two_cycles_first)
+        report = solve(inst, "def", SolveParams(time_limit=60))
+        assert keys[0] == set()
+        assert keys[1] == {
+            ("gcec", (left, 1)), ("uc", (left, ())),
+            ("gcec", (right, 4)), ("uc", (right, ())),
+        }
+        assert report.ub == oracle.brute_force_optimum(inst)[0]
+
+    def test_cycles_sharing_an_arc(self):
+        inst = self.K4
+        # the cycles share (2, 3), which is not the first one's first arc:
+        # both come back
+        first, second = ((1, 2), (2, 3), (3, 1)), ((2, 3), (3, 4), (4, 2))
+        point = support_point(inst, {*first, *second})
+        assert [c.arcs for c in bnc._support_cycles(inst, point)] == [first, second]
+        # the cycles share (1, 2), the first one's first arc: dropping it
+        # breaks both, so one comes back
+        first, second = ((1, 2), (2, 3), (3, 1)), ((1, 2), (2, 4), (4, 1))
+        support = {*first, *second}
+        assert [c.arcs for c in bnc._support_cycles(inst, support_point(inst, support))] == [first]
+        assert acyclic(support - {(1, 2)})
+
+    def test_first_arcs_break_every_cycle(self):
+        # random acyclic supports, each arc along a random node order, plus
+        # arcs against the order that close cycles
+        multi = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(5, 13))
+            inst = generate_small_world(n, 4, 0.3, 1.0, seed=seed)
+            pos = {int(v): p for p, v in enumerate(rng.permutation(np.arange(1, n + 1)))}
+            support = set()
+            for i, j in inst.ycol:
+                if pos[i] < pos[j] and rng.random() < 0.6:
+                    support.add((i, j))
+            for i, j in inst.ycol:
+                if pos[i] > pos[j] and (j, i) not in support and rng.random() < 0.4:
+                    support.add((i, j))
+            cycles = bnc._support_cycles(inst, support_point(inst, sorted(support)))
+            for c in cycles:
+                assert set(c.arcs) <= support and c == c.canonical(), (seed, c)
+            firsts = {c.arcs[0] for c in cycles}
+            assert len(firsts) == len(cycles), seed
+            assert acyclic(support - firsts), seed
+            multi += len(cycles) >= 2
+        assert multi >= 40
 
 
 class TestProperties:
