@@ -251,6 +251,10 @@ def build_uc_cut(instance, cycle, U, base_map):
 
     sum_{i in U} gamma_i (x_i + sum_j alpha_ji y_ji - beta_i z_i)
         >= delta(U) (1 - sum_{(k,l) in C, l not in U} (z_l - y_kl)).
+
+    Its provenance is the cycle's arcs and, per member of U in sorted
+    order, the member and its base cut's key, so cuts that differ in a
+    base cut stay distinct in a `knapcuts.CutPool`.
     """
     delta, gamma = _uc_scaling(cycle, U, base_map)
     coeffs = {}
@@ -265,8 +269,9 @@ def build_uc_cut(instance, cycle, U, base_map):
         key = instance.ycol[k, l]
         coeffs[key] = coeffs.get(key, 0) - delta
     coeffs = {k: v for k, v in coeffs.items() if v != 0}
+    bases = tuple((i, base_map[i].key) for i in gamma)
     return Inequality(coeffs=coeffs, rhs=float(delta), tag="uc",
-                      provenance=(cycle.arcs, tuple(gamma)))
+                      provenance=(cycle.arcs, bases))
 
 
 def uc_violation(instance, cycle, base_map, U, point):

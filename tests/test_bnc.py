@@ -376,7 +376,7 @@ class TestSolve:
         # alters the search on purpose updates these figures
         cases = {
             (0.1, 0.5): (38, (20, 16, 23, 52, 2)),
-            (0.3, 1.0): (20, (22, 18, 26, 2, 91)),
+            (0.3, 1.0): (20, (23, 19, 27, 1, 95)),
         }
         for (q, a), (nodes, cuts) in cases.items():
             inst = generate_small_world(20, 4, q, a, seed=3)

@@ -20,7 +20,13 @@ from lcim.cyclecuts import (
     uc_violation,
 )
 from lcim.instance import generate_small_world, make_instance
-from lcim.knapcuts import VIOLATION_TOL, build_cover_cut, build_packing_cut, propagation_row
+from lcim.knapcuts import (
+    VIOLATION_TOL,
+    CutPool,
+    build_cover_cut,
+    build_packing_cut,
+    propagation_row,
+)
 
 from conftest import random_instance
 
@@ -319,11 +325,28 @@ class TestUcCut:
         # omegas 3 and 2 give delta 6: gamma_1 = 2 scales node 1's packing
         # cut, gamma_3 = 3 node 3's; the remaining cycle arc (1,2)
         # contributes 6(z_2 - y_12)
-        assert cut.provenance == (demo.demo_cycle().arcs, (1, 3))
+        assert cut.provenance == (
+            demo.demo_cycle().arcs,
+            ((1, ("packing", (1, (2, 3, 4)))), (3, ("packing", (3, (1, 2))))),
+        )
         assert cut.coeffs[inst.xcol(1)] == 2 and cut.coeffs[inst.xcol(3)] == 3
         assert cut.coeffs[inst.zcol(2)] == 6 and cut.coeffs[inst.ycol[1, 2]] == -6
         assert cut.rhs == 6.0
         assert oracle.check_validity_instance([cut], inst)
+
+    def test_cuts_from_other_bases_both_pooled(self):
+        # same cycle and U = {1}, node 1's base a cover or a packing cut
+        weights = {(1, 2): 3, (2, 1): 5, (2, 3): 3, (3, 2): 3, (3, 1): 6, (1, 3): 4,
+                   (4, 1): 1, (1, 4): 2, (5, 1): 1, (1, 5): 3}
+        inst = make_instance(5, weights, {1: 10, 2: 4, 3: 4, 4: 1, 5: 1}, b=5)
+        cycle = Cycle(((1, 2), (2, 3), (3, 1)))
+        view = inst.node_view(1)
+        bases = (build_cover_cut(view, (2,)), build_packing_cut(view, (2, 3)))
+        cuts = [build_uc_cut(inst, cycle, (1,), {1: base}) for base in bases]
+        assert cuts[0].coeffs != cuts[1].coeffs
+        pool = CutPool()
+        assert all(pool.add(cut) for cut in cuts)
+        assert pool.counts == {"uc": 2}
 
     def test_uc_violation_matches_cut(self):
         rng = np.random.default_rng(47)
