@@ -17,8 +17,13 @@ Three formulation modes are supported:
 The tree uses best-bound node selection and reliability branching
 (Achterberg, Koch & Martin, "Branching rules revisited", Oper. Res. Lett.
 2005): candidates are probed by warm LP solves until their pseudocosts are
-trusted, and scored by the product rule.  Every LP of a solve runs on the
-one model, warm from its parent's basis.  All data are integral, so the
+trusted, and scored by the product rule.  Every probe's answer is used:
+a node whose LP its probe already solved, with no row added since, makes
+no LP call; a probe that cuts off one side of a column fixes the column
+to the other value for the whole subtree (strong-branching domain
+reduction, Achterberg's 2007 thesis); and every child's own LP feeds the
+pseudocosts as a probe does.  Every LP of a solve runs on the one model,
+warm from its parent's basis.  All data are integral, so the
 optimum is integral and node bounds are rounded up before pruning.
 """
 
@@ -92,7 +97,7 @@ class SolveReport:
     seconds: float
     incumbent: dict = field(default=None, repr=False)  # {"order", "objective"}
     root_bound: float = None  # cb: after the root cut loop; def/ln: tree node 1's LP
-    lp_solves: int = 0  # LPs solved, branching probes included
+    lp_solves: int = 0  # LPs solved, probes included; a node its probe solved adds none
 
     def tsv_line(self):
         cells = [
@@ -345,8 +350,9 @@ def _best_gcec(instance, cycle, point):
 def branch(model, sol, candidates, overrides, ub, pseudocosts, deadline=math.inf):
     """Choose one of `candidates`, the fractional y and z columns of `sol`
     as `_fractional` ranks them, and return the children worth keeping as
-    (bound, overrides, basis) triples; `sol` is the LP answer of a node
-    whose bound fixings are `overrides`, and `candidates` is not empty.
+    (bound, fixings, basis, probe, origin) tuples; `sol` is the LP answer
+    of a node whose bound fixings are `overrides`, and `candidates` is not
+    empty.
 
     A candidate with fewer than RELIABILITY probes in either direction is
     probed: both children are solved on `model`, warm from the node's
@@ -361,9 +367,20 @@ def branch(model, sol, candidates, overrides, ub, pseudocosts, deadline=math.inf
     unprobed.  A probed child is kept with the bound max(probe objective,
     node bound), unless its probe was infeasible or that bound prunes it
     against `ub`; an estimated child carries the node's bound.
+
+    A probe cut off that way fixes its column to the other value for the
+    whole subtree, since `ub` only falls and rows only tighten: every
+    returned child gets the fixings of the probed columns but its own, and
+    a column cut off both ways leaves no child at all.  Each child starts
+    from the node's `basis`; `probe` is its probe's LPSolution, which the
+    tree takes as the child's LP while no row has been added, or None when
+    the child was not probed or gained a fixing.  `origin` is (column, up,
+    node objective, distance), so that the child's own LP can feed
+    `pseudocosts` as a probe does.
     """
     best_score, best = -1.0, None
     stale = 0
+    cut_off = {}  # probed column -> the fixing its probes leave it
     for k in candidates:
         if time.monotonic() > deadline:
             break
@@ -377,16 +394,19 @@ def branch(model, sol, candidates, overrides, ub, pseudocosts, deadline=math.inf
             for up, dist in enumerate(dists):
                 fixings = {**overrides, k: (float(up), float(up))}
                 child = solve_lp(model, bound_overrides=fixings, basis=sol.basis)
-                if not child.optimal:
+                origin = (k, up, sol.objective, dist)
+                if child.optimal:
+                    gains.append(max(child.objective - sol.objective, 0.0))
+                    _learn(pseudocosts, origin, child.objective)
+                    bound = max(child.objective, sol.objective)
+                    if not _prunable(bound, ub):
+                        children.append((bound, fixings, sol.basis, child, origin))
+                        continue
+                else:
                     gains.append(math.inf)
-                    continue
-                gains.append(max(child.objective - sol.objective, 0.0))
-                unit = pseudocosts.setdefault((k, up), [0.0, 0])
-                unit[0] += gains[-1] / dist
-                unit[1] += 1
-                bound = max(child.objective, sol.objective)
-                if not _prunable(bound, ub):
-                    children.append((bound, fixings, sol.basis))
+                if k in cut_off:
+                    return []
+                cut_off[k] = (float(1 - up), float(1 - up))
         score = max(gains[0], SCORE_EPS) * max(gains[1], SCORE_EPS)
         if score > best_score:
             best_score, best, stale = score, children, 0
@@ -394,13 +414,36 @@ def branch(model, sol, candidates, overrides, ub, pseudocosts, deadline=math.inf
             stale += 1
         if stale >= LOOKAHEAD or score == math.inf:
             break
-    return _unprobed(sol, overrides, candidates[0]) if best is None else best
+    if best is None:
+        best = _unprobed(sol, overrides, candidates[0])
+    kept = []
+    for bound, fixings, basis, probe, origin in best:
+        gained = {j: fix for j, fix in cut_off.items() if j != origin[0]}
+        if gained:
+            fixings, probe = {**fixings, **gained}, None
+        kept.append((bound, fixings, basis, probe, origin))
+    return kept
 
 
 def _unprobed(sol, overrides, k):
     """Both children of branching on column k, with the node's bound and
-    basis."""
-    return [(sol.objective, {**overrides, k: (v, v)}, sol.basis) for v in (0.0, 1.0)]
+    basis and no probe."""
+    dists = (sol.values[k], 1.0 - sol.values[k])  # down, up
+    return [
+        (sol.objective, {**overrides, k: (float(up), float(up))}, sol.basis, None,
+         (k, up, sol.objective, dists[up]))
+        for up in (0, 1)
+    ]
+
+
+def _learn(pseudocosts, origin, objective):
+    """Add the unit gain of an optimal child LP with this objective to
+    `pseudocosts`, the child coming from `origin` (column, up, node
+    objective, distance)."""
+    k, up, parent, dist = origin
+    unit = pseudocosts.setdefault((k, up), [0.0, 0])
+    unit[0] += max(objective - parent, 0.0) / dist
+    unit[1] += 1
 
 
 def _fractional(instance, point):
@@ -475,18 +518,25 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
 
     pseudocosts = {}
     counter = 0
-    heap = [(0.0, counter, {}, 0, None)]  # (bound, tie, fixings, rounds, basis)
+    # (bound, tie, fixings, rounds, basis, probe, origin), the last three
+    # as `branch` returns them
+    heap = [(0.0, counter, {}, 0, None, None, None)]
     while heap:
         if time.monotonic() > deadline:
             status = "time_limit"
             break
-        node_lb, _, overrides, seps, basis = heapq.heappop(heap)
+        node_lb, _, overrides, seps, basis, probe, origin = heapq.heappop(heap)
         if _prunable(node_lb, ub):
             continue
-        sol = solve_lp(model, bound_overrides=overrides, basis=basis)
+        if probe is not None and probe.basis.rows == len(model.rows):
+            sol = probe  # its probe solved this very LP
+        else:
+            sol = solve_lp(model, bound_overrides=overrides, basis=basis)
         nodes += 1
         if not sol.optimal:
             continue
+        if origin is not None:
+            _learn(pseudocosts, origin, sol.objective)
         if nodes == 1 and mode != "cb":
             root_bound = sol.objective
         lb_node = sol.objective
@@ -510,7 +560,7 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
                         "integral candidate violates only cycle cuts already in the model"
                     )
                 counter += 1
-                heapq.heappush(heap, (lb_node, counter, overrides, seps, sol.basis))
+                heapq.heappush(heap, (lb_node, counter, overrides, seps, sol.basis, None, None))
                 continue
             found = _activation_order(instance, point)
             cost = activation_cost(instance, found)
@@ -522,14 +572,16 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
             # tighten the node with the root's cuts before spending a branch
             if _separation_round(model, instance, pool, point, table, deadline):
                 counter += 1
-                heapq.heappush(heap, (lb_node, counter, overrides, seps + 1, sol.basis))
+                heapq.heappush(
+                    heap, (lb_node, counter, overrides, seps + 1, sol.basis, None, None)
+                )
                 continue
 
-        for bound, fixings, start in branch(
+        for bound, fixings, *rest in branch(
             model, sol, candidates, overrides, ub, pseudocosts, deadline
         ):
             counter += 1
-            heapq.heappush(heap, (bound, counter, fixings, 0, start))
+            heapq.heappush(heap, (bound, counter, fixings, 0, *rest))
 
     lb = ub if status == "optimal" else min(heap[0][0], ub)  # the least open bound
     return SolveReport(

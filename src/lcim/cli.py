@@ -108,13 +108,12 @@ def cmd_generate(args):
 # ---------------------------------------------------------------------------
 
 
-def _solve_one(path, args):
-    inst = inst_mod.load(path)
-    params = SolveParams(time_limit=args.time_limit, max_rounds=args.rounds)
-    return bnc.solve(inst, args.mode, params, instance_id=os.path.basename(path))
-
-
 def cmd_solve(args):
+    try:
+        params = SolveParams(time_limit=args.time_limit, max_rounds=args.rounds)
+    except ValueError:
+        print("error: --time-limit and --rounds must be positive", file=sys.stderr)
+        return EXIT_USAGE
     reports = []
     errors = []
     lines = []
@@ -122,7 +121,8 @@ def cmd_solve(args):
         lines.append(TSV_HEADER)
     for path in args.paths:
         try:
-            report = _solve_one(path, args)
+            inst = inst_mod.load(path)
+            report = bnc.solve(inst, args.mode, params, instance_id=os.path.basename(path))
         except (OSError, ParseError) as exc:
             errors.append(EXIT_IO)
             lines.append(f"# error\t{path}\t{exc}")

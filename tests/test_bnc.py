@@ -141,7 +141,8 @@ class TestBranch:
 
     def test_fractional_z(self):
         # both probed children of the demo root, with their probe bounds;
-        # a child whose bound reaches ub is dropped
+        # a child whose bound reaches ub is dropped (and the probes that ub
+        # cuts off add their fixings, checked in TestProbeUse)
         inst = demo.demo_instance()
         model = assemble(inst, "def")
         sol = solve_lp(model)
@@ -153,15 +154,15 @@ class TestBranch:
         assert inst.n <= col < inst.ncols  # a y or z column
         assert lo == (0.0, 0.0)
         assert children[1][1] == {col: (1.0, 1.0)}
-        for bound, fixings, start in children:
+        for bound, fixings, start, _, _ in children:
             probe = solve_lp(assemble(inst, "def"), bound_overrides=fixings)
             assert bound == pytest.approx(max(probe.objective, sol.objective), abs=1e-9)
             assert start is sol.basis
         assert {(col, 0), (col, 1)} <= set(pseudocosts)
-        ub = math.ceil(max(bound for bound, _, _ in children) - 1e-6)
+        ub = math.ceil(max(bound for bound, *_ in children) - 1e-6)
         kept = branch(model, sol, candidates, {}, ub, {})
         assert len(kept) == 1
-        assert [c[1] for c in kept] == [c[1] for c in children if c[0] < ub - 1e-6]
+        assert [c[1][col] for c in kept] == [c[1][col] for c in children if c[0] < ub - 1e-6]
 
     def test_z_beats_y_on_ties(self):
         inst = demo.demo_instance()
@@ -192,7 +193,122 @@ class TestBranch:
         (k,) = first[0][1]
         model.add_constraint({k: 1.0}, ">=", sol.values[k])
         children = branch(model, sol, candidates, {}, math.inf, {})
-        assert [fixings for _, fixings, _ in children] == [{k: (1.0, 1.0)}]
+        assert [fixings for _, fixings, *_ in children] == [{k: (1.0, 1.0)}]
+
+
+class TestProbeUse:
+    # The demo def root (LP bound 8.52) ranks column 16 first and column 15
+    # second; their probes give bounds 14 and 11 (16 down, up) and 11 and
+    # 13.25 (15 down, up).  Reliable pseudocosts on column 16 make it the
+    # choice, so the other probed columns are not chosen.
+    RELIABLE_16 = {(16, 0): [100.0, 1], (16, 1): [100.0, 1]}
+
+    @staticmethod
+    def demo_root():
+        inst = demo.demo_instance()
+        model = assemble(inst, "def")
+        sol = solve_lp(model)
+        return model, sol, _fractional(inst, sol.values)
+
+    def test_probed_children_reuse_their_probe_lp(self, monkeypatch):
+        # no row is added before the root's probed children are popped, so
+        # each reaches HiGHS once, as a probe; two tree paths may still
+        # reach the same fixings, so later LPs are not checked
+        overrides = []
+
+        def recording_solve_lp(model, **kwargs):
+            overrides.append(kwargs.get("bound_overrides"))
+            return solve_lp(model, **kwargs)
+
+        monkeypatch.setattr(bnc, "solve_lp", recording_solve_lp)
+        report = solve(demo.demo_instance(), "def", SolveParams(time_limit=60))
+        assert report.ub == demo.DEMO_OPTIMUM
+        assert overrides[1:3] == [{16: (0.0, 0.0)}, {16: (1.0, 1.0)}]  # the root's first probes
+        assert overrides.count({16: (0.0, 0.0)}) == overrides.count({16: (1.0, 1.0)}) == 1
+        assert report.lp_solves == len(overrides)
+
+    def test_cut_off_probe_fixes_its_column_in_every_child(self):
+        # at ub = 14 the probe 15 up (bound 13.25) is cut off, so column 15
+        # is 0 in the whole subtree; column 16's estimated children keep
+        # their own fixing and carry no probe
+        model, sol, candidates = self.demo_root()
+        children = branch(model, sol, candidates, {}, 14, {**self.RELIABLE_16})
+        assert [c[1] for c in children] == [
+            {16: (0.0, 0.0), 15: (0.0, 0.0), 13: (0.0, 0.0)},
+            {16: (1.0, 1.0), 15: (0.0, 0.0), 13: (0.0, 0.0)},
+        ]
+        assert [c[3] for c in children] == [None, None]
+
+    def test_gained_fixing_drops_the_probe(self):
+        # at ub = 14 the probe 16 down (bound 14) is cut off, which is the
+        # up child's own fixing: it keeps its probe; the probes 15 up and 13
+        # up are cut off too, so with them the child drops it
+        model, sol, candidates = self.demo_root()
+        (child,) = branch(model, sol, candidates[:1], {}, 14, {})
+        assert child[1] == {16: (1.0, 1.0)}
+        assert child[3].objective == pytest.approx(11.0) and child[4][:2] == (16, 1)
+        (child,) = branch(model, sol, candidates, {}, 14, {})
+        assert child[1] == {16: (1.0, 1.0), 15: (0.0, 0.0), 13: (0.0, 0.0)}
+        assert child[3] is None
+
+    def test_column_cut_off_both_ways_leaves_no_child(self):
+        # at ub = 11 both probes of column 15 (bounds 11 and 13.25) are cut off
+        model, sol, candidates = self.demo_root()
+        assert branch(model, sol, candidates, {}, 11, {**self.RELIABLE_16}) == []
+        assert branch(model, sol, candidates, {}, 12, {**self.RELIABLE_16}) != []
+
+    def test_unprobed_child_feeds_pseudocosts(self, monkeypatch):
+        # with every probe skipped, the tree's pseudocosts come from node
+        # solves alone: the root's child 16 = 1 (bound 11, distance 0.4)
+        # gives the unit gain (11 - 8.52) / 0.4
+        seen = []
+
+        def unprobed_branch(model, sol, candidates, overrides, ub, pseudocosts, deadline):
+            seen.append(pseudocosts)
+            return branch(model, sol, candidates, overrides, ub, pseudocosts, time.monotonic() - 1)
+
+        monkeypatch.setattr(bnc, "branch", unprobed_branch)
+        report = solve(demo.demo_instance(), "def", SolveParams(time_limit=60))
+        assert report.ub == demo.DEMO_OPTIMUM
+        total, count = seen[0][16, 1]
+        assert count >= 1
+        assert total / count == pytest.approx((11.0 - demo.DEMO_LP_OBJ) / 0.4)
+
+    def test_probe_fixings_keep_every_cheaper_point(self, monkeypatch):
+        # no feasible point that meets a node's fixings, lies on a side its
+        # probes cut off and costs less than ub: the fixing loses nothing
+        calls = []
+
+        def recording_branch(model, sol, candidates, overrides, ub, *rest):
+            children = branch(model, sol, candidates, overrides, ub, *rest)
+            calls.append((overrides, ub, children))
+            return children
+
+        monkeypatch.setattr(bnc, "branch", recording_branch)
+        rng = np.random.default_rng(149)
+        checked = 0
+        for _ in range(30):
+            inst = random_instance(rng, n_min=4, n_max=6, extra_edge_prob=0.5)
+            if inst.m > 20:
+                continue  # enumerating its feasible points takes seconds
+            points = list(oracle.enumerate_feasible_points(inst))
+            for mode in ("def", "cb"):
+                calls.clear()
+                report = solve(inst, mode, SolveParams(time_limit=60))
+                assert report.ub == oracle.brute_force_optimum(inst)[0]
+                for overrides, ub, children in calls:
+                    at_node = [
+                        p for p in points
+                        if sum(p[: inst.n]) < ub
+                        and all(p[k] == lo for k, (lo, _) in overrides.items())
+                    ]
+                    for _, fixings, _, _, origin in children:
+                        for k, (v, _) in fixings.items():
+                            if k in overrides or k == origin[0]:
+                                continue
+                            checked += 1
+                            assert all(p[k] == v for p in at_node), (mode, inst, k, v)
+        assert checked >= 50
 
 
 class TestRootCuts:
@@ -375,7 +491,7 @@ class TestSolve:
         # node count and cuts per family of two cb solves; a change that
         # alters the search on purpose updates these figures
         cases = {
-            (0.1, 0.5): (38, (20, 16, 23, 52, 2)),
+            (0.1, 0.5): (27, (19, 16, 20, 46, 2)),
             (0.3, 1.0): (20, (23, 19, 27, 1, 95)),
         }
         for (q, a), (nodes, cuts) in cases.items():
@@ -388,7 +504,7 @@ class TestSolve:
     def test_def_search_path_pinned(self):
         # nodes and LPs of two def solves at full coverage (b = n); a change
         # that alters the search on purpose updates these figures
-        cases = {7: (47, 1768, 1888), 8: (61, 473, 581)}
+        cases = {7: (47, 1477, 1584), 8: (61, 397, 490)}
         for seed, (optimum, nodes, lps) in cases.items():
             inst = generate_small_world(15, 4, 0.1, 1.0, seed=seed)
             report = solve(inst, "def", SolveParams(time_limit=600))

@@ -174,7 +174,18 @@ class TestSolve:
     def test_nan_time_limit_is_usage_error(self, demo_path, capsys):
         code = main(["solve", demo_path, "--time-limit", "nan"])
         assert code == EXIT_USAGE
-        assert "limits must be positive" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--time-limit and --rounds must be positive" in err
+
+    def test_bad_rounds_checked_once_before_any_file(self, demo_path, tree_path, tmp_path, capsys):
+        target = tmp_path / "report.tsv"
+        code = main(["solve", demo_path, tree_path, "--rounds", "0", "--out", str(target)])
+        assert code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --time-limit and --rounds must be positive\n"
+        assert not target.exists()
 
     def test_ln_on_partial_coverage_is_usage_error(self, demo_path, capsys):
         code = main(["solve", demo_path, "--mode", "ln"])
