@@ -228,9 +228,9 @@ class TestProbeUse:
         assert report.lp_solves == len(overrides)
 
     def test_cut_off_probe_fixes_its_column_in_every_child(self):
-        # at ub = 14 the probe 15 up (bound 13.25) is cut off, so column 15
-        # is 0 in the whole subtree; column 16's estimated children keep
-        # their own fixing and carry no probe
+        # at ub = 14 the probes 15 up and 13 up (bound 13.25 each) are cut
+        # off, so columns 15 and 13 are 0 in the whole subtree; column 16's
+        # estimated children keep their own fixing and carry no probe
         model, sol, candidates = self.demo_root()
         children = branch(model, sol, candidates, {}, 14, {**self.RELIABLE_16})
         assert [c[1] for c in children] == [
