@@ -9,8 +9,10 @@ Three formulation modes are supported:
   again;
 * ``cb``  — the same, plus separation rounds adding MIS, cover and
   packing cuts and, per violated cycle, a (U,C) cut or else a GCEC: the
-  root runs them until one adds no cut, and each tree node runs the same
-  round up to ``TREE_SEP_ROUNDS`` times before it branches;
+  root runs them until one adds no cut, at most ``SolveParams.max_rounds``
+  of them; tree node 1, whose LP is the root's, runs no further round, and
+  every later tree node runs the same round up to ``TREE_SEP_ROUNDS``
+  times before it branches;
 * ``ln``  — the layered-network formulation (only for b = n), where layer
   variables make cyclic influence infeasible outright.
 
@@ -31,9 +33,11 @@ from __future__ import annotations
 
 import graphlib
 import heapq
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import cyclecuts, knapcuts
 from .knapcuts import VIOLATION_TOL, CutPool
@@ -347,12 +351,23 @@ def _best_gcec(instance, cycle, point):
 # ---------------------------------------------------------------------------
 
 
+class TreeNode(NamedTuple):
+    """An open node of the tree; the heap orders nodes by (bound, order)."""
+
+    bound: float  # a lower bound on its LP objective
+    order: int  # push order, set when the node is pushed
+    fixings: dict  # column -> (lower, upper) bound overrides
+    basis: object  # the basis its LP starts from
+    rounds: int = 0  # separation rounds spent on it
+    probe: object = None  # its probe's LPSolution, the node's LP while no row is added
+    origin: tuple = None  # (column, up, parent objective, distance) of a child
+
+
 def branch(model, sol, candidates, overrides, ub, pseudocosts, deadline=math.inf):
     """Choose one of `candidates`, the fractional y and z columns of `sol`
     as `_fractional` ranks them, and return the children worth keeping as
-    (bound, fixings, basis, probe, origin) tuples; `sol` is the LP answer
-    of a node whose bound fixings are `overrides`, and `candidates` is not
-    empty.
+    `TreeNode`s, their push order unset; `sol` is the LP answer of a node
+    whose bound fixings are `overrides`, and `candidates` is not empty.
 
     A candidate with fewer than RELIABILITY probes in either direction is
     probed: both children are solved on `model`, warm from the node's
@@ -372,41 +387,43 @@ def branch(model, sol, candidates, overrides, ub, pseudocosts, deadline=math.inf
     whole subtree, since `ub` only falls and rows only tighten: every
     returned child gets the fixings of the probed columns but its own, and
     a column cut off both ways leaves no child at all.  Each child starts
-    from the node's `basis`; `probe` is its probe's LPSolution, which the
+    from the node's basis; `probe` is its probe's LPSolution, which the
     tree takes as the child's LP while no row has been added, or None when
-    the child was not probed or gained a fixing.  `origin` is (column, up,
-    node objective, distance), so that the child's own LP can feed
-    `pseudocosts` as a probe does.
+    the child was not probed or gained a fixing.  `origin` lets the child's
+    own LP feed `pseudocosts` as a probe does.
     """
     best_score, best = -1.0, None
     stale = 0
     cut_off = {}  # probed column -> the fixing its probes leave it
     for k in candidates:
-        if time.monotonic() > deadline:
+        late = time.monotonic() > deadline
+        if late and best is not None:
             break
-        dists = (sol.values[k], 1.0 - sol.values[k])  # down, up
         costs = [pseudocosts.get((k, up), (0.0, 0)) for up in (0, 1)]
-        if min(probes for _, probes in costs) >= RELIABILITY:
-            gains = [total / probes * d for (total, probes), d in zip(costs, dists)]
-            children = _unprobed(sol, overrides, k)
-        else:
-            gains, children = [], []
-            for up, dist in enumerate(dists):
-                fixings = {**overrides, k: (float(up), float(up))}
-                child = solve_lp(model, bound_overrides=fixings, basis=sol.basis)
-                origin = (k, up, sol.objective, dist)
-                if child.optimal:
-                    gains.append(max(child.objective - sol.objective, 0.0))
-                    _learn(pseudocosts, origin, child.objective)
-                    bound = max(child.objective, sol.objective)
-                    if not _prunable(bound, ub):
-                        children.append((bound, fixings, sol.basis, child, origin))
-                        continue
+        probing = not late and min(probes for _, probes in costs) < RELIABILITY
+        gains, children = [], []
+        for up, dist in enumerate((sol.values[k], 1.0 - sol.values[k])):  # down, up
+            fixings = {**overrides, k: (float(up), float(up))}
+            origin = (k, up, sol.objective, dist)
+            probe, bound = None, sol.objective
+            if probing:
+                probe = solve_lp(model, bound_overrides=fixings, basis=sol.basis)
+                if probe.optimal:
+                    _learn(pseudocosts, origin, probe.objective)
+                    bound = max(probe.objective, sol.objective)
+                    gains.append(bound - sol.objective)
                 else:
                     gains.append(math.inf)
-                if k in cut_off:
-                    return []
-                cut_off[k] = (float(1 - up), float(1 - up))
+                if not probe.optimal or _prunable(bound, ub):
+                    if k in cut_off:
+                        return []
+                    cut_off[k] = (float(1 - up), float(1 - up))
+                    continue
+            else:
+                total, probes = costs[up]
+                gains.append(total / max(probes, 1) * dist)  # late: unprobed gains 0
+            children.append(TreeNode(bound=bound, order=None, fixings=fixings,
+                                     basis=sol.basis, probe=probe, origin=origin))
         score = max(gains[0], SCORE_EPS) * max(gains[1], SCORE_EPS)
         if score > best_score:
             best_score, best, stale = score, children, 0
@@ -414,25 +431,11 @@ def branch(model, sol, candidates, overrides, ub, pseudocosts, deadline=math.inf
             stale += 1
         if stale >= LOOKAHEAD or score == math.inf:
             break
-    if best is None:
-        best = _unprobed(sol, overrides, candidates[0])
-    kept = []
-    for bound, fixings, basis, probe, origin in best:
-        gained = {j: fix for j, fix in cut_off.items() if j != origin[0]}
-        if gained:
-            fixings, probe = {**fixings, **gained}, None
-        kept.append((bound, fixings, basis, probe, origin))
-    return kept
-
-
-def _unprobed(sol, overrides, k):
-    """Both children of branching on column k, with the node's bound and
-    basis and no probe."""
-    dists = (sol.values[k], 1.0 - sol.values[k])  # down, up
     return [
-        (sol.objective, {**overrides, k: (float(up), float(up))}, sol.basis, None,
-         (k, up, sol.objective, dists[up]))
-        for up in (0, 1)
+        child._replace(fixings={**child.fixings, **gained}, probe=None)
+        if (gained := {j: fix for j, fix in cut_off.items() if j != child.origin[0]})
+        else child
+        for child in best
     ]
 
 
@@ -517,73 +520,67 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
     status = "optimal"
 
     pseudocosts = {}
-    counter = 0
-    # (bound, tie, fixings, rounds, basis, probe, origin), the last three
-    # as `branch` returns them
-    heap = [(0.0, counter, {}, 0, None, None, None)]
+    pushes = itertools.count()
+    # node 1 has the root's rounds spent: cb's root loop ran until a round
+    # added no cut, or params.max_rounds of them
+    heap = [TreeNode(bound=0.0, order=next(pushes), fixings={}, basis=None,
+                     rounds=TREE_SEP_ROUNDS)]
     while heap:
         if time.monotonic() > deadline:
             status = "time_limit"
             break
-        node_lb, _, overrides, seps, basis, probe, origin = heapq.heappop(heap)
-        if _prunable(node_lb, ub):
+        node = heapq.heappop(heap)
+        if _prunable(node.bound, ub):
             continue
-        if probe is not None and probe.basis.rows == len(model.rows):
-            sol = probe  # its probe solved this very LP
+        if node.probe is not None and node.probe.basis.rows == len(model.rows):
+            sol = node.probe  # its probe solved this very LP
         else:
-            sol = solve_lp(model, bound_overrides=overrides, basis=basis)
+            sol = solve_lp(model, bound_overrides=node.fixings, basis=node.basis)
         nodes += 1
         if not sol.optimal:
             continue
-        if origin is not None:
-            _learn(pseudocosts, origin, sol.objective)
+        if node.origin is not None:
+            _learn(pseudocosts, node.origin, sol.objective)
         if nodes == 1 and mode != "cb":
             root_bound = sol.objective
-        lb_node = sol.objective
-        if _prunable(lb_node, ub):
+        if _prunable(sol.objective, ub):
             continue
         point = sol.values
         candidates = _fractional(instance, point)
 
         if not candidates:
             cycles = [] if mode == "ln" else _support_cycles(instance, point)
-            if cycles:
-                new = False
-                for cycle in cycles:
-                    gcec = cyclecuts.build_gcec(instance, cycle, min(cycle.nodes))
-                    new |= _add_cut(model, pool, gcec)
-                    if cyclecuts.cycle_cut_allowed(instance, cycle):
-                        empty = cyclecuts.build_uc_cut(instance, cycle, (), {})
-                        new |= _add_cut(model, pool, empty)
-                if not new:
-                    raise RuntimeError(
-                        "integral candidate violates only cycle cuts already in the model"
-                    )
-                counter += 1
-                heapq.heappush(heap, (lb_node, counter, overrides, seps, sol.basis, None, None))
+            if not cycles:
+                found = _activation_order(instance, point)
+                cost = activation_cost(instance, found)
+                if cost < ub:
+                    ub, order = cost, found
                 continue
-            found = _activation_order(instance, point)
-            cost = activation_cost(instance, found)
-            if cost < ub:
-                ub, order = cost, found
-            continue
-
-        if mode == "cb" and seps < TREE_SEP_ROUNDS:
-            # tighten the node with the root's cuts before spending a branch
-            if _separation_round(model, instance, pool, point, table, deadline):
-                counter += 1
-                heapq.heappush(
-                    heap, (lb_node, counter, overrides, seps + 1, sol.basis, None, None)
+            new = False
+            for cycle in cycles:
+                gcec = cyclecuts.build_gcec(instance, cycle, min(cycle.nodes))
+                new |= _add_cut(model, pool, gcec)
+                if cyclecuts.cycle_cut_allowed(instance, cycle):
+                    empty = cyclecuts.build_uc_cut(instance, cycle, (), {})
+                    new |= _add_cut(model, pool, empty)
+            if not new:
+                raise RuntimeError(
+                    "integral candidate violates only cycle cuts already in the model"
                 )
-                continue
-
-        for bound, fixings, *rest in branch(
-            model, sol, candidates, overrides, ub, pseudocosts, deadline
+            rounds = node.rounds
+        elif mode == "cb" and node.rounds < TREE_SEP_ROUNDS and _separation_round(
+            model, instance, pool, point, table, deadline
         ):
-            counter += 1
-            heapq.heappush(heap, (bound, counter, fixings, 0, *rest))
+            rounds = node.rounds + 1  # tightened with the root's cuts before a branch
+        else:
+            for child in branch(model, sol, candidates, node.fixings, ub, pseudocosts, deadline):
+                heapq.heappush(heap, child._replace(order=next(pushes)))
+            continue
+        # the node gained rows: push it again, warm from its answer
+        heapq.heappush(heap, TreeNode(bound=sol.objective, order=next(pushes),
+                                      fixings=node.fixings, basis=sol.basis, rounds=rounds))
 
-    lb = ub if status == "optimal" else min(heap[0][0], ub)  # the least open bound
+    lb = ub if status == "optimal" else min(heap[0].bound, ub)  # the least open bound
     return SolveReport(
         instance_id=instance_id,
         mode=mode,

@@ -52,7 +52,8 @@ def build_parser():
     slv.add_argument("--mode", choices=bnc.MODES, default="def")
     slv.add_argument("--time-limit", type=float, default=600.0, metavar="S")
     slv.add_argument("--rounds", type=int, default=50, metavar="K",
-                     help="max root cutting rounds (cb mode)")
+                     help="cb mode: the root runs cutting rounds until one adds no cut, "
+                          "at most K, and tree node 1 runs none")
     slv.add_argument("--format", choices=("tsv", "text"), default="tsv")
     slv.add_argument("--out", metavar="PATH")
 

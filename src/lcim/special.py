@@ -168,16 +168,15 @@ def _fix_z(instance, ineq):
     return coeffs, rhs
 
 
-def build_tree_equal_model(instance, include_hull=True):
+def build_tree_equal_model(instance):
     """LP over x >= 0 and edge orientations whose optimum is integral.
 
     Requires a tree, equal incoming influence per node, and b = n.  Rows,
     with z fixed to 1: propagation x_i + d_i sum y_ji >= h_i, orientation
     y_ij + y_ji = 1 per edge, and hull rows x_i + g_i sum y_ji >= g_i sigma_i
     (`hull_cuts`; omitted where they coincide with the propagation row).
-    `include_hull=False` drops the hull rows, which can leave fractional
-    vertices.  The columns are the x and y columns of the instance's layout;
-    there is no z.
+    The columns are the x and y columns of the instance's layout; there is
+    no z.
     """
     if not _is_tree(instance):
         raise ValueError("instance graph is not a tree")
@@ -194,7 +193,7 @@ def build_tree_equal_model(instance, include_hull=True):
 
     for i in range(1, n + 1):
         rows = [propagation_row(hull[i].view)]
-        if include_hull and hull[i].coeffs != rows[0].coeffs:
+        if hull[i].coeffs != rows[0].coeffs:
             rows.append(hull[i])
         for row in rows:
             coeffs, rhs = _fix_z(instance, row)

@@ -211,10 +211,11 @@ class TestAcceptance:
             assert sol.objective == pytest.approx(opt, abs=1e-6)
             for val in sol.values[inst.n:]:  # the y columns
                 assert min(val, 1.0 - val) <= 1e-6
-        # necessity: dropping the hull rows leaves a fractional optimum
+        # necessity: without the hull rows (the ln relaxation, z fixed to 1)
+        # the optimum is fractional
         gap_inst = demo.hull_gap_instance()
         full = solve_lp(build_tree_equal_model(gap_inst)).objective
-        bare = solve_lp(build_tree_equal_model(gap_inst, include_hull=False)).objective
+        bare = solve_lp(assemble(gap_inst, "ln")).objective
         assert full == pytest.approx(
             oracle.brute_force_optimum(gap_inst)[0], abs=1e-6
         )

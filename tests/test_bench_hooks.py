@@ -30,3 +30,22 @@ def test_traced_solve_passes_the_gate(monkeypatch):
         assert calls > 0, layer
     assert trace.counters["lp.simplex_iters"] > 0  # the HiGHS layer's nit got through
     assert bnc.solve_lp is lcim.lp.solve_lp  # uninstalled
+
+
+def test_every_expected_layer_is_called(monkeypatch):
+    # a traced pass fails when a layer that a workload expects records no
+    # call; the demo's def and cb solves reach every one of them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    import workloads
+
+    expected = {layer for w in workloads.WORKLOADS.values() for layer in w.expected_layers}
+    trace = tracer.Tracer()
+    try:
+        tracer.install_lcim(trace, lcim)
+        for mode in ("def", "cb"):
+            trace.span("solve", bnc.solve, demo.demo_instance(), mode, SolveParams(time_limit=60))
+    finally:
+        trace.uninstall()
+    assert "cyclecuts.separate_uc" in expected  # the lists were read
+    assert [layer for layer in sorted(expected) if trace.layer(layer)[0] == 0] == []

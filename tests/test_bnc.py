@@ -150,19 +150,21 @@ class TestBranch:
         candidates = _fractional(inst, sol.values)
         children = branch(model, sol, candidates, {}, math.inf, pseudocosts)
         assert len(children) == 2
-        (col, lo), = children[0][1].items()
+        (col, lo), = children[0].fixings.items()
         assert inst.n <= col < inst.ncols  # a y or z column
         assert lo == (0.0, 0.0)
-        assert children[1][1] == {col: (1.0, 1.0)}
-        for bound, fixings, start, _, _ in children:
-            probe = solve_lp(assemble(inst, "def"), bound_overrides=fixings)
-            assert bound == pytest.approx(max(probe.objective, sol.objective), abs=1e-9)
-            assert start is sol.basis
+        assert children[1].fixings == {col: (1.0, 1.0)}
+        for child in children:
+            probe = solve_lp(assemble(inst, "def"), bound_overrides=child.fixings)
+            assert child.bound == pytest.approx(max(probe.objective, sol.objective), abs=1e-9)
+            assert child.basis is sol.basis
         assert {(col, 0), (col, 1)} <= set(pseudocosts)
-        ub = math.ceil(max(bound for bound, *_ in children) - 1e-6)
+        ub = math.ceil(max(c.bound for c in children) - 1e-6)
         kept = branch(model, sol, candidates, {}, ub, {})
         assert len(kept) == 1
-        assert [c[1][col] for c in kept] == [c[1][col] for c in children if c[0] < ub - 1e-6]
+        assert [c.fixings[col] for c in kept] == [
+            c.fixings[col] for c in children if c.bound < ub - 1e-6
+        ]
 
     def test_z_beats_y_on_ties(self):
         inst = demo.demo_instance()
@@ -170,10 +172,10 @@ class TestBranch:
         point[inst.ycol[1, 2]] = 0.5
         point[inst.zcol(4)] = 0.5
         left, right = self.unprobed(inst, point)
-        assert left[1] == {inst.zcol(4): (0.0, 0.0)}
-        assert right[1] == {inst.zcol(4): (1.0, 1.0)}
+        assert left.fixings == {inst.zcol(4): (0.0, 0.0)}
+        assert right.fixings == {inst.zcol(4): (1.0, 1.0)}
         point[inst.zcol(2)] = 0.5  # equally fractional: the lower column first
-        assert list(self.unprobed(inst, point)[0][1]) == [inst.zcol(2)]
+        assert list(self.unprobed(inst, point)[0].fixings) == [inst.zcol(2)]
 
     def test_integral_point_has_no_candidates(self):
         inst = demo.demo_instance()
@@ -190,10 +192,10 @@ class TestBranch:
         sol = solve_lp(model)
         candidates = _fractional(inst, sol.values)
         first = branch(model, sol, candidates, {}, math.inf, {}, time.monotonic() - 1.0)
-        (k,) = first[0][1]
+        (k,) = first[0].fixings
         model.add_constraint({k: 1.0}, ">=", sol.values[k])
         children = branch(model, sol, candidates, {}, math.inf, {})
-        assert [fixings for _, fixings, *_ in children] == [{k: (1.0, 1.0)}]
+        assert [c.fixings for c in children] == [{k: (1.0, 1.0)}]
 
 
 class TestProbeUse:
@@ -233,11 +235,11 @@ class TestProbeUse:
         # estimated children keep their own fixing and carry no probe
         model, sol, candidates = self.demo_root()
         children = branch(model, sol, candidates, {}, 14, {**self.RELIABLE_16})
-        assert [c[1] for c in children] == [
+        assert [c.fixings for c in children] == [
             {16: (0.0, 0.0), 15: (0.0, 0.0), 13: (0.0, 0.0)},
             {16: (1.0, 1.0), 15: (0.0, 0.0), 13: (0.0, 0.0)},
         ]
-        assert [c[3] for c in children] == [None, None]
+        assert [c.probe for c in children] == [None, None]
 
     def test_gained_fixing_drops_the_probe(self):
         # at ub = 14 the probe 16 down (bound 14) is cut off, which is the
@@ -245,11 +247,11 @@ class TestProbeUse:
         # up are cut off too, so with them the child drops it
         model, sol, candidates = self.demo_root()
         (child,) = branch(model, sol, candidates[:1], {}, 14, {})
-        assert child[1] == {16: (1.0, 1.0)}
-        assert child[3].objective == pytest.approx(11.0) and child[4][:2] == (16, 1)
+        assert child.fixings == {16: (1.0, 1.0)}
+        assert child.probe.objective == pytest.approx(11.0) and child.origin[:2] == (16, 1)
         (child,) = branch(model, sol, candidates, {}, 14, {})
-        assert child[1] == {16: (1.0, 1.0), 15: (0.0, 0.0), 13: (0.0, 0.0)}
-        assert child[3] is None
+        assert child.fixings == {16: (1.0, 1.0), 15: (0.0, 0.0), 13: (0.0, 0.0)}
+        assert child.probe is None
 
     def test_column_cut_off_both_ways_leaves_no_child(self):
         # at ub = 11 both probes of column 15 (bounds 11 and 13.25) are cut off
@@ -302,9 +304,9 @@ class TestProbeUse:
                         if sum(p[: inst.n]) < ub
                         and all(p[k] == lo for k, (lo, _) in overrides.items())
                     ]
-                    for _, fixings, _, _, origin in children:
-                        for k, (v, _) in fixings.items():
-                            if k in overrides or k == origin[0]:
+                    for child in children:
+                        for k, (v, _) in child.fixings.items():
+                            if k in overrides or k == child.origin[0]:
                                 continue
                             checked += 1
                             assert all(p[k] == v for p in at_node), (mode, inst, k, v)
@@ -319,6 +321,27 @@ class TestRootCuts:
         bound = root_cut_loop(model, inst, SolveParams(time_limit=60), pool, MisTable(inst))
         assert bound >= demo.DEMO_POSTCUT_OBJ - 1e-6
         assert len(pool) > 0
+
+    def test_tree_node_1_spends_no_round(self, monkeypatch):
+        # the root runs rounds until one adds no cut, at most max_rounds of
+        # them, and tree node 1 branches without a round of its own
+        for params, expected in ((SolveParams(max_rounds=1), [4]), (SolveParams(), [4, 0])):
+            rounds, before_branch = [], []
+
+            def counting_round(*args, _round=bnc._separation_round):
+                rounds.append(_round(*args))
+                return rounds[-1]
+
+            def recording_branch(*args, _branch=bnc.branch):
+                before_branch.append(list(rounds))
+                return _branch(*args)
+
+            monkeypatch.setattr(bnc, "_separation_round", counting_round)
+            monkeypatch.setattr(bnc, "branch", recording_branch)
+            report = solve(demo.demo_instance(), "cb", params)
+            monkeypatch.undo()
+            assert before_branch[0] == expected, params
+            assert (report.ub, report.nodes) == (demo.DEMO_OPTIMUM, 2), params
 
     def test_all_emitted_cuts_valid(self):
         rng = np.random.default_rng(107)
@@ -473,9 +496,9 @@ class TestSolve:
         children = branch(model, sol, candidates, {}, math.inf, pseudocosts, time.monotonic() - 1.0)
         assert calls == [] and pseudocosts == {}
         assert len(children) == 2
-        (k,) = children[0][1]
-        assert [c[1] for c in children] == [{k: (0.0, 0.0)}, {k: (1.0, 1.0)}]
-        assert [c[0] for c in children] == [sol.objective] * 2
+        (k,) = children[0].fixings
+        assert [c.fixings for c in children] == [{k: (0.0, 0.0)}, {k: (1.0, 1.0)}]
+        assert [c.bound for c in children] == [sol.objective] * 2
 
     def test_lp_solves_counts_every_lp(self, monkeypatch):
         calls = count_solve_lp(monkeypatch)

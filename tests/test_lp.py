@@ -266,7 +266,7 @@ def demo_models():
     sol = solve_lp(looped)
     children = bnc.branch(looped, sol, bnc._fractional(inst, sol.values), {}, np.inf, {})
     cases = [(bnc.assemble(inst, "def"), None), (bnc.assemble(inst, "cb"), None), (looped, None)]
-    return cases + [(looped, fixings) for _, fixings, *_ in children]
+    return cases + [(looped, child.fixings) for child in children]
 
 
 def regrown_model():

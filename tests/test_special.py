@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lcim import demo
+from lcim.bnc import assemble
 from lcim.instance import make_instance
 from lcim.lp import solve_lp
 from lcim.oracle import brute_force_optimum
@@ -163,8 +164,9 @@ class TestTreeEqualModel:
 
     def test_hull_rows_necessary(self):
         inst = demo.hull_gap_instance()
+        # the ln relaxation: propagation and orientation rows, z fixed to 1
         with_hull = solve_lp(build_tree_equal_model(inst))
-        without = solve_lp(build_tree_equal_model(inst, include_hull=False))
+        without = solve_lp(assemble(inst, "ln"))
         opt, _ = brute_force_optimum(inst)
         assert with_hull.objective == pytest.approx(opt)
         assert without.objective < opt - 0.25  # 1.5 vs 2
@@ -264,19 +266,18 @@ class TestZFixedHullRows:
         for _ in range(40):
             inst = random_equal_tree(rng, n_max=10)
             hull = hull_cuts(inst)
-            for include_hull in (True, False):
-                expect = []
-                for i in range(1, inst.n + 1):
-                    view = inst.node_view(i)
-                    prop = ({view.xcol: 1, **{k: d for k, d in zip(view.ycols, view.weights)}},
-                            float(view.h))
-                    rows = [prop]
-                    row = ({view.xcol: 1, **{k: a for k, (_, a) in zip(view.ycols, hull[i].alpha)}},
-                           float(hull[i].beta))
-                    if include_hull and row != prop:
-                        rows.append(row)
-                    expect += [(list(c.items()), ">=", rhs) for c, rhs in rows]
-                for i, j in inst.edges():
-                    expect.append(([(inst.ycol[i, j], 1.0), (inst.ycol[j, i], 1.0)], "=", 1.0))
-                model = build_tree_equal_model(inst, include_hull=include_hull)
-                assert [(list(c.items()), s, r) for c, s, r in model.rows] == expect
+            expect = []
+            for i in range(1, inst.n + 1):
+                view = inst.node_view(i)
+                prop = ({view.xcol: 1, **{k: d for k, d in zip(view.ycols, view.weights)}},
+                        float(view.h))
+                rows = [prop]
+                row = ({view.xcol: 1, **{k: a for k, (_, a) in zip(view.ycols, hull[i].alpha)}},
+                       float(hull[i].beta))
+                if row != prop:
+                    rows.append(row)
+                expect += [(list(c.items()), ">=", rhs) for c, rhs in rows]
+            for i, j in inst.edges():
+                expect.append(([(inst.ycol[i, j], 1.0), (inst.ycol[j, i], 1.0)], "=", 1.0))
+            model = build_tree_equal_model(inst)
+            assert [(list(c.items()), s, r) for c, s, r in model.rows] == expect
