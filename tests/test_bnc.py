@@ -325,23 +325,25 @@ class TestRootCuts:
     def test_tree_node_1_spends_no_round(self, monkeypatch):
         # the root runs rounds until one adds no cut, at most max_rounds of
         # them, and tree node 1 branches without a round of its own
-        for params, expected in ((SolveParams(max_rounds=1), [4]), (SolveParams(), [4, 0])):
-            rounds, before_branch = [], []
+        separation_round = bnc._separation_round
+        rounds, before_branch = [], []
 
-            def counting_round(*args, _round=bnc._separation_round):
-                rounds.append(_round(*args))
-                return rounds[-1]
+        def counting_round(*args):
+            rounds.append(separation_round(*args))
+            return rounds[-1]
 
-            def recording_branch(*args, _branch=bnc.branch):
-                before_branch.append(list(rounds))
-                return _branch(*args)
+        def recording_branch(*args):
+            before_branch.append(list(rounds))
+            return branch(*args)
 
-            monkeypatch.setattr(bnc, "_separation_round", counting_round)
-            monkeypatch.setattr(bnc, "branch", recording_branch)
-            report = solve(demo.demo_instance(), "cb", params)
-            monkeypatch.undo()
-            assert before_branch[0] == expected, params
-            assert (report.ub, report.nodes) == (demo.DEMO_OPTIMUM, 2), params
+        monkeypatch.setattr(bnc, "_separation_round", counting_round)
+        monkeypatch.setattr(bnc, "branch", recording_branch)
+        for max_rounds, expected in ((1, [4]), (50, [4, 0])):
+            rounds.clear()
+            before_branch.clear()
+            report = solve(demo.demo_instance(), "cb", SolveParams(max_rounds=max_rounds))
+            assert before_branch[0] == expected, max_rounds
+            assert (report.ub, report.nodes) == (demo.DEMO_OPTIMUM, 2), max_rounds
 
     def test_all_emitted_cuts_valid(self):
         rng = np.random.default_rng(107)
