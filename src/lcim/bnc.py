@@ -48,6 +48,7 @@ __all__ = [
     "MODES",
     "SolveParams",
     "SolveReport",
+    "formulation",
     "assemble",
     "solve",
     "root_cut_loop",
@@ -161,31 +162,23 @@ def gap_percent(ub, lb):
 # ---------------------------------------------------------------------------
 
 
-def assemble(instance, mode):
-    """Build the LP relaxation of the chosen formulation.
-
-    Variables: x_i in [0, h_i] (paying more than h_i is never optimal),
-    y_ij in [0,1] per directed arc, z_i in [0,1], in the instance's column
-    layout.  ``ln`` additionally fixes z = 1, orients every edge, and adds
-    layer variables l_i in [1,n] after them, with the anti-cycle rows
-    y_ji - (n-1) y_ij <= l_j - l_i.  Rows map columns to coefficients.
+def formulation(instance, oriented=False):
+    """The LP relaxation of the arc formulation, in the instance's column
+    layout: x_i in [0, h_i] (paying more than h_i is never optimal), y_ij in
+    [0,1] per directed arc and z_i in [0,1]; a propagation row per node,
+    the edge rows, and the coverage row sum_i z_i >= b.  The edge rows are
+    y_ij + y_ji <= z_i and <= z_j, or, `oriented` (for b = n), the
+    orientation row y_ij + y_ji = 1 with every z fixed to 1.  Rows map
+    columns to coefficients.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "ln" and instance.b != instance.n:
-        raise ValueError("layered-network formulation requires b = n")
-
-    n, m = instance.n, instance.m
+    n = instance.n
     model = LPModel()
     for i in range(1, n + 1):
         model.add_var(lb=0.0, ub=float(instance.threshold(i)), obj=1.0)
-    for _ in range(m):
+    for _ in range(instance.m):
         model.add_var(lb=0.0, ub=1.0)
-    zfix = 1.0 if mode == "ln" else 0.0
     for _ in range(n):
-        model.add_var(lb=zfix, ub=1.0)
-    if mode == "ln":
-        lcol = [model.add_var(lb=1.0, ub=float(n)) for _ in range(n)]
+        model.add_var(lb=1.0 if oriented else 0.0, ub=1.0)
 
     for i in range(1, n + 1):
         row = knapcuts.propagation_row(instance.node_view(i))
@@ -193,30 +186,36 @@ def assemble(instance, mode):
 
     ycol = instance.ycol
     for i, j in instance.edges():
-        if mode == "ln":
-            model.add_constraint({ycol[i, j]: 1.0, ycol[j, i]: 1.0}, "=", 1.0)
+        pair = {ycol[i, j]: 1.0, ycol[j, i]: 1.0}
+        if oriented:
+            model.add_constraint(pair, "=", 1.0)
         else:
             for end in (i, j):
-                model.add_constraint(
-                    {ycol[i, j]: 1.0, ycol[j, i]: 1.0, instance.zcol(end): -1.0}, "<=", 0.0
-                )
+                model.add_constraint({**pair, instance.zcol(end): -1.0}, "<=", 0.0)
 
     model.add_constraint(
         {instance.zcol(i): 1.0 for i in range(1, n + 1)}, ">=", float(instance.b)
     )
+    return model
 
+
+def assemble(instance, mode):
+    """Build the LP relaxation of the chosen formulation: the `formulation`,
+    oriented in ``ln``, which adds layer variables l_i in [1,n] after the z
+    columns, with the anti-cycle rows y_ji - (n-1) y_ij <= l_j - l_i.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "ln" and instance.b != instance.n:
+        raise ValueError("layered-network formulation requires b = n")
+
+    model = formulation(instance, oriented=mode == "ln")
     if mode == "ln":
+        n, ycol = instance.n, instance.ycol
+        lcol = [model.add_var(lb=1.0, ub=float(n)) for _ in range(n)]
         for (j, i), k in ycol.items():
-            model.add_constraint(
-                {
-                    k: 1.0,
-                    ycol[i, j]: -float(n - 1),
-                    lcol[j - 1]: -1.0,
-                    lcol[i - 1]: 1.0,
-                },
-                "<=",
-                0.0,
-            )
+            row = {k: 1.0, ycol[i, j]: -float(n - 1), lcol[j - 1]: -1.0, lcol[i - 1]: 1.0}
+            model.add_constraint(row, "<=", 0.0)
     return model
 
 

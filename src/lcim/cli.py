@@ -50,8 +50,9 @@ def build_parser():
     slv = sub.add_parser("solve", help="solve instance files")
     slv.add_argument("paths", nargs="+")
     slv.add_argument("--mode", choices=bnc.MODES, default="def")
-    slv.add_argument("--time-limit", type=float, default=600.0, metavar="S")
-    slv.add_argument("--rounds", type=int, default=50, metavar="K",
+    defaults = SolveParams()
+    slv.add_argument("--time-limit", type=float, default=defaults.time_limit, metavar="S")
+    slv.add_argument("--rounds", type=int, default=defaults.max_rounds, metavar="K",
                      help="cb mode: the root runs cutting rounds until one adds no cut, "
                           "at most K, and tree node 1 runs none")
     slv.add_argument("--format", choices=("tsv", "text"), default="tsv")
@@ -277,12 +278,7 @@ def cmd_verify(_args):
     ]
     exit_code = EXIT_OK
     for name, suite in suites:
-        try:
-            results = list(suite())
-        except FileNotFoundError as exc:
-            print(f"{name}: FAIL fixture not found: {exc}")
-            exit_code = EXIT_VERIFY
-            continue
+        results = list(suite())
         failures = [message for ok, message in results if not ok]
         passed = len(results) - len(failures)
         if failures:

@@ -8,12 +8,10 @@ These are used both by the test suite and by ``lcim verify``.
 
 from __future__ import annotations
 
-from importlib import resources
-
 import numpy as np
 
 from .cyclecuts import Cycle
-from .instance import NodeView, loads, make_instance
+from .instance import NodeView, make_instance
 from .knapcuts import build_packing_cut
 
 __all__ = [
@@ -88,8 +86,9 @@ DEMO_DAG_VALUES = (3.0, 3.72, 6.72, 1.44)
 
 def demo_instance():
     """Five nodes, ten arcs, b = 3; carries the influence triangle 1-2-3."""
-    text = resources.files("lcim.data").joinpath("demo5.lcim").read_text()
-    return loads(text)
+    arcs = {(1, 2): 3, (1, 3): 3, (1, 4): 5, (2, 1): 5, (2, 3): 6, (2, 5): 5,
+            (3, 1): 7, (3, 2): 4, (4, 1): 9, (5, 2): 5}
+    return make_instance(5, arcs, {1: 18, 2: 10, 3: 7, 4: 5, 5: 5}, b=3)
 
 
 def demo_lp_point():

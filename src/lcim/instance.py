@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -366,17 +367,9 @@ def loads(text):
     lineno, magic = next(it)
     if magic.split() != ["lcim", "1"]:
         raise ParseError(lineno, f"bad magic {magic!r}, expected 'lcim 1'")
-    try:
-        lineno, header = next(it)
-    except StopIteration:
-        raise ParseError(lineno, "missing header line") from None
-    parts = header.split()
-    if len(parts) != 3:
-        raise ParseError(lineno, "header must be '<n> <m> <b>'")
-    try:
-        n, m, b = (int(p) for p in parts)
-    except ValueError:
-        raise ParseError(lineno, "header fields must be integers") from None
+    lineno, (n, m, b) = _read_ints(
+        it, lineno, 3, "missing header line", "header must be '<n> <m> <b>'",
+        "header fields must be integers")
     if n < 1 or m < 0:
         raise ParseError(lineno, f"header needs n >= 1 and m >= 0, got n={n} m={m}")
     if not 1 <= b <= n:
@@ -384,17 +377,9 @@ def loads(text):
 
     thresholds = {}
     for _ in range(n):
-        try:
-            lineno, row = next(it)
-        except StopIteration:
-            raise ParseError(lineno, "unexpected end of file in threshold block") from None
-        parts = row.split()
-        if len(parts) != 2:
-            raise ParseError(lineno, "threshold line must be '<node> <h>'")
-        try:
-            i, hi = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(lineno, "threshold fields must be integers") from None
+        lineno, (i, hi) = _read_ints(
+            it, lineno, 2, "unexpected end of file in threshold block",
+            "threshold line must be '<node> <h>'", "threshold fields must be integers")
         if not 1 <= i <= n:
             raise ParseError(lineno, f"threshold for node {i} outside [1, n={n}]")
         if i in thresholds:
@@ -404,17 +389,9 @@ def loads(text):
 
     arc_weights, arc_lines = {}, {}
     for _ in range(m):
-        try:
-            lineno, row = next(it)
-        except StopIteration:
-            raise ParseError(lineno, "unexpected end of file in arc block") from None
-        parts = row.split()
-        if len(parts) != 3:
-            raise ParseError(lineno, "arc line must be '<i> <j> <d>'")
-        try:
-            i, j, w = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(lineno, "arc fields must be integers") from None
+        lineno, (i, j, w) = _read_ints(
+            it, lineno, 3, "unexpected end of file in arc block",
+            "arc line must be '<i> <j> <d>'", "arc fields must be integers")
         if (i, j) in arc_weights:
             raise ParseError(lineno, f"duplicate arc ({i},{j})")
         _at_line(lineno, _check_arc, n, i, j, w)
@@ -431,14 +408,31 @@ def loads(text):
     for i in range(1, n + 1):
         view = inst.node_view(i)
         if view.degree >= 2 and sum(view.weights) <= view.h:
-            import warnings
-
             warnings.warn(
                 f"node {i}: neighbor weights sum {sum(view.weights)} does not "
                 f"exceed threshold {view.h}",
                 stacklevel=2,
             )
     return inst
+
+
+def _read_ints(lines, lineno, count, eof, shape, not_int):
+    """The next (line number, text) of the iterator `lines`, as its line
+    number and its `count` integer fields.  `lineno` is the line read last;
+    the ParseError reason is `eof` at that line when no line is left, and
+    `shape` or `not_int` at the new line when it has another number of
+    fields or a field that is not an integer."""
+    try:
+        lineno, text = next(lines)
+    except StopIteration:
+        raise ParseError(lineno, eof) from None
+    parts = text.split()
+    if len(parts) != count:
+        raise ParseError(lineno, shape)
+    try:
+        return lineno, [int(p) for p in parts]
+    except ValueError:
+        raise ParseError(lineno, not_int) from None
 
 
 def _at_line(lineno, check, *args):

@@ -6,17 +6,19 @@ one sweep per state of the closing edge, which answers with a cost and an
 optimal activation order.  On trees with equal incoming influence per node
 (and full coverage b = n) the linear relaxation augmented with per-node hull
 rows has integral vertices, so a single LP solve is exact.  Each hull row is
-a node cut (`knapcuts.NodeCut`) of the node's single-node set; the tree LP
-and the hull (U,C) cuts use the node cuts with every z column fixed to 1.
+a node cut (`knapcuts.NodeCut`) of the node's single-node set.  The tree LP
+is the solver's oriented formulation, every z fixed to 1 by its bounds,
+plus the hull rows; the hull (U,C) cuts fold z = 1 into their right-hand
+sides.
 """
 
 from __future__ import annotations
 
 import graphlib
 
+from .bnc import formulation
 from .cyclecuts import build_uc_cut
 from .knapcuts import Inequality, NodeCut, propagation_row
-from .lp import LPModel
 
 __all__ = [
     "dp_cycle",
@@ -169,38 +171,22 @@ def _fix_z(instance, ineq):
 
 
 def build_tree_equal_model(instance):
-    """LP over x >= 0 and edge orientations whose optimum is integral.
+    """LP over the instance's columns whose optimum is integral.
 
-    Requires a tree, equal incoming influence per node, and b = n.  Rows,
-    with z fixed to 1: propagation x_i + d_i sum y_ji >= h_i, orientation
-    y_ij + y_ji = 1 per edge, and hull rows x_i + g_i sum y_ji >= g_i sigma_i
-    (`hull_cuts`; omitted where they coincide with the propagation row).
-    The columns are the x and y columns of the instance's layout; there is
-    no z.
+    Requires a tree, equal incoming influence per node, and b = n.  It is
+    the oriented `bnc.formulation` (propagation rows, orientation rows
+    y_ij + y_ji = 1 per edge, every z fixed to 1 by its bounds) followed by
+    each node's hull row x_i + g_i sum y_ji >= g_i sigma_i z_i
+    (`hull_cuts`) that differs from its propagation row.
     """
     if not _is_tree(instance):
         raise ValueError("instance graph is not a tree")
     if instance.b != instance.n:
         raise ValueError("complete linear description requires b = n")
-    hull = hull_cuts(instance)
-
-    n = instance.n
-    model = LPModel()
-    for i in range(1, n + 1):
-        model.add_var(lb=0.0, ub=float(instance.threshold(i)), obj=1.0)
-    for _ in range(instance.m):
-        model.add_var(lb=0.0, ub=1.0)
-
-    for i in range(1, n + 1):
-        rows = [propagation_row(hull[i].view)]
-        if hull[i].coeffs != rows[0].coeffs:
-            rows.append(hull[i])
-        for row in rows:
-            coeffs, rhs = _fix_z(instance, row)
-            model.add_constraint(coeffs, ">=", rhs)
-    ycol = instance.ycol
-    for i, j in instance.edges():
-        model.add_constraint({ycol[i, j]: 1.0, ycol[j, i]: 1.0}, "=", 1.0)
+    model = formulation(instance, oriented=True)
+    for cut in hull_cuts(instance).values():
+        if cut.coeffs != propagation_row(cut.view).coeffs:
+            model.add_constraint(cut.coeffs, ">=", cut.rhs)
     return model
 
 

@@ -209,7 +209,7 @@ class TestAcceptance:
             assert sol.optimal
             opt, _ = oracle.brute_force_optimum(inst)
             assert sol.objective == pytest.approx(opt, abs=1e-6)
-            for val in sol.values[inst.n:]:  # the y columns
+            for val in sol.values[inst.n:]:  # the y and z columns
                 assert min(val, 1.0 - val) <= 1e-6
         # necessity: without the hull rows (the ln relaxation, z fixed to 1)
         # the optimum is fractional

@@ -5,8 +5,8 @@ import os
 import pytest
 
 from lcim import demo
-from lcim.bnc import TSV_HEADER
-from lcim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from lcim.bnc import TSV_HEADER, SolveParams
+from lcim.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 from lcim.instance import load, make_instance, save
 from lcim.oracle import activation_cost
 
@@ -165,6 +165,11 @@ class TestSolve:
         lines = capsys.readouterr().out.strip().splitlines()
         names = [line.split("\t")[0] for line in lines[1:3]]
         assert names == [os.path.basename(tree_path), os.path.basename(demo_path)]
+
+    def test_defaults_are_solve_params(self):
+        args = build_parser().parse_args(["solve", "x.lcim"])
+        defaults = SolveParams()
+        assert (args.time_limit, args.rounds) == (defaults.time_limit, defaults.max_rounds)
 
     def test_seed_flag_removed(self, demo_path, capsys):
         with pytest.raises(SystemExit) as exc:

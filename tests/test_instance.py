@@ -298,6 +298,28 @@ class TestIO:
             loads(text)
         assert (exc.value.lineno, exc.value.reason) == (lineno, reason)
 
+    @pytest.mark.parametrize("text, lineno, reason", [
+        ("", 0, "empty file"),
+        ("# only a comment\n\n", 0, "empty file"),
+        ("# magic on line 2\nlcim 1\n", 2, "missing header line"),
+        ("lcim 1\n2 2\n", 2, "header must be '<n> <m> <b>'"),
+        ("lcim 1\n2 x 1\n", 2, "header fields must be integers"),
+        ("lcim 1\n2 2 1\n1 5 6\n", 3, "threshold line must be '<node> <h>'"),
+        ("lcim 1\n2 2 1\n1 5\n2 two\n", 4, "threshold fields must be integers"),
+        ("lcim 1\n2 2 1\n1 5\n", 3, "unexpected end of file in threshold block"),
+        ("lcim 1\n2 2 1\n1 5\n1 2\n", 4, "duplicate threshold for node 1"),
+        ("lcim 1\n2 2 1\n1 5\n2 2\n1 2\n", 5, "arc line must be '<i> <j> <d>'"),
+        ("lcim 1\n2 2 1\n1 5\n2 2\n1 2 3\n2 1 4.0\n", 6, "arc fields must be integers"),
+        ("lcim 1\n2 2 1\n1 5\n2 2\n1 2 3\n# end\n", 5, "unexpected end of file in arc block"),
+        ("lcim 1\n2 2 1\n1 5\n2 2\n1 2 3\n1 2 4\n", 6, "duplicate arc (1,2)"),
+    ], ids=("empty", "comments-only", "no-header", "header-fields", "header-int",
+            "threshold-fields", "threshold-int", "threshold-eof", "threshold-duplicate",
+            "arc-fields", "arc-int", "arc-eof", "arc-duplicate"))
+    def test_malformed_line_reported(self, text, lineno, reason):
+        with pytest.raises(ParseError) as exc:
+            loads(text)
+        assert (exc.value.lineno, exc.value.reason) == (lineno, reason)
+
     def test_threshold_of_1e15_or_more_rejected(self):
         # h_i is an LP coefficient, and HiGHS takes none of 10^15 or more
         for h in (2 * 10**15, 10**20):

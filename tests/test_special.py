@@ -158,9 +158,10 @@ class TestTreeEqualModel:
             assert sol.optimal
             opt, _ = brute_force_optimum(inst)
             assert sol.objective == pytest.approx(opt, abs=1e-6)
-            assert len(sol.values) == inst.n + inst.m  # x and y, no z
-            for val in sol.values[inst.n:]:
+            assert len(sol.values) == inst.ncols  # x, y and z
+            for val in sol.values[inst.n:inst.zcol(1)]:  # the y columns
                 assert min(val, 1 - val) < 1e-6
+            assert sol.values[inst.zcol(1):] == [1.0] * inst.n
 
     def test_hull_rows_necessary(self):
         inst = demo.hull_gap_instance()
@@ -262,22 +263,29 @@ class TestZFixedHullRows:
         assert checked > 200
 
     def test_tree_model_rows(self):
+        # the oriented formulation, every z fixed to 1 by its bounds, then
+        # each hull row that differs from its node's propagation row
         rng = np.random.default_rng(89)
         for _ in range(40):
             inst = random_equal_tree(rng, n_max=10)
+            n, m = inst.n, inst.m
             hull = hull_cuts(inst)
-            expect = []
-            for i in range(1, inst.n + 1):
+            prop, extra = [], []
+            for i in range(1, n + 1):
                 view = inst.node_view(i)
-                prop = ({view.xcol: 1, **{k: d for k, d in zip(view.ycols, view.weights)}},
-                        float(view.h))
-                rows = [prop]
-                row = ({view.xcol: 1, **{k: a for k, (_, a) in zip(view.ycols, hull[i].alpha)}},
-                       float(hull[i].beta))
-                if row != prop:
-                    rows.append(row)
-                expect += [(list(c.items()), ">=", rhs) for c, rhs in rows]
-            for i, j in inst.edges():
-                expect.append(([(inst.ycol[i, j], 1.0), (inst.ycol[j, i], 1.0)], "=", 1.0))
+                row = [(view.xcol, 1), *zip(view.ycols, view.weights), (view.zcol, -view.h)]
+                prop.append((row, ">=", 0.0))
+                alpha = [a for _, a in hull[i].alpha]
+                row_h = [(view.xcol, 1), *zip(view.ycols, alpha), (view.zcol, -hull[i].beta)]
+                if row_h != row:
+                    extra.append((row_h, ">=", 0.0))
+            orient = [([(inst.ycol[i, j], 1.0), (inst.ycol[j, i], 1.0)], "=", 1.0)
+                      for i, j in inst.edges()]
+            cover = [([(inst.zcol(i), 1.0) for i in range(1, n + 1)], ">=", float(n))]
             model = build_tree_equal_model(inst)
-            assert [(list(c.items()), s, r) for c, s, r in model.rows] == expect
+            assert [(list(c.items()), s, r) for c, s, r in model.rows] == (
+                prop + orient + cover + extra
+            )
+            assert model.lower == [0.0] * (n + m) + [1.0] * n
+            assert model.upper == [float(h) for h in inst.h] + [1.0] * (m + n)
+            assert model.obj == [1.0] * n + [0.0] * (m + n)
