@@ -23,8 +23,8 @@ trusted, and scored by the product rule.  Every probe's answer is used:
 a node whose LP its probe already solved, with no row added since, makes
 no LP call; a probe that cuts off one side of a column fixes the column
 to the other value for the whole subtree (strong-branching domain
-reduction, Achterberg's 2007 thesis); and every child's own LP feeds the
-pseudocosts as a probe does.  Every LP of a solve runs on the one model,
+reduction, Achterberg's 2007 thesis); and every child's own LP that is not
+its probe's answer feeds the pseudocosts as a probe does.  Every LP of a solve runs on the one model,
 warm from its parent's basis.  All data are integral, so the
 optimum is integral and node bounds are rounded up before pruning.
 """
@@ -389,7 +389,8 @@ def branch(model, sol, candidates, overrides, ub, pseudocosts, deadline=math.inf
     from the node's basis; `probe` is its probe's LPSolution, which the
     tree takes as the child's LP while no row has been added, or None when
     the child was not probed or gained a fixing.  `origin` lets the child's
-    own LP feed `pseudocosts` as a probe does.
+    own LP, when it is not the probe's answer, feed `pseudocosts` as a
+    probe does.
     """
     best_score, best = -1.0, None
     stale = 0
@@ -408,7 +409,7 @@ def branch(model, sol, candidates, overrides, ub, pseudocosts, deadline=math.inf
             if probing:
                 probe = solve_lp(model, bound_overrides=fixings, basis=sol.basis)
                 if probe.optimal:
-                    _learn(pseudocosts, origin, probe.objective)
+                    _learn(pseudocosts, origin, probe)
                     bound = max(probe.objective, sol.objective)
                     gains.append(bound - sol.objective)
                 else:
@@ -438,13 +439,12 @@ def branch(model, sol, candidates, overrides, ub, pseudocosts, deadline=math.inf
     ]
 
 
-def _learn(pseudocosts, origin, objective):
-    """Add the unit gain of an optimal child LP with this objective to
-    `pseudocosts`, the child coming from `origin` (column, up, node
-    objective, distance)."""
+def _learn(pseudocosts, origin, answer):
+    """Add the unit gain of `answer`, an optimal child LP, to `pseudocosts`,
+    the child coming from `origin` (column, up, node objective, distance)."""
     k, up, parent, dist = origin
     unit = pseudocosts.setdefault((k, up), [0.0, 0])
-    unit[0] += max(objective - parent, 0.0) / dist
+    unit[0] += max(answer.objective - parent, 0.0) / dist
     unit[1] += 1
 
 
@@ -538,8 +538,8 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
         nodes += 1
         if not sol.optimal:
             continue
-        if node.origin is not None:
-            _learn(pseudocosts, node.origin, sol.objective)
+        if node.origin is not None and sol is not node.probe:  # branch learned a probe
+            _learn(pseudocosts, node.origin, sol)
         if nodes == 1 and mode != "cb":
             root_bound = sol.objective
         if _prunable(sol.objective, ub):

@@ -276,6 +276,24 @@ class TestProbeUse:
         assert count >= 1
         assert total / count == pytest.approx((11.0 - demo.DEMO_LP_OBJ) / 0.4)
 
+    def test_each_lp_answer_feeds_pseudocosts_once(self, monkeypatch):
+        # a child whose LP is its probe's answer adds nothing in solve:
+        # branch already learned from that answer
+        learn, answers = bnc._learn, []
+
+        def recording_learn(pseudocosts, origin, answer):
+            answers.append(answer)  # kept alive, so no id is reused
+            return learn(pseudocosts, origin, answer)
+
+        monkeypatch.setattr(bnc, "_learn", recording_learn)
+        rng = np.random.default_rng(151)
+        cases = [(demo.demo_instance(), "def")]
+        cases += [(random_instance(rng, n_min=6, n_max=8), mode) for mode in ("def", "cb")]
+        for inst, mode in cases:
+            solve(inst, mode, SolveParams(time_limit=60))
+        assert len(answers) >= 10
+        assert len({id(answer) for answer in answers}) == len(answers)
+
     def test_probe_fixings_keep_every_cheaper_point(self, monkeypatch):
         # no feasible point that meets a node's fixings, lies on a side its
         # probes cut off and costs less than ub: the fixing loses nothing
@@ -529,7 +547,7 @@ class TestSolve:
     def test_def_search_path_pinned(self):
         # nodes and LPs of two def solves at full coverage (b = n); a change
         # that alters the search on purpose updates these figures
-        cases = {7: (47, 1477, 1584), 8: (61, 397, 490)}
+        cases = {7: (47, 1489, 1596), 8: (61, 381, 470)}
         for seed, (optimum, nodes, lps) in cases.items():
             inst = generate_small_world(15, 4, 0.1, 1.0, seed=seed)
             report = solve(inst, "def", SolveParams(time_limit=600))
