@@ -26,7 +26,9 @@ to the other value for the whole subtree (strong-branching domain
 reduction, Achterberg's 2007 thesis); and every child's own LP that is not
 its probe's answer feeds the pseudocosts as a probe does.  Every LP of a solve runs on the one model,
 warm from its parent's basis.  All data are integral, so the
-optimum is integral and node bounds are rounded up before pruning.
+optimum is integral and node bounds are rounded up before pruning.  The
+tree starts from the incumbent of ``greedy_incumbent``, the best of n
+greedy activation orders, one started at each node.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from . import cyclecuts, knapcuts
 from .knapcuts import VIOLATION_TOL, CutPool
@@ -220,29 +224,40 @@ def assemble(instance, mode):
 
 
 def greedy_incumbent(instance):
-    """Feasible warm start: repeatedly activate the node whose remaining
-    incentive (threshold minus influence from already-active neighbors) is
-    smallest.  Returns (cost, activation order)."""
-    active = []
-    active_set = set()
-    cost = 0
-    for _ in range(instance.b):
-        best = None
-        for i in range(1, instance.n + 1):
-            if i in active_set:
-                continue
-            influence = sum(
-                instance.weight(j, i)
-                for j in instance.neighbors(i)
-                if j in active_set
-            )
-            marginal = max(0, instance.threshold(i) - influence)
-            if best is None or marginal < best[0]:  # ties keep the smaller id
-                best = (marginal, i)
-        cost += best[0]
-        active.append(best[1])
-        active_set.add(best[1])
-    return cost, tuple(active)
+    """Feasible warm start: the best of n greedy activation orders.
+
+    Start s activates node s first; every later step activates the
+    remaining node whose incentive (threshold minus influence from active
+    neighbors, at least 0) is smallest, ties going to the lowest node id.
+    All n starts advance together in one numpy batch, and the cheapest wins,
+    ties going to the lowest start.  The start at the least-threshold node is
+    the single-start greedy, so the result is never worse than it.  Takes
+    O(n^2) memory and O(b n^2) work; int64 sums only rank the starts, and the
+    returned cost is recomputed exactly.  Returns (cost, activation order).
+    """
+    n = instance.n
+    h = np.array(instance.h, dtype=np.int64)
+    d = np.zeros((n, n), dtype=np.int64)  # d[i - 1, j - 1] = d_ij
+    for i in range(1, n + 1):
+        for j in instance.neighbors(i):
+            d[i - 1, j - 1] = instance.weight(i, j)
+    # row s of each array belongs to the start at node s + 1
+    starts = np.arange(n)
+    active = np.zeros((n, n), dtype=bool)
+    active[starts, starts] = True
+    influence = d.copy()  # exerted by the start's active nodes on each node
+    cost = h.copy()
+    picks = [starts]
+    for _ in range(instance.b - 1):
+        marginal = np.where(active, np.iinfo(np.int64).max, np.maximum(h - influence, 0))
+        pick = marginal.argmin(axis=1)  # ties keep the smaller id
+        cost += marginal[starts, pick]
+        active[starts, pick] = True
+        influence += d[pick]
+        picks.append(pick)
+    best = int(cost.argmin())
+    order = tuple(int(pick[best]) + 1 for pick in picks)
+    return activation_cost(instance, order), order
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,34 @@ def run_python(code, *path):
     )
 
 
+def reference_greedy(instance, first=None):
+    """The plain-Python greedy that `bnc.greedy_incumbent` batches: activate
+    `first`, when given, then repeatedly the node whose remaining incentive
+    (threshold minus influence from already-active neighbors) is smallest,
+    ties keeping the smaller id.  With no `first` this is the single-start
+    greedy.  Returns (cost, activation order)."""
+    active = []
+    active_set = set()
+    cost = 0
+    for step in range(instance.b):
+        best = None
+        for i in range(1, instance.n + 1):
+            if i in active_set or (step == 0 and first not in (None, i)):
+                continue
+            influence = sum(
+                instance.weight(j, i)
+                for j in instance.neighbors(i)
+                if j in active_set
+            )
+            marginal = max(0, instance.threshold(i) - influence)
+            if best is None or marginal < best[0]:  # ties keep the smaller id
+                best = (marginal, i)
+        cost += best[0]
+        active.append(best[1])
+        active_set.add(best[1])
+    return cost, tuple(active)
+
+
 def random_cycle_instance(rng, n_min=3, n_max=8, b=None):
     """Random simple-cycle instance on a shuffled node order."""
     n = int(rng.integers(n_min, n_max + 1))

@@ -34,7 +34,9 @@ def test_traced_solve_passes_the_gate(monkeypatch):
 
 def test_every_expected_layer_is_called(monkeypatch):
     # a traced pass fails when a layer that a workload expects records no
-    # call; the demo's def and cb solves reach every one of them
+    # call; the def and cb solves of this small-world instance reach every
+    # one of them (the demo's incumbent is its optimum, and neither of its
+    # trees branches)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracer
     import workloads
@@ -43,8 +45,9 @@ def test_every_expected_layer_is_called(monkeypatch):
     trace = tracer.Tracer()
     try:
         tracer.install_lcim(trace, lcim)
+        inst = lcim.generate_small_world(8, 4, 0.1, 0.5, seed=0)
         for mode in ("def", "cb"):
-            trace.span("solve", bnc.solve, demo.demo_instance(), mode, SolveParams(time_limit=60))
+            trace.span("solve", bnc.solve, inst, mode, SolveParams(time_limit=60))
     finally:
         trace.uninstall()
     assert "cyclecuts.separate_uc" in expected  # the lists were read

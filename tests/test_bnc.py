@@ -26,7 +26,7 @@ from lcim.instance import generate_small_world, make_instance
 from lcim.knapcuts import CutPool, MisTable, propagation_row
 from lcim.lp import LPSolution, solve_lp
 
-from conftest import random_instance
+from conftest import random_instance, reference_greedy
 
 
 def _invalid_cuts(cuts, inst):
@@ -109,21 +109,42 @@ class TestAssemble:
 
 class TestGreedy:
     def test_demo(self):
-        cost, order = greedy_incumbent(demo.demo_instance())
-        assert len(order) == 3
-        assert cost >= demo.DEMO_OPTIMUM
-        assert cost == oracle.activation_cost(
-            demo.demo_instance(), order
-        ) or cost >= demo.DEMO_OPTIMUM
+        # single-start greedy pays 15 from node 4; the start at node 2 is optimal
+        inst = demo.demo_instance()
+        assert reference_greedy(inst) == (15, (4, 5, 2))
+        assert greedy_incumbent(inst) == (demo.DEMO_OPTIMUM, (2, 5, 3))
 
-    def test_feasible_upper_bound(self):
-        rng = np.random.default_rng(103)
-        for _ in range(30):
-            inst = random_instance(rng)
-            cost, order = greedy_incumbent(inst)
-            assert len(order) == inst.b
-            assert cost == oracle.activation_cost(inst, order)
-            assert cost >= oracle.brute_force_optimum(inst)[0]
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_feasible_upper_bound(self, seed):
+        # the batch is the first cheapest of the plain-Python greedies
+        # started at each node, and lies between the optimum and the
+        # single-start greedy
+        inst = random_instance(np.random.default_rng(seed), n_max=8)
+        cost, order = greedy_incumbent(inst)
+        assert len(order) == len(set(order)) == inst.b
+        assert cost == oracle.activation_cost(inst, order)
+        assert oracle.brute_force_optimum(inst)[0] <= cost <= reference_greedy(inst)[0]
+        starts = [reference_greedy(inst, s) for s in range(1, inst.n + 1)]
+        assert (cost, order) == min(starts, key=lambda start: start[0])
+
+    def test_desk_point_at_optimum(self):
+        inst = generate_small_world(50, 4, 0.1, 0.1, seed=42)
+        assert reference_greedy(inst)[0] == 24
+        assert greedy_incumbent(inst)[0] == 19  # the optimum
+
+    def test_large_thresholds_cost_exactly(self):
+        # ten thresholds near 10^15 sum past 2^53, where a float loses units
+        n = 10
+        arcs = {}
+        for i in range(1, n):
+            arcs[(i, i + 1)] = 10**14 + 3 * i
+            arcs[(i + 1, i)] = 7 * i
+        inst = make_instance(n, arcs, {i: 10**15 - 2 * i - 1 for i in range(1, n + 1)}, b=n)
+        cost, order = greedy_incumbent(inst)
+        assert type(cost) is int and cost > 2**53
+        starts = [reference_greedy(inst, s) for s in range(1, n + 1)]
+        assert (cost, order) == min(starts, key=lambda start: start[0])
 
     def test_isolated_node(self):
         inst = make_instance(1, {}, {1: 4}, b=1)
@@ -356,6 +377,9 @@ class TestRootCuts:
 
         monkeypatch.setattr(bnc, "_separation_round", counting_round)
         monkeypatch.setattr(bnc, "branch", recording_branch)
+        # the n-start incumbent is the demo's optimum, and the tree would
+        # stop at node 1 without branching; the single-start one is not
+        monkeypatch.setattr(bnc, "greedy_incumbent", reference_greedy)
         for max_rounds, expected in ((1, [4]), (50, [4, 0])):
             rounds.clear()
             before_branch.clear()
@@ -534,7 +558,7 @@ class TestSolve:
         # node count and cuts per family of two cb solves; a change that
         # alters the search on purpose updates these figures
         cases = {
-            (0.1, 0.5): (27, (19, 16, 20, 46, 2)),
+            (0.1, 0.5): (19, (17, 14, 18, 45, 2)),
             (0.3, 1.0): (20, (23, 19, 27, 1, 95)),
         }
         for (q, a), (nodes, cuts) in cases.items():
@@ -547,7 +571,7 @@ class TestSolve:
     def test_def_search_path_pinned(self):
         # nodes and LPs of two def solves at full coverage (b = n); a change
         # that alters the search on purpose updates these figures
-        cases = {7: (47, 1489, 1596), 8: (61, 381, 470)}
+        cases = {7: (47, 1504, 1607), 8: (61, 381, 470)}
         for seed, (optimum, nodes, lps) in cases.items():
             inst = generate_small_world(15, 4, 0.1, 1.0, seed=seed)
             report = solve(inst, "def", SolveParams(time_limit=600))

@@ -232,7 +232,8 @@ class TestCycleSearch:
         assert points >= 500 and found >= 400
 
     def test_matches_per_arc_search_in_desk_solves(self, monkeypatch):
-        # every point the desk-cb solves separate cycles at
+        # every point the desk-cb solves, at instance seeds 42 and 7,
+        # separate cycles at
         seen = []
 
         def checked(instance, point):
@@ -242,10 +243,11 @@ class TestCycleSearch:
             return cycles
 
         monkeypatch.setattr(cyclecuts, "find_violated_cycles_fractional", checked)
-        for q, a in ((0.1, 0.1), (0.1, 0.25), (0.3, 0.1)):
-            inst = generate_small_world(50, 4, q, a, seed=42)
-            report = bnc.solve(inst, "cb", bnc.SolveParams(time_limit=600))
-            assert report.status == "optimal"
+        for seed in (42, 7):
+            for q, a in ((0.1, 0.1), (0.1, 0.25), (0.3, 0.1)):
+                inst = generate_small_world(50, 4, q, a, seed=seed)
+                report = bnc.solve(inst, "cb", bnc.SolveParams(time_limit=600))
+                assert report.status == "optimal"
         assert len(seen) >= 100 and sum(seen) > 0
 
 
