@@ -8,9 +8,10 @@ Three formulation modes are supported:
   ``cyclecuts.cycle_cut_allowed``, its U = {} cycle cut, and is solved
   again;
 * ``cb``  — the same, plus separation rounds adding MIS, cover and
-  packing cuts and, per violated cycle, a (U,C) cut or else a GCEC: the
-  root runs them until one adds no cut, at most ``SolveParams.max_rounds``
-  of them; tree node 1, whose LP is the root's, runs no further round, and
+  packing cuts and one cut per violated cycle, its (U,C) cut when the
+  coverage requirement allows it, else its GCEC: the root runs them
+  until one adds no cut, at most ``SolveParams.max_rounds`` of them;
+  tree node 1, whose LP is the root's, runs no further round, and
   every later tree node runs the same round up to ``TREE_SEP_ROUNDS``
   times before it branches;
 * ``ln``  — the layered-network formulation (only for b = n), where layer
@@ -292,18 +293,18 @@ def _separation_round(model, instance, pool, point, table, deadline):
 
     Each node that `table` lists as a candidate runs exact MIS separation,
     and each MIS cut found brings its companion cover and packing cuts,
-    derived from the same subset.  Then each violated cycle yields a (U,C)
-    cut, or a GCEC when no (U,C) cut is added, for instance because the
-    coverage requirement cannot certify the cycle cuts' validity.
+    derived from the same subset.  Then each violated cycle gets one cut:
+    its (U,C) cut when `cyclecuts.cycle_cut_allowed` (the coverage
+    requirement makes it valid), else its GCEC.  Every separator returns
+    one cut or None.
     """
     added = 0
     for i in table.candidates(point):
         if added >= ROUND_CUT_CAP:
             break
-        res = knapcuts.separate_mis(instance.node_view(i), point, deadline)
-        if res is None:
+        cut = knapcuts.separate_mis(instance.node_view(i), point, deadline)
+        if cut is None:
             continue
-        cut, _ = res
         added += _add_cut(model, pool, cut)
         cover = knapcuts.cover_from_mis(cut)
         if cover is not None:
@@ -318,13 +319,11 @@ def _separation_round(model, instance, pool, point, table, deadline):
             break
         if cyclecuts.cycle_cut_allowed(instance, cycle):
             base_map = _choose_bases(cycle, instance, pool, point)
-            res = cyclecuts.separate_uc(instance, cycle, base_map, point)
-            if res is not None and _add_cut(model, pool, res[1]):
-                added += 1
-                continue
-        gcec = _best_gcec(instance, cycle, point)
-        if gcec is not None:
-            added += _add_cut(model, pool, gcec)
+            cut = cyclecuts.separate_uc(instance, cycle, base_map, point)
+        else:
+            cut = cyclecuts.separate_gcec(instance, cycle, point)
+        if cut is not None:
+            added += _add_cut(model, pool, cut)
     return added
 
 
@@ -347,17 +346,6 @@ def _choose_bases(cycle, instance, pool, point):
         candidates = [row, *pool.for_node(i)]
         base_map[i] = min(candidates, key=lambda b: b.theta(point))
     return base_map
-
-
-def _best_gcec(instance, cycle, point):
-    """GCEC with the exempted node chosen to maximize violation."""
-    W = 0.0
-    for k, l in cycle.arcs:
-        W += point[instance.zcol(l)] - point[instance.ycol[k, l]]
-    k_best = max(cycle.nodes, key=lambda k: point[instance.zcol(k)])
-    if point[instance.zcol(k_best)] - W <= VIOLATION_TOL:
-        return None
-    return cyclecuts.build_gcec(instance, cycle, k_best)
 
 
 # ---------------------------------------------------------------------------

@@ -238,11 +238,12 @@ def _suite_trace():
     point = demo.demo_lp_point()
     base_map = demo.demo_base_cuts(inst)
     cycle = demo.demo_cycle()
-    res = cyclecuts.separate_uc(inst, cycle, base_map, point)
-    yield res is not None, "separate_uc found no cut at the recorded point"
-    if res is not None:
-        U, cut, violation = res
-        yield U == demo.DEMO_UC_U, f"separation subset: expected {demo.DEMO_UC_U}, got {U}"
+    cut = cyclecuts.separate_uc(inst, cycle, base_map, point)
+    yield cut is not None, "separate_uc found no cut at the recorded point"
+    if cut is not None:
+        expected = cyclecuts.build_uc_cut(inst, cycle, demo.DEMO_UC_U, base_map)
+        yield cut == expected, f"separated cut: expected {expected}, got {cut}"
+        violation = cut.violation(point)
         yield (abs(violation - demo.DEMO_UC_VIOLATION) <= 1e-6,
                f"violation: expected {demo.DEMO_UC_VIOLATION}, got {violation}")
         model.add_constraint(cut.coeffs, ">=", cut.rhs)

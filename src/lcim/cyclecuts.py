@@ -39,6 +39,7 @@ from .knapcuts import VIOLATION_TOL, Inequality
 __all__ = [
     "Cycle",
     "build_gcec",
+    "separate_gcec",
     "find_violated_cycle_integer",
     "find_violated_cycles_fractional",
     "build_uc_cut",
@@ -108,6 +109,15 @@ def build_gcec(instance, cycle, k):
             coeffs[instance.zcol(i)] = 1
     return Inequality(coeffs=coeffs, rhs=0.0, tag="gcec",
                       provenance=(cycle.arcs, k))
+
+
+def separate_gcec(instance, cycle, point):
+    """The most violated GCEC of the cycle: the one exempting its node of
+    largest z (the first on ties), or None when it is violated by no more
+    than VIOLATION_TOL."""
+    k = max(cycle.nodes, key=lambda i: point[instance.zcol(i)])
+    gcec = build_gcec(instance, cycle, k)
+    return gcec if gcec.violation(point) > VIOLATION_TOL else None
 
 
 def find_violated_cycle_integer(instance, point):
@@ -314,7 +324,8 @@ def separate_uc(instance, cycle, base_map, point):
     witness subset; the best candidate (including U = {}) wins.  Nodes with
     omega <= 0 never enter U; lcm growth beyond DELTA_CAP is pruned.
 
-    Returns (U tuple, Inequality, violation) or None.
+    Returns the (U,C) cut of the best U, whose provenance lists U's
+    members, or None when its violation is at most VIOLATION_TOL.
     """
     nodes = cycle.nodes
     omegas, theta, w = _cycle_terms(instance, cycle, base_map, point)
@@ -345,10 +356,9 @@ def separate_uc(instance, cycle, base_map, point):
             best_viol = cand
             best_U = tuple(sorted(members))
 
-    violation = float(best_viol)
-    if violation <= VIOLATION_TOL:
+    if float(best_viol) <= VIOLATION_TOL:
         return None
-    return best_U, build_uc_cut(instance, cycle, best_U, base_map), violation
+    return build_uc_cut(instance, cycle, best_U, base_map)
 
 
 def uc_dag_values(instance, cycle, base_map, point):

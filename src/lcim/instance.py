@@ -13,6 +13,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -120,6 +121,27 @@ class NodeView:
     @property
     def degree(self):
         return len(self.d)
+
+    @cached_property
+    def subset_sums(self):
+        """The distinct weight sums below h of the neighbour subsets,
+        ascending, as int64: at most min(2^v, h) of them, 0 always first."""
+        sums = {0}
+        for w in self.weights:
+            sums |= {s + w for s in sums if s + w < self.h}
+        return np.array(sorted(sums), dtype=np.int64)
+
+    @cached_property
+    def sum_sources(self):
+        """Per entry k of d, the index in `subset_sums` of each sum minus
+        d_k, or -1 where that is not one of them, then one more -1: an
+        int array of shape (v, len(subset_sums) + 1)."""
+        sums = self.subset_sums
+        less = sums - np.array(self.weights, dtype=np.int64)[:, None]
+        found = np.searchsorted(sums, less)
+        sources = np.full((self.degree, len(sums) + 1), -1)
+        sources[:, :-1] = np.where(sums[found] == less, found, -1)
+        return sources
 
 
 @dataclass(frozen=True)

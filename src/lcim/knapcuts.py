@@ -9,13 +9,14 @@ and the three families below are valid (often facet-defining) inequalities
 for conv(P); cover and packing cuts are lifted through the piecewise-linear
 functions Phi and Psi of one `LiftingSet`.  Separation is exact: MIS
 separation solves a small knapsack DP per residual value rather than
-relying on a greedy prefix scan, and each MIS cut found is turned into a
-cover cut (`cover_from_mis`) and that into a packing cut
-(`packing_from_cover`).  A `MisTable` holds every MIS row of an
-instance's nodes of degree at most MIS_TABLE_DEGREE and scores them all
-at a point in one numpy gather; only the nodes with a violated row, and
-every node of higher degree, need the DP.  The table filters and never
-makes a cut, so the cuts are those the DP finds on its own.
+relying on a greedy prefix scan, indexed by the node's reachable subset
+sums below its threshold, and each MIS cut found is turned into a cover
+cut (`cover_from_mis`) and that into a packing cut (`packing_from_cover`).
+A `MisTable` holds every MIS row of an instance's nodes of degree at most
+MIS_TABLE_DEGREE and scores them all at a point in one numpy gather; only
+the nodes with a violated row, and every node of higher degree, need the
+DP.  The table filters and never makes a cut, so the cuts are those the
+DP finds on its own.
 
 Every node cut is a `NodeCut` in (alpha, beta) form,
 x_i + sum_j alpha_ji y_ji >= beta_i z_i, holding the node view it was built
@@ -55,8 +56,9 @@ __all__ = [
 ]
 
 VIOLATION_TOL = 1e-6  # a cut must be violated by more than this to be added
-# rows of one MIS DP block: max(1, MIS_DP_CELLS // h) weight sums, so each of
-# its v + 1 tables holds up to max(MIS_DP_CELLS, h) cells
+# rows of one MIS DP block: max(1, MIS_DP_CELLS // S) of the node's S reachable
+# subset sums, one column each, so each of its v + 1 tables holds about
+# max(MIS_DP_CELLS, S) cells
 MIS_DP_CELLS = 1 << 16
 # nodes of higher degree stay out of the MIS table (at most 2^8 rows a node)
 # and always run the DP
@@ -341,12 +343,14 @@ def separate_mis(view, point, deadline=math.inf):
     single greedy scan by ascending y* can miss the optimum).  Ties between
     equally violated subsets are resolved toward larger p.
 
-    The DPs of all s run at once, one row per s; the winning s is run
-    again on its own to read its subset back from the tables.
+    The DP's rows and columns are the node's reachable subset sums below h
+    (`view.subset_sums`), so its work follows their number, not h.  The DPs
+    of all s run at once, one row per s, in blocks; the winning s reads its
+    subset back from its block's tables.
 
-    Returns (cut, violation), with the MIS `NodeCut` whose members are the
-    subset M, or None when no cut is violated by more than VIOLATION_TOL or
-    when the monotonic clock passes `deadline` before a DP block.
+    Returns the MIS `NodeCut` whose members are the subset M, or None when
+    no cut is violated by more than VIOLATION_TOL or when the monotonic
+    clock passes `deadline` before a DP block.
     """
     h = view.h
     x_star, z_star = point[view.xcol], point[view.zcol]
@@ -355,56 +359,56 @@ def separate_mis(view, point, deadline=math.inf):
     # with y, z >= 0 no violation exceeds h*z - x, so none can be large enough
     if min(ys + [z_star]) >= 0.0 and h * z_star - x_star <= VIOLATION_TOL:
         return None
-    best = None  # (violation, s)
-    block = max(1, MIS_DP_CELLS // h)
-    for s0 in range(0, h, block):
+    sums, sources = view.subset_sums, view.sum_sources
+    best = None  # (violation, row of s, column of s, its block's tables)
+    block = max(1, MIS_DP_CELLS // len(sums))
+    for r0 in range(0, len(sums), block):
         if time.monotonic() > deadline:
             return None
-        s = np.arange(s0, min(h, s0 + block))
-        tables, total = _mis_tables(items, ys, h, s)
-        recovered = tables[-1][np.arange(len(s)), s]
+        s = sums[r0:r0 + block]
+        tables, total = _mis_tables(items, ys, h, s, sources)
+        rows = np.arange(len(s))
+        recovered = tables[-1][rows, r0 + rows]
         violation = (h - s) * z_star - x_star - (total - recovered)
-        # unreached s score -inf (s = 0 never is); ascending s keeps larger p on ties
+        # ascending s keeps larger p on ties
         for r, viol in enumerate(violation.tolist()):
             if best is None or viol > best[0] + 1e-12:
-                best = (viol, s0 + r)
-    if best is None or best[0] <= VIOLATION_TOL:
+                best = (viol, r, r0 + r, tables)
+    viol, r, t, tables = best
+    if viol <= VIOLATION_TOL:
         return None
-    t = best[1]
-    tables, _ = _mis_tables(items, ys, h, np.array([t]))
     members = []
     for k in range(len(items), 0, -1):
-        j, w = items[k - 1]
-        without, with_k = tables[k - 1][0, t], tables[k][0, t]
+        without, with_k = tables[k - 1][r, t], tables[k][r, t]
         if without > -np.inf and abs(with_k - without) <= 1e-9:
             continue  # an optimal completion exists without item k
-        members.append(j)
-        t -= w
+        members.append(items[k - 1][0])
+        t = sources[k - 1, t]
     cut = build_mis_cut(view, members)
     # recompute from the reconstructed subset; guards against backtrack drift
-    violation = cut.violation(point)
-    if violation <= VIOLATION_TOL:
+    if cut.violation(point) <= VIOLATION_TOL:
         return None
-    return cut, violation
+    return cut
 
 
-def _mis_tables(items, ys, h, s):
+def _mis_tables(items, ys, h, s, sources):
     """Knapsack DP of the MIS separation for each weight sum in the array s.
 
-    tables[k][r, t] is the best recovered value sum min(d_j, p) y_j, p =
-    h - s[r], over subsets of the first k items of weight sum t (-inf when
-    no subset has that sum); total[r] is T(p), summed over all items.
+    Column c of a table stands for the node's reachable subset sum
+    `subset_sums[c]` and its last column for none, so item k extends
+    column sources[k, c] (`sum_sources`) to column c.  tables[k][r, c] is
+    the best recovered value sum min(d_j, p) y_j, p = h - s[r], over
+    subsets of the first k items of that weight sum (-inf when none has
+    it); total[r] is T(p), summed over all items.
     """
     p = h - s
-    dp = np.full((len(s), s[-1] + 1), -np.inf)
+    dp = np.full((len(s), sources.shape[1]), -np.inf)
     dp[:, 0] = 0.0
     tables, total = [dp], np.zeros(len(s))
-    for (_, w), y in zip(items, ys):
+    for (_, w), y, src in zip(items, ys, sources):
         gain = np.minimum(w, p) * y
         total += gain
-        dp = dp.copy()
-        if w < dp.shape[1]:
-            dp[:, w:] = np.maximum(dp[:, w:], dp[:, :-w] + gain[:, None])
+        dp = np.maximum(dp, dp[:, src] + gain[:, None])
         tables.append(dp)
     return tables, total
 

@@ -12,7 +12,7 @@ import pytest
 
 from lcim import bnc, demo, oracle
 from lcim.bnc import SolveParams, assemble
-from lcim.cyclecuts import separate_uc
+from lcim.cyclecuts import build_uc_cut, separate_uc
 from lcim.instance import generate_small_world, make_instance
 from lcim.knapcuts import (
     Inequality,
@@ -105,11 +105,10 @@ class TestAcceptance:
         # may legitimately return another vertex of the degenerate face)
         point = demo.demo_lp_point()
         base_map = demo.demo_base_cuts(inst)
-        res = separate_uc(inst, demo.demo_cycle(), base_map, point)
-        assert res is not None
-        U, cut, violation = res
-        assert U == demo.DEMO_UC_U
-        assert violation == pytest.approx(demo.DEMO_UC_VIOLATION, abs=1e-6)
+        cut = separate_uc(inst, demo.demo_cycle(), base_map, point)
+        assert cut == build_uc_cut(inst, demo.demo_cycle(), demo.DEMO_UC_U, base_map)
+        assert tuple(i for i, _ in cut.provenance[1]) == demo.DEMO_UC_U
+        assert cut.violation(point) == pytest.approx(demo.DEMO_UC_VIOLATION, abs=1e-6)
 
         from lcim.cyclecuts import uc_dag_values
 
@@ -139,11 +138,11 @@ class TestAcceptance:
             view = random_node_view(rng, v_max=8)
             point = random_fractional_point(rng, view)
             expect = brute_force_mis_violation(view, point)
-            res = separate_mis(view, point)
-            if res is None:
+            cut = separate_mis(view, point)
+            if cut is None:
                 assert expect is None or expect <= 1e-6 + 1e-9
             else:
-                assert abs(res[1] - expect) <= 1e-9
+                assert abs(cut.violation(point) - expect) <= 1e-9
         # (U,C): random cycles up to 12 nodes against the exhaustive scan
         uc_checks = 0
         while uc_checks < 120:
@@ -173,11 +172,11 @@ class TestAcceptance:
             best_U, best_viol = oracle.enumerate_uc_subsets(
                 inst, cycle, base_map, point
             )
-            res = separate_uc(inst, cycle, base_map, point)
-            if res is None:
+            cut = separate_uc(inst, cycle, base_map, point)
+            if cut is None:
                 assert best_viol <= 1e-6
             else:
-                assert abs(res[2] - best_viol) <= 1e-9
+                assert abs(cut.violation(point) - best_viol) <= 1e-9
             uc_checks += 1
         elapsed = time.monotonic() - t0
         assert elapsed < 60.0

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcim import bnc, demo, oracle
+from lcim import bnc, cyclecuts, demo, oracle
 from lcim.bnc import (
     CUT_FAMILIES,
     TSV_HEADER,
@@ -414,6 +414,32 @@ class TestRootCuts:
                     assert inst.b > inst.n - len(arcs)
 
 
+    def test_one_cut_per_violated_cycle(self, monkeypatch):
+        # a cycle the coverage requirement admits gets its (U,C) cut, and
+        # only any other cycle its GCEC
+        calls = {"uc": 0, "gcec": 0}
+        separate_uc, separate_gcec = cyclecuts.separate_uc, cyclecuts.separate_gcec
+
+        def counting_uc(instance, cycle, base_map, point):
+            assert cyclecuts.cycle_cut_allowed(instance, cycle)
+            calls["uc"] += 1
+            return separate_uc(instance, cycle, base_map, point)
+
+        def counting_gcec(instance, cycle, point):
+            assert not cyclecuts.cycle_cut_allowed(instance, cycle)
+            calls["gcec"] += 1
+            return separate_gcec(instance, cycle, point)
+
+        monkeypatch.setattr(cyclecuts, "separate_uc", counting_uc)
+        monkeypatch.setattr(cyclecuts, "separate_gcec", counting_gcec)
+        rng = np.random.default_rng(113)
+        for _ in range(40):
+            inst = random_instance(rng, n_min=4, n_max=8, extra_edge_prob=0.5)
+            report = solve(inst, "cb", SolveParams(time_limit=60))
+            assert report.ub == oracle.brute_force_optimum(inst)[0], inst
+        assert calls["uc"] >= 20 and calls["gcec"] >= 20, calls
+
+
 class TestTreeCuts:
     def test_all_pooled_cuts_valid(self, monkeypatch):
         # the pool of whole cb solves: root cuts and those of tree rounds
@@ -507,11 +533,15 @@ class TestSolve:
         assert report.root_bound is None
 
     def test_deadline_holds_in_mis_separation(self):
-        # a triangle with thresholds near 100,000: one exact MIS separation
-        # of a node runs far past the time limit unless it stops itself
-        h = 100_000
-        weights = {(i, j): 3 * h // 5 for i in (1, 2, 3) for j in (1, 2, 3) if i != j}
-        inst = make_instance(3, weights, {1: h, 2: h + 1, 3: h + 2}, b=3)
+        # a star whose centre has 15 neighbours with 2^15 distinct subset
+        # sums, all below its threshold: one exact MIS separation of the
+        # centre runs far past the time limit unless it stops itself
+        leaves = range(2, 17)
+        weights = {(j, 1): 2**15 + 2 ** (j - 2) for j in leaves}
+        weights |= {(1, j): 1 for j in leaves}
+        h = sum(weights[j, 1] for j in leaves) + 1
+        inst = make_instance(16, weights, {1: h} | dict.fromkeys(leaves, 1), b=16)
+        assert len(inst.node_view(1).subset_sums) == 2**15
         t0 = time.monotonic()
         report = solve(inst, "cb", SolveParams(time_limit=1))
         assert report.status == "time_limit"
@@ -604,6 +634,22 @@ def acyclic(arcs):
 
 def both_ways(*edges):
     return {arc: 1 for i, j in edges for arc in ((i, j), (j, i))}
+
+
+class TestLargeThresholds:
+    @pytest.mark.parametrize("H", [10**6, 10**9, 10**12])
+    def test_triangle_solves_fast_in_cb(self, H):
+        # MIS separation's work follows the reachable subset sums (8 here),
+        # not the thresholds
+        weights = {(1, 2): 0.4, (1, 3): 0.5, (2, 1): 0.5, (2, 3): 0.6, (3, 1): 0.7, (3, 2): 0.8}
+        inst = make_instance(3, {a: round(f * H) for a, f in weights.items()},
+                             dict.fromkeys((1, 2, 3), H), b=3)
+        expect = solve(inst, "def", SolveParams(time_limit=60)).ub
+        t0 = time.monotonic()
+        report = solve(inst, "cb", SolveParams(time_limit=60))
+        assert time.monotonic() - t0 < 1.0
+        assert report.status == "optimal"
+        assert report.ub == expect == 12 * H // 10
 
 
 class TestSupportCycles:

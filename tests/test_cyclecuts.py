@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcim import bnc, cyclecuts, demo, oracle
 from lcim.cyclecuts import (
@@ -15,6 +17,7 @@ from lcim.cyclecuts import (
     cycle_cut_allowed,
     find_violated_cycle_integer,
     find_violated_cycles_fractional,
+    separate_gcec,
     separate_uc,
     uc_dag_values,
     uc_violation,
@@ -150,6 +153,28 @@ class TestGcec:
     def test_valid_on_demo(self):
         for k in demo.demo_cycle().nodes:
             assert oracle.check_validity_instance([build_gcec(DEMO, demo.demo_cycle(), k)], DEMO)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_separate_gcec_is_most_violated(self, seed):
+        # against every exempt node: the most violated GCEC, else None; z
+        # takes four values, so the largest z often ties
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, n_min=3, n_max=8, extra_edge_prob=0.5)
+        point = [0.0] * inst.ncols
+        for i in range(1, inst.n + 1):
+            point[inst.zcol(i)] = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
+        for (i, j), k in inst.ycol.items():
+            point[k] = float(rng.uniform(0.0, point[inst.zcol(j)]))
+        for cycle in find_violated_cycles_fractional(inst, point):
+            best = max(build_gcec(inst, cycle, k).violation(point) for k in cycle.nodes)
+            gcec = separate_gcec(inst, cycle, point)
+            if gcec is None:
+                assert best <= VIOLATION_TOL
+            else:
+                assert gcec.tag == "gcec" and gcec.provenance[0] == cycle.arcs
+                assert abs(gcec.violation(point) - best) <= 1e-12
+                assert best > VIOLATION_TOL
 
 
 def search_point(instance, z, y):
@@ -396,11 +421,11 @@ class TestSeparation:
     def test_demo_point(self):
         inst = demo.demo_instance()
         point = demo.demo_lp_point()
-        res = separate_uc(inst, demo.demo_cycle(), demo.demo_base_cuts(inst), point)
-        assert res is not None
-        U, cut, violation = res
-        assert U == demo.DEMO_UC_U
-        assert violation == pytest.approx(demo.DEMO_UC_VIOLATION, abs=1e-9)
+        base_map = demo.demo_base_cuts(inst)
+        cut = separate_uc(inst, demo.demo_cycle(), base_map, point)
+        assert cut == build_uc_cut(inst, demo.demo_cycle(), demo.DEMO_UC_U, base_map)
+        assert tuple(i for i, _ in cut.provenance[1]) == demo.DEMO_UC_U
+        assert cut.violation(point) == pytest.approx(demo.DEMO_UC_VIOLATION, abs=1e-9)
 
     def test_satisfied_point_returns_none(self):
         inst = demo.demo_instance()
@@ -420,10 +445,10 @@ class TestSeparation:
             best_U, best_viol = oracle.enumerate_uc_subsets(
                 inst, demo.demo_cycle(), base_map, point
             )
-            res = separate_uc(inst, demo.demo_cycle(), base_map, point)
-            got = res[2] if res is not None else 0.0
+            cut = separate_uc(inst, demo.demo_cycle(), base_map, point)
+            got = cut.violation(point) if cut is not None else 0.0
             assert got == pytest.approx(max(best_viol, 0.0), abs=1e-9) or (
-                res is None and best_viol <= 1e-6
+                cut is None and best_viol <= 1e-6
             )
 
     def test_dag_values(self):

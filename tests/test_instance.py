@@ -63,6 +63,22 @@ class TestInstanceModel:
         assert (view.xcol, view.ycols, view.zcol) == (0, (1, 2), 3)
         assert view.var_names == {0: "x[7]", 1: "y[2,7]", 2: "y[5,7]", 3: "z[7]"}
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 12), max_size=7), st.integers(1, 60))
+    def test_subset_sums_and_sources(self, weights, h):
+        view = NodeView(node=0, h=h, d=tuple(enumerate(weights, start=1)))
+        expect = {0}
+        for w in weights:
+            expect |= {s + w for s in expect if s + w < h}
+        sums = view.subset_sums.tolist()
+        assert sums == sorted(expect)
+        sources = view.sum_sources
+        assert sources.shape == (len(weights), len(sums) + 1)
+        for k, w in enumerate(weights):
+            assert sources[k, -1] == -1
+            for c, s in enumerate(sums):
+                assert sources[k, c] == (sums.index(s - w) if s - w in expect else -1)
+
     def test_node_id_out_of_range(self):
         inst = demo_instance()
         for i in (0, inst.n + 1):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lcim import demo, oracle
-from lcim.instance import make_instance
+from lcim.instance import NodeView, make_instance
 from lcim.knapcuts import (
     MIS_TABLE_DEGREE,
     VIOLATION_TOL,
@@ -229,21 +229,40 @@ class TestSeparation:
             view = random_node_view(rng)
             point = random_fractional_point(rng, view)
             expect = brute_force_mis_violation(view, point)
-            res = separate_mis(view, point)
-            if res is None:
+            cut = separate_mis(view, point)
+            if cut is None:
                 assert expect is None or expect <= 1e-6 + 1e-9
             else:
-                cut, violation = res
-                assert abs(violation - expect) <= 1e-9
-                assert abs(cut.violation(point) - violation) <= 1e-9
+                assert cut.tag == "mis" and cut.view is view
+                assert abs(cut.violation(point) - expect) <= 1e-9
 
     def test_mis_separation_at_origin(self):
         # z=1, y=0, x=0: best violation is p over the empty subset, p = h
-        res = separate_mis(VIEW, view_point(0.0, 1.0))
-        assert res is not None
-        cut, violation = res
+        point = view_point(0.0, 1.0)
+        cut = separate_mis(VIEW, point)
+        assert cut is not None
         assert cut.members == frozenset() and cut.tag == "mis"
-        assert violation == pytest.approx(8.0)
+        assert cut.violation(point) == pytest.approx(8.0)
+
+    def test_mis_separation_huge_threshold(self):
+        # h = 10^12: the DP runs over the at most 2^v reachable subset sums
+        rng = np.random.default_rng(39)
+        cuts = nonempty = 0
+        for _ in range(100):
+            v = int(rng.integers(2, 9))
+            weights = rng.integers(1, 11, size=v) * 10**11 + rng.integers(0, 10**6, size=v)
+            view = NodeView(node=0, h=10**12, d=tuple(enumerate(weights.tolist(), start=1)))
+            point = random_fractional_point(rng, view)
+            point[view.xcol] *= 0.1  # most points then violate some cut
+            expect = brute_force_mis_violation(view, point)
+            cut = separate_mis(view, point)
+            if cut is None:
+                assert expect <= VIOLATION_TOL + 1e-9
+            else:
+                cuts += 1
+                nonempty += bool(cut.members)
+                assert cut.violation(point) == pytest.approx(expect, rel=1e-12)
+        assert cuts >= 30 and nonempty >= 10
 
     def test_mis_separation_stops_at_deadline(self):
         point = view_point(0.0, 1.0)
@@ -320,15 +339,16 @@ class TestMisTable:
                 point = random_instance_point(rng, inst)
                 keep = set(table.candidates(point))
                 for node, best in zip(table.nodes.tolist(), table.maxima(point).tolist()):
-                    res = separate_mis(inst.node_view(node), point)
-                    if res is None:
+                    cut = separate_mis(inst.node_view(node), point)
+                    if cut is None:
                         assert best <= VIOLATION_TOL + 1e-9, (inst, node, best)
                     else:
                         cuts += 1
-                        assert abs(res[1] - best) <= 1e-9, (inst, node, best, res[1])
+                        violation = cut.violation(point)
+                        assert abs(violation - best) <= 1e-9, (inst, node, best, violation)
                     if node not in keep:
                         skipped += 1
-                        assert res is None, (inst, node)
+                        assert cut is None, (inst, node)
         assert cuts >= 200 and skipped >= 200
 
     def test_rows_are_the_mis_rows(self):
