@@ -454,14 +454,12 @@ def _learn(pseudocosts, origin, answer):
 def _fractional(instance, point):
     """The y and z columns whose values are not within INT_TOL of 0 or 1,
     most fractional first, z before y on ties, then the lower column."""
-    first_z = instance.zcol(1)
-    ranked = []
-    for k in range(instance.n, instance.ncols):  # the y, then the z columns
-        frac = min(point[k], 1.0 - point[k])  # y and z lie in [0, 1]
-        if frac > INT_TOL:
-            ranked.append((-frac, k < first_z, k))
-    ranked.sort()
-    return [k for _, _, k in ranked]
+    value = np.asarray(point[instance.n:instance.ncols])  # the y, then the z columns
+    frac = np.minimum(value, 1.0 - value)  # y and z lie in [0, 1]
+    cols = np.flatnonzero(frac > INT_TOL)
+    is_y = cols < instance.zcol(1) - instance.n
+    ranked = cols[np.lexsort((cols, is_y, -frac[cols]))]  # last key sorts first
+    return (ranked + instance.n).tolist()
 
 
 def _prunable(bound, ub):

@@ -131,6 +131,7 @@ class LPModel:
         # row bounds, for the answer check
         self._row_lower = []
         self._row_upper = []
+        self._arrays = None  # `bounds()`, built again after a column or row is added
         self._highs = _h._Highs()
         for option, value in _OPTIONS:
             if self._highs.setOptionValue(option, value) != _h.HighsStatus.kOk:
@@ -151,6 +152,7 @@ class LPModel:
         self.lower.append(lb)
         self.upper.append(ub)
         self.obj.append(float(obj))
+        self._arrays = None
         return col
 
     def add_constraint(self, coeffs, sense, rhs):
@@ -182,6 +184,19 @@ class LPModel:
         self.rows.append((dict(coeffs), sense, rhs))
         self._row_lower.append(lower)
         self._row_upper.append(upper)
+        self._arrays = None
+
+    def bounds(self):
+        """(lower, upper, columns): every column's bounds followed by every
+        row's as two float arrays, and the column indices as int32, kept
+        until a column or row is added; callers copy before they write."""
+        if self._arrays is None:
+            self._arrays = (
+                np.array(self.lower + self._row_lower),
+                np.array(self.upper + self._row_upper),
+                np.arange(len(self.obj), dtype=np.int32),
+            )
+        return self._arrays
 
 
 class HighsResult(NamedTuple):
@@ -195,32 +210,35 @@ class HighsResult(NamedTuple):
     basis: object = None  # HighsBasis
 
 
-def linprog(highs, lower, upper, basis):
+def linprog(highs, lower, upper, basis, columns=None):
     """Solve on the handle `highs` and read the outcome.
 
     lower and upper are every column's bounds for this solve, and basis a
     HighsBasis over every column and row to start from, or None to start
-    from the handle's own.
+    from the handle's own.  columns, the int32 indices 0 .. n-1 of the
+    columns, saves building them.
 
     The name is kept from scipy's `linprog`, which this replaces: the
     benchmark's tracer wraps `lcim.lp.linprog` as its HiGHS layer and sums
     the `nit` of its results, so every HiGHS call of a solve sits in here.
+    The iteration count and objective are read one value each, not through
+    the whole HighsInfo record.
     """
     n = len(lower)
-    calls = [highs.changeColsBounds(n, np.arange(n, dtype=np.int32), lower, upper)]
+    if columns is None:
+        columns = np.arange(n, dtype=np.int32)
+    calls = [highs.changeColsBounds(n, columns, lower, upper)]
     if basis is not None:
         calls.append(highs.setBasis(basis))
     if _ERROR in calls:
         raise RuntimeError("LP solver failed: HiGHS rejected the bounds or basis")
     highs.run()
     status = highs.getModelStatus()
-    info = highs.getInfo()
-    nit = info.simplex_iteration_count or info.ipm_iteration_count
+    nit = highs.getInfoValue("simplex_iteration_count")[1]
     if status != _OPTIMAL:
         return HighsResult(status, nit)
-    return HighsResult(
-        status, nit, info.objective_function_value, highs.getSolution(), highs.getBasis()
-    )
+    return HighsResult(status, nit, highs.getObjectiveValue(), highs.getSolution(),
+                       highs.getBasis())
 
 
 def solve_lp(model, bound_overrides=None, basis=None):
@@ -236,19 +254,19 @@ def solve_lp(model, bound_overrides=None, basis=None):
     or row by more than `_CHECK_TOL`, and any outcome other than optimal,
     infeasible or unbounded, raise RuntimeError.
     """
-    lower = np.array(model.lower)
-    upper = np.array(model.upper)
+    lower, upper, columns = model.bounds()
     if bound_overrides:
+        lower, upper = lower.copy(), upper.copy()
         for k, (lo, hi) in bound_overrides.items():
             lower[k] = lo
             upper[k] = hi
-    nrows = len(model.rows)
+    ncols, nrows = len(columns), len(model.rows)
     start = None
     if basis is not None:
         start = basis.highs if basis.rows == nrows else _extended(basis, nrows)
 
     model.solves += 1
-    res = linprog(model._highs, lower, upper, start)
+    res = linprog(model._highs, lower[:ncols], upper[:ncols], start, columns)
 
     if res.status == _INFEASIBLE:
         return LPSolution(status="infeasible", values=[], objective=np.inf)
@@ -258,9 +276,9 @@ def solve_lp(model, bound_overrides=None, basis=None):
         raise RuntimeError(
             f"LP solver failed: HiGHS status {model._highs.modelStatusToString(res.status)}"
         )
-    value = np.concatenate([res.solution.col_value, res.solution.row_value])
+    values = res.solution.col_value
     if np.isnan(res.fun) or not _feasible(
-        value, np.concatenate([lower, model._row_lower]), np.concatenate([upper, model._row_upper])
+        np.concatenate([values, res.solution.row_value]), lower, upper
     ):
         raise RuntimeError(
             "LP solver failed: the optimal solution breaks its bounds or rows "
@@ -268,7 +286,7 @@ def solve_lp(model, bound_overrides=None, basis=None):
         )
     return LPSolution(
         status="optimal",
-        values=res.solution.col_value,
+        values=values,
         objective=float(res.fun),
         basis=Basis(res.basis, nrows),
     )
