@@ -22,11 +22,15 @@ The tree uses best-bound node selection and reliability branching
 2005): candidates are probed by warm LP solves until their pseudocosts are
 trusted, and scored by the product rule.  Every probe's answer is used:
 a node whose LP its probe already solved, with no row added since, makes
-no LP call; a probe that cuts off one side of a column fixes the column
-to the other value for the whole subtree (strong-branching domain
-reduction, Achterberg's 2007 thesis); and every child's own LP that is not
-its probe's answer feeds the pseudocosts as a probe does.  Every LP of a solve runs on the one model,
-warm from its parent's basis.  All data are integral, so the
+no LP call; the first probe that cuts off one side of a column ends the
+choice and tightens the node in place (strong-branching domain reduction,
+Achterberg's 2007 thesis): the node fixes the column to the other value,
+takes the surviving side's probe answer as its LP, with no LP call and
+no new node, counts its separation rounds as spent and goes back through
+the prune, integrality and branch steps; and every
+child's own LP that is not its probe's answer feeds the pseudocosts as a
+probe does.  Every LP of a solve runs on the one model, warm from its
+parent's basis.  All data are integral, so the
 optimum is integral and node bounds are rounded up before pruning.  The
 tree starts from the incumbent of ``greedy_incumbent``, the best of n
 greedy activation orders, one started at each node.
@@ -102,6 +106,8 @@ class SolveReport:
     ub: float
     lb: float
     gap: float
+    # popped nodes whose LP is taken: a node pushed again after a separation
+    # round or cycle cuts counts again, an in-place tightening does not
     nodes: int
     cuts: dict
     seconds: float
@@ -377,27 +383,24 @@ def branch(model, sol, candidates, overrides, ub, pseudocosts, deadline=math.inf
     `pseudocosts`, a dict (column, up) -> [summed unit gain, probes] kept
     for one solve.  Other candidates' gains are estimated from their
     pseudocosts.  The score is the product of the two gains, each at least
-    SCORE_EPS, and an infeasible child counts as an infinite gain.  The
-    choice ends when LOOKAHEAD candidates in a row do not beat the best
-    score, when a score is infinite, or when the monotonic clock has passed
-    `deadline`; with no candidate scored by then, the first is taken
-    unprobed.  A probed child is kept with the bound max(probe objective,
-    node bound), unless its probe was infeasible or that bound prunes it
-    against `ub`; an estimated child carries the node's bound.
+    SCORE_EPS.  The choice ends when LOOKAHEAD candidates in a row do not
+    beat the best score, or when the monotonic clock has passed `deadline`;
+    with no candidate scored by then, the first is taken unprobed.  A
+    probed child carries the bound max(probe objective, node bound), an
+    estimated child the node's bound.
 
-    A probe cut off that way fixes its column to the other value for the
-    whole subtree, since `ub` only falls and rows only tighten: every
-    returned child gets the fixings of the probed columns but its own, and
-    a column cut off both ways leaves no child at all.  Each child starts
-    from the node's basis; `probe` is its probe's LPSolution, which the
-    tree takes as the child's LP while no row has been added, or None when
-    the child was not probed or gained a fixing.  `origin` lets the child's
-    own LP, when it is not the probe's answer, feed `pseudocosts` as a
-    probe does.
+    A side is lost when its probe is infeasible or its bound prunes it
+    against `ub`.  The first probed candidate that loses a side ends the
+    choice: it returns its other child alone, whose probe answer is the
+    node's LP with that column fixed (strong-branching domain reduction;
+    Achterberg's 2007 thesis), or no child when it loses both sides.  Each
+    child starts from the node's basis; `probe` is its probe's LPSolution,
+    which the tree takes as the child's LP while no row has been added, or
+    None when the child was not probed.  `origin` lets the child's own LP,
+    when it is not the probe's answer, feed `pseudocosts` as a probe does.
     """
     best_score, best = -1.0, None
     stale = 0
-    cut_off = {}  # probed column -> the fixing its probes leave it
     for k in candidates:
         late = time.monotonic() > deadline
         if late and best is not None:
@@ -405,6 +408,7 @@ def branch(model, sol, candidates, overrides, ub, pseudocosts, deadline=math.inf
         costs = [pseudocosts.get((k, up), (0.0, 0)) for up in (0, 1)]
         probing = not late and min(probes for _, probes in costs) < RELIABILITY
         gains, children = [], []
+        lost = False  # a probe cut off one side of k
         for up, dist in enumerate((sol.values[k], 1.0 - sol.values[k])):  # down, up
             fixings = {**overrides, k: (float(up), float(up))}
             origin = (k, up, sol.objective, dist)
@@ -415,31 +419,24 @@ def branch(model, sol, candidates, overrides, ub, pseudocosts, deadline=math.inf
                     _learn(pseudocosts, origin, probe)
                     bound = max(probe.objective, sol.objective)
                     gains.append(bound - sol.objective)
-                else:
-                    gains.append(math.inf)
                 if not probe.optimal or _prunable(bound, ub):
-                    if k in cut_off:
-                        return []
-                    cut_off[k] = (float(1 - up), float(1 - up))
+                    lost = True
                     continue
             else:
                 total, probes = costs[up]
                 gains.append(total / max(probes, 1) * dist)  # late: unprobed gains 0
             children.append(TreeNode(bound=bound, order=None, fixings=fixings,
                                      basis=sol.basis, probe=probe, origin=origin))
+        if lost:
+            return children
         score = max(gains[0], SCORE_EPS) * max(gains[1], SCORE_EPS)
         if score > best_score:
             best_score, best, stale = score, children, 0
         else:
             stale += 1
-        if stale >= LOOKAHEAD or score == math.inf:
+        if stale >= LOOKAHEAD:
             break
-    return [
-        child._replace(fixings={**child.fixings, **gained}, probe=None)
-        if (gained := {j: fix for j, fix in cut_off.items() if j != child.origin[0]})
-        else child
-        for child in best
-    ]
+    return best
 
 
 def _learn(pseudocosts, origin, answer):
@@ -543,42 +540,49 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
             _learn(pseudocosts, node.origin, sol)
         if nodes == 1 and mode != "cb":
             root_bound = sol.objective
-        if _prunable(sol.objective, ub):
-            continue
-        point = sol.values
-        candidates = _fractional(instance, point)
-
-        if not candidates:
-            cycles = [] if mode == "ln" else _support_cycles(instance, point)
-            if not cycles:
-                found = _activation_order(instance, point)
-                cost = activation_cost(instance, found)
-                if cost < ub:
-                    ub, order = cost, found
-                continue
-            new = False
-            for cycle in cycles:
-                gcec = cyclecuts.build_gcec(instance, cycle, min(cycle.nodes))
-                new |= _add_cut(model, pool, gcec)
-                if cyclecuts.cycle_cut_allowed(instance, cycle):
-                    empty = cyclecuts.build_uc_cut(instance, cycle, (), {})
-                    new |= _add_cut(model, pool, empty)
-            if not new:
-                raise RuntimeError(
-                    "integral candidate violates only cycle cuts already in the model"
-                )
-            rounds = node.rounds
-        elif mode == "cb" and node.rounds < TREE_SEP_ROUNDS and _separation_round(
-            model, instance, pool, point, table, deadline
-        ):
-            rounds = node.rounds + 1  # tightened with the root's cuts before a branch
-        else:
-            for child in branch(model, sol, candidates, node.fixings, ub, pseudocosts, deadline):
-                heapq.heappush(heap, child._replace(order=next(pushes)))
-            continue
-        # the node gained rows: push it again, warm from its answer
-        heapq.heappush(heap, TreeNode(bound=sol.objective, order=next(pushes),
-                                      fixings=node.fixings, basis=sol.basis, rounds=rounds))
+        # one pass per LP answer of the node, tightened in place by every
+        # branching that leaves one child
+        while not _prunable(sol.objective, ub):
+            point = sol.values
+            candidates = _fractional(instance, point)
+            if not candidates:
+                cycles = [] if mode == "ln" else _support_cycles(instance, point)
+                if not cycles:
+                    found = _activation_order(instance, point)
+                    cost = activation_cost(instance, found)
+                    if cost < ub:
+                        ub, order = cost, found
+                    break
+                new = False
+                for cycle in cycles:
+                    gcec = cyclecuts.build_gcec(instance, cycle, min(cycle.nodes))
+                    new |= _add_cut(model, pool, gcec)
+                    if cyclecuts.cycle_cut_allowed(instance, cycle):
+                        empty = cyclecuts.build_uc_cut(instance, cycle, (), {})
+                        new |= _add_cut(model, pool, empty)
+                if not new:
+                    raise RuntimeError(
+                        "integral candidate violates only cycle cuts already in the model"
+                    )
+                rounds = node.rounds
+            elif mode == "cb" and node.rounds < TREE_SEP_ROUNDS and _separation_round(
+                model, instance, pool, point, table, deadline
+            ):
+                rounds = node.rounds + 1  # tightened with the root's cuts before a branch
+            else:
+                children = branch(model, sol, candidates, node.fixings, ub, pseudocosts,
+                                  deadline)
+                if len(children) == 1:  # a probe cut off one side: the same node, tightened
+                    node = children[0]._replace(rounds=TREE_SEP_ROUNDS)
+                    sol = node.probe
+                    continue
+                for child in children:
+                    heapq.heappush(heap, child._replace(order=next(pushes)))
+                break
+            # the node gained rows: push it again, warm from its answer
+            heapq.heappush(heap, TreeNode(bound=sol.objective, order=next(pushes),
+                                          fixings=node.fixings, basis=sol.basis, rounds=rounds))
+            break
 
     lb = ub if status == "optimal" else min(heap[0].bound, ub)  # the least open bound
     return SolveReport(

@@ -250,29 +250,28 @@ class TestProbeUse:
         assert overrides.count({16: (0.0, 0.0)}) == overrides.count({16: (1.0, 1.0)}) == 1
         assert report.lp_solves == len(overrides)
 
-    def test_cut_off_probe_fixes_its_column_in_every_child(self):
-        # at ub = 14 the probes 15 up and 13 up (bound 13.25 each) are cut
-        # off, so columns 15 and 13 are 0 in the whole subtree; column 16's
-        # estimated children keep their own fixing and carry no probe
+    def test_cut_off_probe_leaves_its_other_side_alone(self):
+        # at ub = 14 the probe 15 up (bound 13.25) is cut off, so column 15
+        # ends the choice though the reliable column 16 ranks first: the
+        # 15 down child comes back alone, its probe answer the node's LP
+        # with column 15 fixed to 0
         model, sol, candidates = self.demo_root()
-        children = branch(model, sol, candidates, {}, 14, {**self.RELIABLE_16})
-        assert [c.fixings for c in children] == [
-            {16: (0.0, 0.0), 15: (0.0, 0.0), 13: (0.0, 0.0)},
-            {16: (1.0, 1.0), 15: (0.0, 0.0), 13: (0.0, 0.0)},
-        ]
-        assert [c.probe for c in children] == [None, None]
+        (child,) = branch(model, sol, candidates, {}, 14, {**self.RELIABLE_16})
+        assert child.fixings == {15: (0.0, 0.0)}
+        assert child.origin[:2] == (15, 0)
+        assert child.probe.objective == pytest.approx(11.0) == child.bound
 
-    def test_gained_fixing_drops_the_probe(self):
-        # at ub = 14 the probe 16 down (bound 14) is cut off, which is the
-        # up child's own fixing: it keeps its probe; the probes 15 up and 13
-        # up are cut off too, so with them the child drops it
+    def test_first_lost_side_ends_the_choice(self, monkeypatch):
+        # at ub = 14 the probe 16 down (bound 14) is cut off: the 16 up child
+        # comes back alone after two probes, whatever candidates follow 16
         model, sol, candidates = self.demo_root()
-        (child,) = branch(model, sol, candidates[:1], {}, 14, {})
-        assert child.fixings == {16: (1.0, 1.0)}
-        assert child.probe.objective == pytest.approx(11.0) and child.origin[:2] == (16, 1)
-        (child,) = branch(model, sol, candidates, {}, 14, {})
-        assert child.fixings == {16: (1.0, 1.0), 15: (0.0, 0.0), 13: (0.0, 0.0)}
-        assert child.probe is None
+        calls = count_solve_lp(monkeypatch)
+        for ranked in (candidates[:1], candidates):
+            calls.clear()
+            (child,) = branch(model, sol, ranked, {}, 14, {})
+            assert len(calls) == 2
+            assert child.fixings == {16: (1.0, 1.0)}
+            assert child.probe.objective == pytest.approx(11.0) and child.origin[:2] == (16, 1)
 
     def test_column_cut_off_both_ways_leaves_no_child(self):
         # at ub = 11 both probes of column 15 (bounds 11 and 13.25) are cut off
@@ -315,17 +314,61 @@ class TestProbeUse:
         assert len(answers) >= 10
         assert len({id(answer) for answer in answers}) == len(answers)
 
-    def test_probe_fixings_keep_every_cheaper_point(self, monkeypatch):
-        # no feasible point that meets a node's fixings, lies on a side its
-        # probes cut off and costs less than ub: the fixing loses nothing
-        calls = []
+    @staticmethod
+    def record_tree(monkeypatch):
+        """Route bnc's solve_lp and branch calls through a recorder; returns
+        the list of events: ("lp", fixings, rows) per LP, ("branch", fixings,
+        sol) when a branching starts and ("children", ub, children) when it
+        ends."""
+        events = []
+
+        def recording_solve_lp(model, **kwargs):
+            events.append(("lp", kwargs.get("bound_overrides"), len(model.rows)))
+            return solve_lp(model, **kwargs)
 
         def recording_branch(model, sol, candidates, overrides, ub, *rest):
+            events.append(("branch", overrides, sol))
             children = branch(model, sol, candidates, overrides, ub, *rest)
-            calls.append((overrides, ub, children))
+            events.append(("children", ub, children))
             return children
 
+        monkeypatch.setattr(bnc, "solve_lp", recording_solve_lp)
         monkeypatch.setattr(bnc, "branch", recording_branch)
+        return events
+
+    def test_one_sided_branching_tightens_the_node_in_place(self, monkeypatch):
+        # a branching that leaves one child is the node itself, tightened:
+        # the tightened LP is the child's probe answer, solved only as the probe,
+        # and a fractional one is branched on next, before any other LP;
+        # every point cheaper than ub meets the tightened fixings.  From the
+        # single-start incumbent 15, the demo cb tree tightens node 1 twice
+        # and ends there at the optimum (2 nodes when the child was pushed)
+        monkeypatch.setattr(bnc, "greedy_incumbent", reference_greedy)
+        events = self.record_tree(monkeypatch)
+        inst = demo.demo_instance()
+        report = solve(inst, "cb", SolveParams(time_limit=60))
+        assert (report.ub, report.nodes) == (demo.DEMO_OPTIMUM, 1)
+        points = list(oracle.enumerate_feasible_points(inst))
+        tightened = 0
+        for at, (kind, ub, children) in enumerate(events):
+            if kind != "children" or len(children) != 1:
+                continue
+            (child,) = children
+            tightened += 1
+            assert events.count(("lp", child.fixings, child.probe.basis.rows)) == 1  # the probe
+            if _fractional(inst, child.probe.values):
+                assert events[at + 1][:2] == ("branch", child.fixings)
+                assert events[at + 1][2] is child.probe
+            for p in points:
+                if sum(p[: inst.n]) < ub:
+                    assert all(p[k] == lo for k, (lo, _) in child.fixings.items())
+        assert tightened == 2
+
+    def test_probe_fixings_keep_every_cheaper_point(self, monkeypatch):
+        # no feasible point that meets a node's fixings and costs less than
+        # ub lies on a side its probes cut off: a branching that leaves one
+        # child, or none, loses nothing
+        events = self.record_tree(monkeypatch)
         rng = np.random.default_rng(149)
         checked = 0
         for _ in range(30):
@@ -334,21 +377,25 @@ class TestProbeUse:
                 continue  # enumerating its feasible points takes seconds
             points = list(oracle.enumerate_feasible_points(inst))
             for mode in ("def", "cb"):
-                calls.clear()
+                events.clear()
                 report = solve(inst, mode, SolveParams(time_limit=60))
                 assert report.ub == oracle.brute_force_optimum(inst)[0]
-                for overrides, ub, children in calls:
+                starts = [e for e in events if e[0] == "branch"]
+                ends = [e for e in events if e[0] == "children"]
+                for (_, overrides, _), (_, ub, children) in zip(starts, ends):
+                    if len(children) > 1:
+                        continue
                     at_node = [
                         p for p in points
                         if sum(p[: inst.n]) < ub
                         and all(p[k] == lo for k, (lo, _) in overrides.items())
                     ]
-                    for child in children:
-                        for k, (v, _) in child.fixings.items():
-                            if k in overrides or k == child.origin[0]:
-                                continue
-                            checked += 1
-                            assert all(p[k] == v for p in at_node), (mode, inst, k, v)
+                    checked += 1
+                    if not children:
+                        assert at_node == [], (mode, inst)
+                        continue
+                    k, v = children[0].origin[:2]
+                    assert all(p[k] == v for p in at_node), (mode, inst, k, v)
         assert checked >= 50
 
 
@@ -385,7 +432,7 @@ class TestRootCuts:
             before_branch.clear()
             report = solve(demo.demo_instance(), "cb", SolveParams(max_rounds=max_rounds))
             assert before_branch[0] == expected, max_rounds
-            assert (report.ub, report.nodes) == (demo.DEMO_OPTIMUM, 2), max_rounds
+            assert (report.ub, report.nodes) == (demo.DEMO_OPTIMUM, 1), max_rounds
 
     def test_all_emitted_cuts_valid(self):
         rng = np.random.default_rng(107)
@@ -458,7 +505,7 @@ class TestTreeCuts:
         monkeypatch.setattr(bnc, "root_cut_loop", recording_root_loop)
         rng = np.random.default_rng(137)
         tree_cuts = 0
-        for _ in range(40):
+        for _ in range(60):
             inst = random_instance(rng, n_min=5, n_max=6, extra_edge_prob=0.5)
             if inst.m > 20:
                 continue  # enumerating its feasible points takes seconds
@@ -588,7 +635,7 @@ class TestSolve:
         # node count and cuts per family of two cb solves; a change that
         # alters the search on purpose updates these figures
         cases = {
-            (0.1, 0.5): (19, (17, 14, 18, 45, 2)),
+            (0.1, 0.5): (11, (17, 14, 18, 45, 2)),
             (0.3, 1.0): (20, (23, 19, 27, 1, 95)),
         }
         for (q, a), (nodes, cuts) in cases.items():
@@ -601,7 +648,7 @@ class TestSolve:
     def test_def_search_path_pinned(self):
         # nodes and LPs of two def solves at full coverage (b = n); a change
         # that alters the search on purpose updates these figures
-        cases = {7: (47, 1504, 1607), 8: (61, 381, 470)}
+        cases = {7: (47, 1351, 1454), 8: (61, 369, 458)}
         for seed, (optimum, nodes, lps) in cases.items():
             inst = generate_small_world(15, 4, 0.1, 1.0, seed=seed)
             report = solve(inst, "def", SolveParams(time_limit=600))
