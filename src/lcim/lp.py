@@ -210,13 +210,13 @@ class HighsResult(NamedTuple):
     basis: object = None  # HighsBasis
 
 
-def linprog(highs, lower, upper, basis, columns=None):
+def linprog(highs, lower, upper, basis, columns):
     """Solve on the handle `highs` and read the outcome.
 
     lower and upper are every column's bounds for this solve, and basis a
     HighsBasis over every column and row to start from, or None to start
-    from the handle's own.  columns, the int32 indices 0 .. n-1 of the
-    columns, saves building them.
+    from the handle's own.  columns holds the column indices 0 .. n-1 as
+    int32, as `LPModel.bounds` keeps them.
 
     The name is kept from scipy's `linprog`, which this replaces: the
     benchmark's tracer wraps `lcim.lp.linprog` as its HiGHS layer and sums
@@ -224,10 +224,7 @@ def linprog(highs, lower, upper, basis, columns=None):
     The iteration count and objective are read one value each, not through
     the whole HighsInfo record.
     """
-    n = len(lower)
-    if columns is None:
-        columns = np.arange(n, dtype=np.int32)
-    calls = [highs.changeColsBounds(n, columns, lower, upper)]
+    calls = [highs.changeColsBounds(len(columns), columns, lower, upper)]
     if basis is not None:
         calls.append(highs.setBasis(basis))
     if _ERROR in calls:
