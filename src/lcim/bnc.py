@@ -29,8 +29,12 @@ takes the surviving side's probe answer as its LP, with no LP call and
 no new node, counts its separation rounds as spent and goes back through
 the prune, integrality and branch steps; and every
 child's own LP that is not its probe's answer feeds the pseudocosts as a
-probe does.  Every LP of a solve runs on the one model, warm from its
-parent's basis.  All data are integral, so the
+probe does.  Every tree LP answer first tightens its node's column bounds
+by reduced costs against the incumbent (`_tighten`; Crowder, Johnson &
+Padberg, Oper. Res. 1983): the answer stays optimal, no LP call is added,
+and the node's probes, children and re-push inherit the bounds; the root
+cut loop tightens nothing.  Every LP of a solve runs on the one model,
+warm from its parent's basis.  All data are integral, so the
 optimum is integral and node bounds are rounded up before pruning.  The
 tree starts from the incumbent of ``greedy_incumbent``, the best of n
 greedy activation orders, one started at each node.
@@ -42,6 +46,7 @@ import graphlib
 import heapq
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -90,6 +95,8 @@ class SolveParams:
     max_rounds: int = 50
 
     def __post_init__(self):
+        if not isinstance(self.max_rounds, numbers.Integral):
+            raise ValueError(f"max_rounds must be an integer, got {self.max_rounds!r}")
         # written so that NaN fails too; an infinite time limit means none
         if not (self.time_limit > 0 and self.max_rounds > 0):
             raise ValueError("limits must be positive")
@@ -114,6 +121,7 @@ class SolveReport:
     incumbent: dict = field(default=None, repr=False)  # {"order", "objective"}
     root_bound: float = None  # cb: after the root cut loop; def/ln: tree node 1's LP
     lp_solves: int = 0  # LPs solved, probes included; a node its probe solved adds none
+    tightened: int = 0  # column bounds tightened by reduced costs at tree LP answers
 
     def tsv_line(self):
         cells = [
@@ -459,6 +467,49 @@ def _fractional(instance, point):
     return (ranked + instance.n).tolist()
 
 
+def _tighten(instance, model, sol, fixings, ub):
+    """Reduced-cost fixing at `sol`, the LP answer of a node whose bound
+    fixings are `fixings` and that `_prunable` keeps: returns those fixings
+    with the x, y and z column bounds that the answer's reduced costs
+    tighten, and how many bounds it tightens.
+
+    Every point of the node's LP costs at least the objective plus
+    d_k (v_k - lo) for a column at its lower bound lo with reduced cost
+    d_k, and plus -d_k (hi - v_k) for one at its upper bound hi (Crowder,
+    Johnson & Padberg, Oper. Res. 1983).  A point cheaper than ub costs at
+    most ub - 1, as all data are integral, so the objective may rise by at
+    most gap = ub - 1 - objective, with `_prunable`'s 1e-6 margin.  A y or
+    z column at 0 with d_k > gap is fixed to 0, one at 1 with -d_k > gap
+    to 1, and an x column at lo with d_k > 0 gets the upper bound
+    lo + floor(gap / d_k): lowering each x to its least value keeps a
+    solution feasible and cheaper, and makes it integral.  Each tightened
+    column sits at its new bound, so `sol` stays the node's optimum.
+    """
+    end = instance.ncols  # ln's layer columns are left alone
+    lower, upper, _ = model.bounds()
+    lower, upper = lower[:end].copy(), upper[:end].copy()
+    for k, (lo, hi) in fixings.items():
+        lower[k], upper[k] = lo, hi
+    value = np.asarray(sol.values[:end])
+    cost = np.asarray(sol.reduced_costs[:end])
+    gap = ub - 1 - sol.objective + 1e-6
+    at_lower = value <= lower + INT_TOL
+    at_upper = value >= upper - INT_TOL
+    binary = (np.arange(end) >= instance.n) & (lower < upper)
+    down = binary & at_lower & (cost > gap)
+    up = binary & at_upper & (-cost > gap)
+    new_lower, new_upper = np.where(up, upper, lower), np.where(down, lower, upper)
+    x = np.flatnonzero(at_lower[:instance.n] & (cost[:instance.n] > 0))
+    with np.errstate(over="ignore"):
+        cap = lower[x] + np.floor(gap / cost[x])
+    new_upper[x] = np.minimum(upper[x], cap)
+    changed = np.flatnonzero((new_lower != lower) | (new_upper != upper))
+    if not len(changed):
+        return fixings, 0
+    tight = {int(k): (float(new_lower[k]), float(new_upper[k])) for k in changed}
+    return {**fixings, **tight}, len(changed)
+
+
 def _prunable(bound, ub):
     """Whether a node with this finite LP bound cannot hold a solution
     cheaper than ub; the optimum is integral."""
@@ -514,6 +565,7 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
 
     ub, order = greedy_incumbent(instance)
     nodes = 0
+    tightened = 0
     status = "optimal"
 
     pseudocosts = {}
@@ -543,6 +595,9 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
         # one pass per LP answer of the node, tightened in place by every
         # branching that leaves one child
         while not _prunable(sol.objective, ub):
+            fixings, count = _tighten(instance, model, sol, node.fixings, ub)
+            node = node._replace(fixings=fixings)
+            tightened += count
             point = sol.values
             candidates = _fractional(instance, point)
             if not candidates:
@@ -601,4 +656,5 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
         incumbent={"order": order, "objective": ub},
         root_bound=root_bound,
         lp_solves=model.solves,
+        tightened=tightened,
     )

@@ -259,15 +259,19 @@ def _suite_trace():
 
 
 def _suite_oracle():
+    """Each of six random instances in def and cb, and the same graph at
+    full coverage (b = n) in def, cb and ln, against brute force."""
     rng = np.random.default_rng(20240817)
     for _ in range(6):
-        inst = demo.random_instance(rng)
-        expect, _ = oracle.brute_force_optimum(inst)
-        for mode in ("def", "cb"):
-            report = bnc.solve(inst, mode, SolveParams(time_limit=60))
-            yield report.ub == expect, (
-                f"{mode} solve: expected {expect}, got {report.ub} (n={inst.n}, b={inst.b})"
-            )
+        drawn = demo.random_instance(rng)
+        full = drawn.with_b(drawn.n)
+        for inst, modes in ((drawn, ("def", "cb")), (full, bnc.MODES)):
+            expect, _ = oracle.brute_force_optimum(inst)
+            for mode in modes:
+                report = bnc.solve(inst, mode, SolveParams(time_limit=60))
+                yield report.ub == expect, (
+                    f"{mode} solve: expected {expect}, got {report.ub} (n={inst.n}, b={inst.b})"
+                )
 
 
 def cmd_verify(_args):

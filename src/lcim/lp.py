@@ -18,8 +18,8 @@ runs HiGHS's dual simplex, with the options of scipy's
 ``linprog(method="highs-ds")``, warm from a given basis or from the
 handle's last one.  Only the first solve of a model starts cold (with
 presolve); HiGHS skips presolve when it holds a valid basis.  A solve
-reads back the status, iteration count, column and row values, objective
-and optimal basis only.
+reads back the status, iteration count, column and row values, the
+columns' reduced costs, objective and optimal basis only.
 tests/test_lp.py keeps ``linprog`` as the oracle.
 """
 
@@ -103,13 +103,16 @@ class Basis(NamedTuple):
 @dataclass
 class LPSolution:
     """The outcome of one solve: an optimal basic solution's column values,
-    objective and basis, or +inf (infeasible) or -inf (unbounded) and no
-    values or basis."""
+    reduced costs, objective and basis, or +inf (infeasible) or -inf
+    (unbounded) and no values, reduced costs or basis."""
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: list  # value per column, as Python floats; empty unless optimal
     objective: float
     basis: Basis = None  # a start for later solves of the same model
+    # reduced cost d_k per column, as Python floats: >= 0 at a lower bound,
+    # <= 0 at an upper one; empty unless optimal
+    reduced_costs: list = ()
 
     @property
     def optimal(self):
@@ -206,7 +209,7 @@ class HighsResult(NamedTuple):
     status: object  # HighsModelStatus
     nit: int  # simplex iterations
     fun: float = None
-    solution: object = None  # HighsSolution: col_value and row_value are read
+    solution: object = None  # HighsSolution: col_value, row_value and col_dual are read
     basis: object = None  # HighsBasis
 
 
@@ -246,8 +249,8 @@ def solve_lp(model, bound_overrides=None, basis=None):
     of an earlier solution of this model, is where the dual simplex starts,
     with the slacks of rows added since made basic (HiGHS rejects a basis
     taken before a column was added); without one it starts from the
-    handle's last basis.  The solution's values are a list
-    indexed by column.  An answer HiGHS calls optimal that breaks a bound
+    handle's last basis.  The solution's values and reduced costs are
+    lists indexed by column.  An answer HiGHS calls optimal that breaks a bound
     or row by more than `_CHECK_TOL`, and any outcome other than optimal,
     infeasible or unbounded, raise RuntimeError.
     """
@@ -286,6 +289,7 @@ def solve_lp(model, bound_overrides=None, basis=None):
         values=values,
         objective=float(res.fun),
         basis=Basis(res.basis, nrows),
+        reduced_costs=res.solution.col_dual,
     )
 
 

@@ -6,12 +6,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lcim import bnc, cyclecuts, demo, oracle
 from lcim.bnc import (
     CUT_FAMILIES,
+    INT_TOL,
     TSV_HEADER,
     SolveParams,
     _fractional,
@@ -236,7 +237,10 @@ class TestProbeUse:
     def test_probed_children_reuse_their_probe_lp(self, monkeypatch):
         # no row is added before the root's probed children are popped, so
         # each reaches HiGHS once, as a probe; two tree paths may still
-        # reach the same fixings, so later LPs are not checked
+        # reach the same fixings, so later LPs are not checked.  The root's
+        # reduced costs (0.4 on x_1, 2 on column 12, against the gap
+        # 11 - 1 - 8.52) bound x_1 by 3 and fix column 12 to 0 first
+        tight = {0: (0.0, 3.0), 12: (0.0, 0.0)}
         overrides = []
 
         def recording_solve_lp(model, **kwargs):
@@ -245,9 +249,10 @@ class TestProbeUse:
 
         monkeypatch.setattr(bnc, "solve_lp", recording_solve_lp)
         report = solve(demo.demo_instance(), "def", SolveParams(time_limit=60))
-        assert report.ub == demo.DEMO_OPTIMUM
-        assert overrides[1:3] == [{16: (0.0, 0.0)}, {16: (1.0, 1.0)}]  # the root's first probes
-        assert overrides.count({16: (0.0, 0.0)}) == overrides.count({16: (1.0, 1.0)}) == 1
+        assert (report.ub, report.tightened) == (demo.DEMO_OPTIMUM, len(tight))
+        down, up = {**tight, 16: (0.0, 0.0)}, {**tight, 16: (1.0, 1.0)}
+        assert overrides[1:3] == [down, up]  # the root's first probes
+        assert overrides.count(down) == overrides.count(up) == 1
         assert report.lp_solves == len(overrides)
 
     def test_cut_off_probe_leaves_its_other_side_alone(self):
@@ -308,7 +313,8 @@ class TestProbeUse:
         monkeypatch.setattr(bnc, "_learn", recording_learn)
         rng = np.random.default_rng(151)
         cases = [(demo.demo_instance(), "def")]
-        cases += [(random_instance(rng, n_min=6, n_max=8), mode) for mode in ("def", "cb")]
+        for inst in [random_instance(rng, n_min=6, n_max=8) for _ in range(2)]:
+            cases += [(inst, "def"), (inst, "cb")]
         for inst, mode in cases:
             solve(inst, mode, SolveParams(time_limit=60))
         assert len(answers) >= 10
@@ -397,6 +403,49 @@ class TestProbeUse:
                     k, v = children[0].origin[:2]
                     assert all(p[k] == v for p in at_node), (mode, inst, k, v)
         assert checked >= 50
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_reduced_cost_bounds_keep_every_cheaper_point(self, seed):
+        # at the root LP answer and at each probed child's answer, the bounds
+        # that _tighten adds keep every feasible point, x at its least value,
+        # that meets the node's fixings and costs less than ub; ub runs
+        # upwards from just above the optimum, where the bounds are tightest.
+        # ln's points orient every edge.  The answer keeps within the bounds
+        inst = random_instance(np.random.default_rng(seed), n_max=6)
+        assume(inst.m <= 20)  # more arcs take seconds to enumerate
+        every = np.array(list(oracle.enumerate_feasible_points(inst)))
+        pairs = [(inst.ycol[i, j], inst.ycol[j, i]) for i, j in inst.edges()]
+        oriented = np.all([every[:, a] + every[:, b] == 1 for a, b in pairs], axis=0)
+
+        def meets(points, fixings):
+            cols = list(fixings)
+            lo, hi = np.array([fixings[k] for k in cols]).reshape(-1, 2).T
+            return np.all((points[:, cols] >= lo) & (points[:, cols] <= hi), axis=1)
+
+        for mode in bnc.MODES if inst.b == inst.n else ("def", "cb"):
+            points = every[oriented] if mode == "ln" else every
+            cost = points[:, :inst.n].sum(axis=1)
+            model = assemble(inst, mode)
+            if mode == "cb":
+                root_cut_loop(model, inst, SolveParams(time_limit=60), CutPool(), MisTable(inst))
+            root = solve_lp(model)
+            answers = [({}, root)]
+            for k in _fractional(inst, root.values):
+                for v in (0.0, 1.0):
+                    probe = solve_lp(model, bound_overrides={k: (v, v)}, basis=root.basis)
+                    if probe.optimal:
+                        answers.append(({k: (v, v)}, probe))
+            for ub in range(int(cost.min()) + 1, int(cost.min()) + 4):
+                for fixings, sol in answers:
+                    if bnc._prunable(sol.objective, ub):
+                        continue
+                    tightened, _ = bnc._tighten(inst, model, sol, fixings, ub)
+                    kept = (cost < ub) & meets(points, fixings)
+                    assert meets(points, tightened)[kept].all(), (mode, ub, fixings, tightened)
+                    assert all(lo - INT_TOL <= sol.values[k] <= hi + INT_TOL
+                               for k, (lo, hi) in tightened.items())
 
 
 class TestRootCuts:
@@ -648,7 +697,7 @@ class TestSolve:
     def test_def_search_path_pinned(self):
         # nodes and LPs of two def solves at full coverage (b = n); a change
         # that alters the search on purpose updates these figures
-        cases = {7: (47, 1351, 1454), 8: (61, 369, 458)}
+        cases = {7: (47, 2411, 2516), 8: (61, 314, 409)}
         for seed, (optimum, nodes, lps) in cases.items():
             inst = generate_small_world(15, 4, 0.1, 1.0, seed=seed)
             report = solve(inst, "def", SolveParams(time_limit=600))
@@ -727,7 +776,8 @@ class TestSupportCycles:
         def two_cycles_first(model, **kwargs):
             keys.append({cut.key for cut in pools[0]})
             if len(keys) == 1:
-                return LPSolution(status="optimal", values=point, objective=0.0)
+                return LPSolution(status="optimal", values=point, objective=0.0,
+                                  reduced_costs=[0.0] * len(point))
             return solve_lp(model, **kwargs)
 
         monkeypatch.setattr(bnc, "CutPool", recording_pool)
@@ -822,11 +872,31 @@ class TestReport:
         assert gap_percent(math.inf, 5.0) == math.inf
         assert gap_percent(5.0, 0.0) == math.inf
 
+    def test_tightened_counts_every_reduced_cost_bound(self, monkeypatch):
+        # the report counts the bounds _tighten adds over the whole solve
+        tighten, counts = bnc._tighten, []
+
+        def recording_tighten(*args):
+            fixings, count = tighten(*args)
+            counts.append(count)
+            return fixings, count
+
+        monkeypatch.setattr(bnc, "_tighten", recording_tighten)
+        inst = generate_small_world(8, 4, 0.3, 1.0, seed=42)
+        for mode in bnc.MODES:
+            counts.clear()
+            report = solve(inst, mode, SolveParams(time_limit=60))
+            assert report.tightened == sum(counts) > 0, mode
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             SolveParams(time_limit=0)
         with pytest.raises(ValueError):
             SolveParams(max_rounds=0)
+        for rounds in (2.5, 3.0, math.inf):
+            with pytest.raises(ValueError, match="max_rounds"):
+                SolveParams(max_rounds=rounds)
+        assert SolveParams(max_rounds=np.int64(3)).max_rounds == 3
         with pytest.raises(ValueError):
             SolveParams(time_limit=float("nan"))
         assert SolveParams(time_limit=math.inf).time_limit == math.inf

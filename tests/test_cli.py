@@ -249,6 +249,8 @@ class TestVerify:
         assert code == EXIT_OK
         for suite in ("tables", "facets", "trace", "oracle"):
             assert f"{suite}: ok" in out
+        # six instances in def and cb, and each at b = n in def, cb and ln
+        assert "oracle: ok 30/30 passed" in out
 
     def test_trace_failures_counted(self, capsys, monkeypatch):
         # every recorded demo figure perturbed: each trace check fails once

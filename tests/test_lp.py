@@ -425,6 +425,7 @@ class TestAnswerCheck:
             return res._replace(solution=SimpleNamespace(
                 col_value=list(np.add(res.solution.col_value, col_shift)),
                 row_value=list(np.add(res.solution.row_value, row_shift)),
+                col_dual=res.solution.col_dual,
             ))
 
         with monkeypatch.context() as patch:
