@@ -478,36 +478,30 @@ def _tighten(instance, model, sol, fixings, ub):
     d_k, and plus -d_k (hi - v_k) for one at its upper bound hi (Crowder,
     Johnson & Padberg, Oper. Res. 1983).  A point cheaper than ub costs at
     most ub - 1, as all data are integral, so the objective may rise by at
-    most gap = ub - 1 - objective, with `_prunable`'s 1e-6 margin.  A y or
-    z column at 0 with d_k > gap is fixed to 0, one at 1 with -d_k > gap
-    to 1, and an x column at lo with d_k > 0 gets the upper bound
-    lo + floor(gap / d_k): lowering each x to its least value keeps a
-    solution feasible and cheaper, and makes it integral.  Each tightened
-    column sits at its new bound, so `sol` stays the node's optimum.
+    most gap = ub - 1 - objective, with `_prunable`'s 1e-6 margin.  A
+    column at lo with d_k (hi - lo) > gap gets the upper bound
+    lo + floor(gap / d_k), which fixes a y or z column to 0; an x column
+    may take it because lowering each x to its least value keeps a
+    solution feasible and cheaper, and makes it integral.  A y or z column
+    at hi with -d_k (hi - lo) > gap is fixed to hi.  Each tightened column
+    sits at its new bound, so `sol` stays the node's optimum.
     """
     end = instance.ncols  # ln's layer columns are left alone
     lower, upper, _ = model.bounds()
-    lower, upper = lower[:end].copy(), upper[:end].copy()
-    for k, (lo, hi) in fixings.items():
-        lower[k], upper[k] = lo, hi
-    value = np.asarray(sol.values[:end])
-    cost = np.asarray(sol.reduced_costs[:end])
     gap = ub - 1 - sol.objective + 1e-6
-    at_lower = value <= lower + INT_TOL
-    at_upper = value >= upper - INT_TOL
-    binary = (np.arange(end) >= instance.n) & (lower < upper)
-    down = binary & at_lower & (cost > gap)
-    up = binary & at_upper & (-cost > gap)
-    new_lower, new_upper = np.where(up, upper, lower), np.where(down, lower, upper)
-    x = np.flatnonzero(at_lower[:instance.n] & (cost[:instance.n] > 0))
-    with np.errstate(over="ignore"):
-        cap = lower[x] + np.floor(gap / cost[x])
-    new_upper[x] = np.minimum(upper[x], cap)
-    changed = np.flatnonzero((new_lower != lower) | (new_upper != upper))
-    if not len(changed):
+    cost = np.array(sol.reduced_costs[:end])
+    tight = {}
+    # the model's spans hold the node's, so these are the only candidates
+    for k in np.flatnonzero(np.abs(cost) * (upper[:end] - lower[:end]) > gap).tolist():
+        lo, hi = fixings.get(k, (model.lower[k], model.upper[k]))
+        d, v = sol.reduced_costs[k], sol.values[k]
+        if d * (hi - lo) > gap and v <= lo + INT_TOL:
+            tight[k] = (lo, lo + math.floor(gap / d))
+        elif -d * (hi - lo) > gap and v >= hi - INT_TOL and k >= instance.n:
+            tight[k] = (hi, hi)
+    if not tight:
         return fixings, 0
-    tight = {int(k): (float(new_lower[k]), float(new_upper[k])) for k in changed}
-    return {**fixings, **tight}, len(changed)
+    return {**fixings, **tight}, len(tight)
 
 
 def _prunable(bound, ub):

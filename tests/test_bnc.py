@@ -404,7 +404,6 @@ class TestProbeUse:
                     assert all(p[k] == v for p in at_node), (mode, inst, k, v)
         assert checked >= 50
 
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_reduced_cost_bounds_keep_every_cheaper_point(self, seed):

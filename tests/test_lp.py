@@ -286,8 +286,10 @@ def regrown_model():
 
 def check_against_oracle(model, overrides=None, basis=None):
     """Solve the model as it stands and compare with a fresh linprog: the
-    same status, the objective to 1e-9 relative, and an x within
-    lp._CHECK_TOL of its bounds and rows whose cost is that objective.
+    same status, the objective to 1e-9 relative, an x within
+    lp._CHECK_TOL of its bounds and rows whose cost is that objective, and
+    a reduced cost per column that is at most 0 off its lower bound and at
+    least 0 off its upper one, to HiGHS's dual tolerance.
     Returns (linprog status, solution or None)."""
     want = oracle_solve(model, overrides)
     if want.status not in (0, 2, 3):
@@ -311,6 +313,10 @@ def check_against_oracle(model, overrides=None, basis=None):
             np.concatenate([upper, row_upper]),
         )
         assert float(np.dot(model.obj, x)) == pytest.approx(got.objective, rel=1e-9)
+        cost = np.array(got.reduced_costs)
+        assert cost.shape == x.shape
+        assert np.all(cost[x > lower + lp._CHECK_TOL] <= 1e-7)
+        assert np.all(cost[x < upper - lp._CHECK_TOL] >= -1e-7)
     return want.status, got
 
 
