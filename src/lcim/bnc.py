@@ -69,6 +69,7 @@ __all__ = [
     "branch",
     "greedy_incumbent",
     "TSV_HEADER",
+    "tsv_mean_line",
 ]
 
 MODES = ("def", "cb", "ln")
@@ -82,6 +83,7 @@ TSV_HEADER = "\t".join(
 
 
 INT_TOL = 1e-6  # a y/z value this close to 0 or 1 counts as integral
+PRUNE_TOL = 1e-6  # an LP bound this far above an integer may round down to it
 ROUND_CUT_CAP = 200  # a separation round stops separating at this many new cuts
 TREE_SEP_ROUNDS = 2  # separation rounds (the root's round) per tree node before branching
 RELIABILITY = 1  # probes per column and direction before its pseudocost is trusted
@@ -123,22 +125,14 @@ class SolveReport:
     lp_solves: int = 0  # LPs solved, probes included; a node its probe solved adds none
     tightened: int = 0  # column bounds tightened by reduced costs at tree LP answers
 
+    def _tsv_columns(self):
+        """The numeric TSV columns, in TSV_HEADER's order: n, m, b, ub, lb,
+        gap, nodes, the cut counts and seconds."""
+        return (self.n, self.m, self.b, self.ub, self.lb, self.gap, self.nodes,
+                *(self.cuts.get(f, 0) for f in CUT_FAMILIES), self.seconds)
+
     def tsv_line(self):
-        cells = [
-            self.instance_id,
-            self.mode,
-            str(self.n),
-            str(self.m),
-            str(self.b),
-            self.status,
-            _num(self.ub),
-            _num(self.lb),
-            _num(self.gap),
-            str(self.nodes),
-        ]
-        cells += [str(self.cuts.get(f, 0)) for f in CUT_FAMILIES]
-        cells.append(f"{self.seconds:.3f}")
-        return "\t".join(cells)
+        return _tsv_row(self.instance_id, self.mode, self.status, self._tsv_columns(), _num)
 
     def text_block(self):
         lines = [
@@ -153,6 +147,19 @@ class SolveReport:
             f"time      {self.seconds:.3f}s",
         ]
         return "\n".join(lines)
+
+
+def tsv_mean_line(reports):
+    """The TSV row of the column means of `reports`, all of one mode."""
+    means = [sum(col) / len(reports) for col in zip(*(r._tsv_columns() for r in reports))]
+    return _tsv_row("mean", reports[0].mode, "-", means, "{:g}".format)
+
+
+def _tsv_row(name, mode, status, columns, fmt):
+    """A TSV row of `columns` (see `SolveReport._tsv_columns`), each but seconds
+    written by `fmt`."""
+    cells = [fmt(v) for v in columns[:-1]]
+    return "\t".join([name, mode, *cells[:3], status, *cells[3:], f"{columns[-1]:.3f}"])
 
 
 def _num(v):
@@ -478,7 +485,7 @@ def _tighten(instance, model, sol, fixings, ub):
     d_k, and plus -d_k (hi - v_k) for one at its upper bound hi (Crowder,
     Johnson & Padberg, Oper. Res. 1983).  A point cheaper than ub costs at
     most ub - 1, as all data are integral, so the objective may rise by at
-    most gap = ub - 1 - objective, with `_prunable`'s 1e-6 margin.  A
+    most gap = ub - 1 - objective, plus `_prunable`'s margin PRUNE_TOL.  A
     column at lo with d_k (hi - lo) > gap gets the upper bound
     lo + floor(gap / d_k), which fixes a y or z column to 0; an x column
     may take it because lowering each x to its least value keeps a
@@ -488,7 +495,7 @@ def _tighten(instance, model, sol, fixings, ub):
     """
     end = instance.ncols  # ln's layer columns are left alone
     lower, upper, _ = model.bounds()
-    gap = ub - 1 - sol.objective + 1e-6
+    gap = ub - 1 - sol.objective + PRUNE_TOL
     cost = np.array(sol.reduced_costs[:end])
     tight = {}
     # the model's spans hold the node's, so these are the only candidates
@@ -507,7 +514,7 @@ def _tighten(instance, model, sol, fixings, ub):
 def _prunable(bound, ub):
     """Whether a node with this finite LP bound cannot hold a solution
     cheaper than ub; the optimum is integral."""
-    return math.ceil(bound - 1e-6) >= ub
+    return math.ceil(bound - PRUNE_TOL) >= ub
 
 
 def _support_cycles(instance, point):
@@ -633,7 +640,8 @@ def solve(instance, mode="def", params=None, instance_id="instance"):
                                           fixings=node.fixings, basis=sol.basis, rounds=rounds))
             break
 
-    lb = ub if status == "optimal" else min(heap[0].bound, ub)  # the least open bound
+    # a time-out's lb is the least open bound, but node 1 is open at bound 0
+    lb = ub if status == "optimal" else min(max(heap[0].bound, root_bound or 0.0), ub)
     return SolveReport(
         instance_id=instance_id,
         mode=mode,

@@ -10,6 +10,9 @@ Subcommands:
 `solve` works on its files one after another, in argument order.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+A command raises on bad input, and `main` maps the error to its code
+(`_exit_code`): a file that cannot be read, written or parsed gives 3, a
+rejected value 2.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import sys
 import numpy as np
 
 from . import bnc, cyclecuts, demo, instance as inst_mod, knapcuts, oracle, special
-from .bnc import CUT_FAMILIES, TSV_HEADER, SolveParams
+from .bnc import TSV_HEADER, SolveParams
 from .instance import ParseError
 from .lp import solve_lp
 
@@ -78,29 +81,14 @@ def build_parser():
 
 def cmd_generate(args):
     if args.count < 0:
-        print(f"error: --count must be >= 0, got {args.count}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        os.makedirs(args.outdir, exist_ok=True)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise ValueError(f"--count must be >= 0, got {args.count}")
+    os.makedirs(args.outdir, exist_ok=True)
     for k in range(args.count):
         seed = args.seed + k
-        try:
-            inst = inst_mod.generate_small_world(
-                args.n, args.v, args.q, args.a, seed
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        inst = inst_mod.generate_small_world(args.n, args.v, args.q, args.a, seed)
         name = f"{args.n}_{args.v}_{args.q}_{args.a}_{seed}.lcim"
         path = os.path.join(args.outdir, name)
-        try:
-            inst_mod.save(inst, path)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        inst_mod.save(inst, path)
         print(path)
     return EXIT_OK
 
@@ -114,10 +102,9 @@ def cmd_solve(args):
     try:
         params = SolveParams(time_limit=args.time_limit, max_rounds=args.rounds)
     except ValueError:
-        print("error: --time-limit and --rounds must be positive", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--time-limit and --rounds must be positive") from None
     reports = []
-    errors = []
+    errors = []  # exit codes of the files that failed; a batch goes on past them
     lines = []
     if args.format == "tsv":
         lines.append(TSV_HEADER)
@@ -125,11 +112,8 @@ def cmd_solve(args):
         try:
             inst = inst_mod.load(path)
             report = bnc.solve(inst, args.mode, params, instance_id=os.path.basename(path))
-        except (OSError, ParseError) as exc:
-            errors.append(EXIT_IO)
-            lines.append(f"# error\t{path}\t{exc}")
-        except ValueError as exc:
-            errors.append(EXIT_USAGE)
+        except (OSError, ValueError) as exc:
+            errors.append(_exit_code(exc))
             lines.append(f"# error\t{path}\t{exc}")
         else:
             reports.append(report)
@@ -137,40 +121,16 @@ def cmd_solve(args):
                 report.tsv_line() if args.format == "tsv" else report.text_block() + "\n"
             )
     if args.format == "tsv" and len(reports) > 1:
-        lines.append(_mean_line(reports))
+        lines.append(bnc.tsv_mean_line(reports))
 
     text = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
     return max(errors, default=EXIT_OK)
-
-
-def _mean_line(reports):
-    k = len(reports)
-    cells = [
-        "mean",
-        reports[0].mode,
-        f"{sum(r.n for r in reports) / k:g}",
-        f"{sum(r.m for r in reports) / k:g}",
-        f"{sum(r.b for r in reports) / k:g}",
-        "-",
-        f"{sum(r.ub for r in reports) / k:g}",
-        f"{sum(r.lb for r in reports) / k:g}",
-        f"{sum(r.gap for r in reports) / k:g}",
-        f"{sum(r.nodes for r in reports) / k:g}",
-    ]
-    for fam in CUT_FAMILIES:
-        cells.append(f"{sum(r.cuts.get(fam, 0) for r in reports) / k:g}")
-    cells.append(f"{sum(r.seconds for r in reports) / k:.3f}")
-    return "\t".join(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +139,7 @@ def _mean_line(reports):
 
 
 def cmd_dp_cycle(args):
-    try:
-        inst = inst_mod.load(args.path)
-    except (OSError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        cost, order = special.dp_cycle(inst, args.b)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cost, order = special.dp_cycle(inst_mod.load(args.path), args.b)
     print(f"start {order[0]} cost {cost} order {' '.join(map(str, order))}")
     return EXIT_OK
 
@@ -308,7 +259,18 @@ def main(argv=None):
         "verify": cmd_verify,
         "dp-cycle": cmd_dp_cycle,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _exit_code(exc)
+
+
+def _exit_code(exc):
+    """The exit code of an error a command raises: EXIT_IO for a file that
+    cannot be read or written or does not parse, EXIT_USAGE for any other
+    rejected value."""
+    return EXIT_IO if isinstance(exc, (OSError, ParseError)) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -467,5 +467,13 @@ def _at_line(lineno, check, *args):
 
 
 def load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    """Read an instance file; a file that is not UTF-8 text is a ParseError
+    at the line, counted as `loads` counts, of its first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8") + "x"  # "x" stands in for the bad byte
+        raise ParseError(len(head.splitlines()), "not UTF-8 text") from None
+    return loads(text)

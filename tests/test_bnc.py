@@ -3,6 +3,8 @@
 import graphlib
 import math
 import time
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -655,6 +657,25 @@ class TestSolve:
         assert report.status == "time_limit"
         assert report.lb <= report.ub
 
+    def test_time_out_before_node_1_reports_root_bound_as_lb(self, monkeypatch):
+        # bnc's clock passes the deadline once the cb root loop returns
+        shift = [0.0]
+        clock = SimpleNamespace(monotonic=lambda: time.monotonic() + shift[0])
+        monkeypatch.setattr(bnc, "time", clock)
+        loop = bnc.root_cut_loop
+
+        def loop_then_time_out(*args):
+            bound = loop(*args)
+            shift[0] = 1e6
+            return bound
+
+        monkeypatch.setattr(bnc, "root_cut_loop", loop_then_time_out)
+        report = solve(demo.demo_instance(), "cb", SolveParams(time_limit=60))
+        assert report.status == "time_limit" and report.nodes == 0
+        assert report.root_bound > 10  # 10.4; node 1 is still open at bound 0
+        assert report.lb == report.root_bound < report.ub
+        assert report.gap == gap_percent(report.ub, report.root_bound)
+
     def test_deadline_holds_in_branch_probes(self, monkeypatch):
         inst = demo.demo_instance()
         model = assemble(inst, "def")
@@ -864,6 +885,17 @@ class TestReport:
         assert "status    optimal" in text
         for fam in CUT_FAMILIES:
             assert f"{fam}=" in text
+
+    def test_mean_line_shares_the_row_layout(self):
+        one = solve(demo.demo_instance(), "def", SolveParams(time_limit=60))
+        two = replace(one, ub=12.0, nodes=one.nodes + 3, cuts={"mis": 3}, seconds=0.5)
+        header = TSV_HEADER.split("\t")
+        cells = dict(zip(header, bnc.tsv_mean_line([one, two]).split("\t"), strict=True))
+        assert cells["instance"] == "mean" and cells["mode"] == "def"
+        assert cells["status"] == "-" and cells["n"] == "5"
+        assert cells["ub"] == "11.5" and cells["cuts_mis"] == "1.5"
+        assert cells["nodes"] == f"{one.nodes + 1.5:g}"
+        assert cells["seconds"] == f"{(one.seconds + 0.5) / 2:.3f}"
 
     def test_gap_percent(self):
         assert gap_percent(11.0, 11.0) == 0.0

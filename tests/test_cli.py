@@ -242,6 +242,49 @@ class TestDpCycle:
         assert code == EXIT_IO
 
 
+class TestExitCodes:
+    """Every command maps an error to one code: 3 for a file that cannot be
+    read, written or parsed, 2 for a rejected value.  `solve` reports a bad
+    file as a `# error` row and goes on; the others print one `error:` line
+    to stderr."""
+
+    GENERATE = ["generate", "--n", "10", "--v", "4", "--q", "0.1", "--a", "0.5"]
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (GENERATE + ["--outdir", "{bad}/sub"], EXIT_IO, "Not a directory"),
+        (GENERATE + ["--outdir", "{bad}"], EXIT_IO, "File exists"),
+        (GENERATE + ["--count", "-1", "--outdir", "{dir}"], EXIT_USAGE,
+         "--count must be >= 0, got -1"),
+        (["generate", "--n", "10", "--v", "3", "--q", "0.1", "--a", "0.5", "--outdir", "{dir}"],
+         EXIT_USAGE, "mean degree v must be even"),
+        (["solve", "{missing}"], EXIT_IO, "No such file or directory"),
+        (["solve", "{dir}"], EXIT_IO, "Is a directory"),
+        (["solve", "{bad}"], EXIT_IO, "line 2: not UTF-8 text"),
+        (["solve", "{ring}", "--rounds", "0"], EXIT_USAGE,
+         "--time-limit and --rounds must be positive"),
+        (["dp-cycle", "{missing}"], EXIT_IO, "No such file or directory"),
+        (["dp-cycle", "{dir}"], EXIT_IO, "Is a directory"),
+        (["dp-cycle", "{bad}"], EXIT_IO, "line 2: not UTF-8 text"),
+        (["dp-cycle", "{ring}", "--b", "0"], EXIT_USAGE, "b=0 outside [1, n]"),
+    ])
+    def test_error_codes(self, argv, code, message, ring_path, tmp_path, capsys):
+        bad = tmp_path / "bad.lcim"
+        bad.write_bytes(b"lcim 1\n3 \xff\xfe 1\n")
+        paths = {"bad": bad, "dir": tmp_path, "missing": tmp_path / "none.lcim",
+                 "ring": ring_path}
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        if argv[0] == "solve" and "--rounds" not in argv:
+            assert err == ""
+            header, row = out.splitlines()
+            assert header == TSV_HEADER
+            assert row.startswith(f"# error\t{argv[1]}\t") and message in row
+        else:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 class TestVerify:
     def test_all_suites_pass(self, capsys):
         code = main(["verify"])

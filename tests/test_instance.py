@@ -254,6 +254,19 @@ class TestIO:
                 save(inst, path)
                 assert load(path) == inst
 
+    @pytest.mark.parametrize("data, lineno", [
+        (b"lcim 1\n3 \xff\xfe 1\n", 2),
+        (b"\xfflcim 1\n", 1),
+        (b"lcim 1\r\n2 2 1\r\n1 5\x80\r\n", 3),
+        ("lcim 1\n# café\n\n".encode("utf-8") + "# naïve\n".encode("latin-1"), 4),
+    ])
+    def test_non_utf8_file_is_parse_error_at_its_line(self, tmp_path, data, lineno):
+        path = tmp_path / "bad.lcim"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=f"^line {lineno}: not UTF-8 text$") as exc:
+            load(path)
+        assert exc.value.lineno == lineno
+
     def test_demo_fixture(self):
         inst = demo_instance()
         assert inst.n == 5 and inst.m == 10 and inst.b == 3
